@@ -43,7 +43,7 @@ Outcome run_case(const BenchEnv& env, bool adapt_soft,
 
   Simulation sim;
   RequestMix mix = p.make_mix();
-  NTierSystem system(sim, p.system_config());
+  topology::ServiceGraph system(sim, p.system_config());
   MetricsWarehouse warehouse;
   MonitoringAgent monitor(sim, system, warehouse);
   HardwareAgent hw(sim, system);
@@ -59,7 +59,8 @@ Outcome run_case(const BenchEnv& env, bool adapt_soft,
   cp.seed = p.seed;
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       cp);

@@ -28,7 +28,7 @@ Point run_at(const ScenarioParams& base, double rate, SimDuration duration,
 
   Simulation sim;
   RequestMix mix = p.make_mix();
-  NTierSystem system(sim, p.system_config());
+  topology::ServiceGraph system(sim, p.system_config());
   if (tuned) {
     auto it = tuned->tier_optimal_concurrency.find(kAppTier);
     if (it != tuned->tier_optimal_concurrency.end()) {
@@ -45,7 +45,10 @@ Point run_at(const ScenarioParams& base, double rate, SimDuration duration,
   OpenLoopGenerator gen(
       sim, rate_trace, mix,
       [&system](const RequestContext& ctx, std::function<void()> done) {
-        system.submit(ctx, std::move(done));
+        // The chain never sheds: every outcome is a response.
+        system.submit(ctx, [done = std::move(done)](RequestOutcome) {
+          done();
+        });
       },
       {});
   sim.run_until(duration);

@@ -33,7 +33,7 @@ PlanResult evaluate(const ScenarioParams& base, std::size_t app_vms,
 
   Simulation sim;
   RequestMix mix = p.make_mix();
-  NTierSystem system(sim, p.system_config());
+  topology::ServiceGraph system(sim, p.system_config());
   if (soft_plan) {
     // Apply the SCT-derived soft allocation before the run begins.
     auto it = soft_plan->tier_optimal_concurrency.find(kAppTier);
@@ -57,7 +57,8 @@ PlanResult evaluate(const ScenarioParams& base, std::size_t app_vms,
   cp.seed = p.seed ^ (app_vms * 131 + db_vms);
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       cp);

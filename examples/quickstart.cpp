@@ -24,7 +24,7 @@ int main() {
   params.app_init = 2;  // start 1/2/1 so MySQL is the bottleneck tier
 
   // 2. The three-tier system and its workload mix.
-  NTierSystem system(sim, params.system_config());
+  topology::ServiceGraph system(sim, params.system_config());
   RequestMix mix = params.make_mix();
 
   // 3. Monitoring: per-server 50 ms {concurrency, throughput, RT} tuples
@@ -38,7 +38,8 @@ int main() {
   client_params.think_time_mean = 1.5;
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       client_params);

@@ -1,9 +1,9 @@
-// TierSystem: the abstract system-under-test contract shared by the linear
-// chain (NTierSystem) and the service-graph topology (topology::ServiceGraph).
-// Everything above the cluster layer — scaling frameworks, estimators,
-// monitoring, fault injection — talks to this interface, so a controller
-// written against "tiers" runs unmodified whether tier i is a chain position
-// or a graph node: a tier is a named, index-addressable TierGroup either way.
+// TierSystem: the abstract system-under-test contract, implemented by the
+// service-graph topology (topology::ServiceGraph; the paper's chain is its
+// linear case). Everything above the cluster layer — scaling frameworks,
+// estimators, monitoring, fault injection — talks to this interface, so a
+// controller written against "tiers" runs unmodified on any graph: a tier is
+// a named, index-addressable TierGroup.
 #pragma once
 
 #include <cstdint>

@@ -2,11 +2,10 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/csv.h"
 #include "experiments/parallel.h"
-#include "workload/client.h"
+#include "experiments/run_assembly.h"
 
 namespace conscale {
 
@@ -14,115 +13,16 @@ GraphRunResult run_graph_scaling(const GraphScenario& scenario,
                                  TraceKind kind,
                                  const std::string& framework_ref,
                                  const ScalingRunOptions& options) {
-  TraceParams tp;
-  tp.duration = options.duration;
-  tp.max_users = scenario.base.scaled_users(scenario.base.max_users);
-  tp.seed = scenario.base.seed ^ 0xbeef;
-  const WorkloadTrace trace = make_trace(kind, tp);
-  return run_graph_scaling(scenario, trace, framework_ref, options);
+  return run_graph_scaling(
+      scenario, make_run_trace(scenario.base, kind, options.duration),
+      framework_ref, options);
 }
 
 GraphRunResult run_graph_scaling(const GraphScenario& scenario,
                                  const WorkloadTrace& trace,
                                  const std::string& framework_ref,
                                  const ScalingRunOptions& options) {
-  if (options.session_workload) {
-    throw std::invalid_argument(
-        "run_graph_scaling: session workloads are not supported on graphs");
-  }
-  // Assembly order mirrors run_scaling exactly — the linear-equivalence
-  // contract (byte-identical results for chain-as-DAG runs) depends on
-  // every RNG consumer being constructed and seeded in the same sequence.
-  Simulation sim;
-  RequestMix mix = scenario.mix;
-  if (options.runtime_dataset_scale != 1.0) {
-    mix.apply_dataset_scale(options.runtime_dataset_scale);
-  }
-
-  const RunContext* ctx = &options.context;
-  topology::ServiceGraph system(sim, scenario.graph, ctx);
-  auto warehouse = std::make_shared<MetricsWarehouse>();
-  MonitoringParams monitoring = options.monitoring;
-  monitoring.fine_period *= scenario.base.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-
-  FrameworkConfig config = options.framework_config
-                               ? *options.framework_config
-                               : scenario.framework;
-  ScalingFramework framework(sim, system, *warehouse, framework_ref, config,
-                             ctx);
-  // Passive RT recorders only — attaching them creates no events and draws
-  // no randomness, so it cannot perturb the replayed sequence.
-  LatencyBreakdown breakdown(system);
-
-  auto submit_fn = [&system](const RequestContext& request,
-                             std::function<void(RequestOutcome)> done) {
-    system.submit(request, std::move(done));
-  };
-  ClientPopulation::Params client_params;
-  client_params.think_time_mean = scenario.base.think_time;
-  client_params.seed = scenario.base.seed ^ 0xc11e;
-  ClientPopulation clients(sim, trace, mix, submit_fn, client_params);
-  clients.set_completion_hook([&monitor](SimTime issued, double rt,
-                                         const RequestClass&) {
-    monitor.on_client_completion(issued, rt);
-  });
-  clients.set_rejection_hook(
-      [&monitor](SimTime at) { monitor.on_client_rejection(at); });
-
-  std::unique_ptr<FaultInjector> injector;
-  if (!options.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(sim, system, warehouse.get(),
-                                               options.faults, ctx);
-    injector->arm();
-  }
-
-  sim.run_until(options.duration);
-
-  GraphRunResult result;
-  ScalingRunResult& run = result.run;
-  run.framework_name = framework.name();
-  run.framework_key = framework.key();
-  run.trace_name = trace.name();
-  run.controller_counters = framework.controller().counters();
-  run.system = warehouse->system_series();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    const std::string& name = system.tier(i).name();
-    run.tiers[name] = warehouse->tier_series(name);
-  }
-  run.events = framework.all_events();
-  if (auto* estimator = framework.estimator_service()) {
-    run.sct_history = estimator->history();
-  }
-  const LogHistogram& rts = clients.response_times();
-  run.mean_rt_ms = to_ms(rts.mean());
-  run.p50_ms = to_ms(rts.percentile(50.0));
-  run.p95_ms = to_ms(rts.percentile(95.0));
-  run.p99_ms = to_ms(rts.percentile(99.0));
-  run.max_rt_ms = to_ms(rts.max_recorded());
-  run.sla_500ms = rts.fraction_below(0.5);
-  run.requests_issued = clients.requests_issued();
-  run.requests_completed = clients.requests_completed();
-  run.requests_rejected = clients.requests_rejected();
-  run.hook_underflows = monitor.hook_underflows();
-  if (injector) {
-    run.fault_stats = injector->stats();
-    run.fault_windows = injector->windows();
-    run.fault_plan_text = injector->plan().to_text();
-    run.requests_aborted = system.total_aborted_requests();
-    run.dropped_samples = warehouse->dropped_samples();
-  }
-  run.warehouse = std::move(warehouse);
-
-  result.admission = system.admission_stats();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    if (scenario.graph.nodes[i].cache.enabled) {
-      result.caches.emplace_back(system.tier(i).name(),
-                                 system.cache_stats(i));
-    }
-  }
-  result.node_latency = breakdown.by_tier();
-  return result;
+  return assemble_run(scenario, trace, framework_ref, options);
 }
 
 bool graph_results_equivalent(const GraphRunResult& a, const GraphRunResult& b,

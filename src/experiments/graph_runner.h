@@ -1,10 +1,8 @@
-// run_graph_scaling: the service-graph counterpart of run_scaling. Same
-// assembly order, same seed derivations, same extraction — a linear chain
-// expressed as a GraphScenario therefore produces a ScalingRunResult
-// byte-identical to run_scaling on the equivalent NTierSystem (pinned by
-// tests/topology). On top of the chain runner it adds what only graphs
-// have: admission/shedding accounting, per-cache-node hit statistics, and a
-// per-node latency breakdown.
+// run_graph_scaling: a scaling run on any service graph. run_scaling is
+// this runner on make_linear_scenario(params), keeping only the wrapped
+// ScalingRunResult; a graph run also reports admission/shedding
+// accounting, per-cache-node hit statistics, and a per-node latency
+// breakdown.
 #pragma once
 
 #include <string>
@@ -31,15 +29,16 @@ struct GraphRunResult {
 };
 
 /// `framework_ref` is a controller-registry reference, exactly as in
-/// run_scaling. Graph runs do not support session workloads
-/// (options.session_workload throws std::invalid_argument).
+/// run_scaling. options.session_workload drives the graph with Markov
+/// sessions; a shed request counts as issued and rejected, and its user
+/// carries on as after a response.
 GraphRunResult run_graph_scaling(const GraphScenario& scenario,
                                  const WorkloadTrace& trace,
                                  const std::string& framework_ref,
                                  const ScalingRunOptions& options = {});
 
 /// Convenience: build the trace from a kind with the scenario's user scale
-/// (seed derivation identical to the chain runner's).
+/// (seed ^ 0xbeef, as every TraceKind entry point).
 GraphRunResult run_graph_scaling(const GraphScenario& scenario,
                                  TraceKind trace,
                                  const std::string& framework_ref,

@@ -1,7 +1,6 @@
-// Service-graph scenario presets: the topologies the graph benches run —
-// a 3-service fan-out DAG with a shared backend, a cache chain whose hit
-// ratio churns mid-run, and the linear chain expressed as the trivial DAG
-// (the byte-identical-equivalence anchor against NTierSystem).
+// Service-graph scenario presets: the topologies the runners take — the
+// paper's linear chain, a 3-service fan-out DAG with a shared backend, and
+// a cache chain whose hit ratio churns mid-run.
 //
 // A GraphScenario bundles everything run_graph_scaling needs: the DAG
 // config, a request mix whose per-"tier" demand vectors are indexed by node,
@@ -51,10 +50,10 @@ GraphScenario make_fanout_scenario(const ScenarioParams& base);
 /// critical resource migrates from Frontend to Db within one run.
 GraphScenario make_cache_scenario(const ScenarioParams& base);
 
-/// The paper's 3-tier chain (Apache → Tomcat → MySQL) expressed as a
-/// service graph: same tier templates, same mix, same framework config.
-/// Runs must replay the NTierSystem event sequence byte-identically
-/// (pinned by tests/topology/linear_equivalence_test).
+/// The paper's 3-tier chain (Apache → Tomcat → MySQL):
+/// ScenarioParams::system_config's graph with the scenario's mix and the
+/// default framework config (make_framework_config). Every chain entry
+/// point (run_scaling, run_scaling_laned) runs this scenario.
 GraphScenario make_linear_scenario(const ScenarioParams& base);
 
 }  // namespace conscale

@@ -7,43 +7,12 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/lane_gateway.h"
-#include "metrics/shard_stats.h"
+#include "experiments/run_assembly.h"
 #include "simcore/lanes/placement.h"
-#include "workload/session_shard.h"
 
 namespace conscale {
 
 namespace {
-
-/// The cell map of one laned run. For the client-edge layout only `cells`
-/// is meaningful (everything else keeps its zero default: system on lane 0,
-/// shards round-robin via shard_lane). For the tier-laned layout it carries
-/// the full placement: cell 0 = control plane, cells 1..C = tier clusters
-/// from TierLanePlacement, cells C+1.. = one per session shard.
-struct CellPlan {
-  bool tiered = false;
-  TierLaneLayout layout;  ///< tier -> cell, control on cell 0
-  /// Distinct tier->tier edges (both directions implied), tier indices.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  std::size_t cells = 1;
-  std::size_t entry_cell = 0;       ///< gateway + front tier
-  std::size_t first_shard_cell = 0; ///< shard j lives on first_shard_cell + j
-  std::size_t shard_count = 0;
-  std::string summary;
-};
-
-std::size_t resolve_shard_count(const ScenarioParams& params,
-                                const LanedRunOptions& options,
-                                bool* autotuned) {
-  if (options.shards > 0) {
-    *autotuned = false;
-    return options.shards;
-  }
-  *autotuned = true;
-  return autotune_shards(params.scaled_users(params.max_users),
-                         params.think_time);
-}
 
 /// Packs the tiers into cells and lays the full cell map out around them.
 CellPlan plan_tier_cells(const std::vector<std::string>& names,
@@ -102,51 +71,86 @@ void declare_cell_channels(lanes::LaneEngine& engine, const CellPlan& cp,
   }
 }
 
-lanes::LaneEngine::Options make_engine_options(
-    const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
-    const CellPlan& cp) {
-  lanes::LaneEngine::Options eo;
-  eo.lanes = cp.cells;
-  eo.lookahead = analysis.window();
-  if (!cp.tiered) return eo;  // client-edge layout: lanes == threads, TW
-  eo.threads = options.tier_lanes;
-  switch (options.protocol) {
-    case LanedRunOptions::ProtocolChoice::kTimeWindow:
-      eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
-      break;
-    case LanedRunOptions::ProtocolChoice::kNullMessage:
-      eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-      break;
-    case LanedRunOptions::ProtocolChoice::kAuto:
-      eo.protocol = analysis.recommended();
-      break;
+void validate_options(const LanedRunOptions& options) {
+  if (options.base.session_workload) {
+    throw std::invalid_argument(
+        "laned runner: session workloads are not supported on lanes");
   }
-  // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
-  // caps null traffic without affecting results (scheduling-only, see
-  // lane_engine.h) — the rescue pass re-announces when a lane would starve.
-  eo.null_floor = 0.5 * analysis.window();
-  eo.serialize_lane0 = true;
-  return eo;
+  if (options.tier_lanes > 0 && !(options.lan_delay > 0.0)) {
+    throw std::invalid_argument(
+        "laned runner: tier_lanes needs lan_delay > 0");
+  }
 }
 
-void validate_options(const char* who, const LanedRunOptions& options) {
-  if (options.base.session_workload) {
-    throw std::invalid_argument(std::string(who) +
-                                ": session workloads are not supported on "
-                                "lanes");
-  }
+}  // namespace
+
+CellPlan plan_cells(const GraphScenario& scenario,
+                    const LanedRunOptions& options) {
+  validate_options(options);
+  const bool autotuned = options.shards == 0;
+  const std::size_t shard_count =
+      autotuned ? autotune_shards(
+                      scenario.base.scaled_users(scenario.base.max_users),
+                      scenario.base.think_time)
+                : options.shards;
+  CellPlan cp;
   if (options.tier_lanes > 0) {
-    if (!options.base.faults.empty()) {
-      throw std::invalid_argument(
-          std::string(who) +
-          ": fault plans are not supported with tier_lanes (the injector "
-          "mutates tier internals from the control cell without a channel)");
+    std::vector<std::string> names;
+    std::vector<double> weights;
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    for (std::size_t i = 0; i < scenario.graph.nodes.size(); ++i) {
+      const topology::GraphNodeConfig& node = scenario.graph.nodes[i];
+      names.push_back(node.tier.name);
+      weights.push_back(static_cast<double>(node.initial_vms));
+      for (const topology::RouteStage& stage : node.route) {
+        for (const topology::GraphCall& call : stage.calls) {
+          edges.emplace_back(i, call.node);
+        }
+      }
     }
-    if (!(options.lan_delay > 0.0)) {
-      throw std::invalid_argument(std::string(who) +
-                                  ": tier_lanes needs lan_delay > 0");
-    }
+    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
+                         shard_count);
+  } else {
+    cp.cells = std::max<std::size_t>(options.lanes, 1);
+    cp.shard_count = shard_count;
   }
+  cp.shards_autotuned = autotuned;
+  return cp;
+}
+
+std::unique_ptr<lanes::LaneEngine> make_lane_engine(
+    const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
+    const CellPlan& plan) {
+  lanes::LaneEngine::Options eo;
+  eo.lanes = plan.cells;
+  eo.lookahead = analysis.window();
+  if (plan.tiered) {
+    eo.threads = options.tier_lanes;
+    switch (options.protocol) {
+      case LanedRunOptions::ProtocolChoice::kTimeWindow:
+        eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
+        break;
+      case LanedRunOptions::ProtocolChoice::kNullMessage:
+        eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
+        break;
+      case LanedRunOptions::ProtocolChoice::kAuto:
+        eo.protocol = analysis.recommended();
+        break;
+    }
+    // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
+    // caps null traffic without affecting results (scheduling-only, see
+    // lane_engine.h) — the rescue pass re-announces when a lane would
+    // starve.
+    eo.null_floor = 0.5 * analysis.window();
+    eo.serialize_lane0 = true;
+  }
+  // Client-edge layout: lanes == threads, time windows, no declared
+  // channels.
+  auto engine = std::make_unique<lanes::LaneEngine>(eo);
+  if (plan.tiered) {
+    declare_cell_channels(*engine, plan, options.lan_delay, options.net_delay);
+  }
+  return engine;
 }
 
 /// The LookaheadAnalysis channel the gateway terminates must be the delay
@@ -165,15 +169,15 @@ void validate_net_delay(const lanes::LookaheadAnalysis& analysis,
       "laned runner: lookahead analysis lost the client channel");
 }
 
-/// Builds the shard population for either runner. Shard seeds derive from
-/// the same client seed the serial runners use (params.seed ^ 0xc11e) via
-/// one splitmix-style draw per shard in index order — a function of
-/// (seed, shard_index) only, never of the lane or thread count.
+/// Shard seeds derive from the same client seed the serial runs use
+/// (params.seed ^ 0xc11e) via one splitmix-style draw per shard in index
+/// order — a function of (seed, shard_index) only, never of the lane or
+/// thread count.
 std::vector<std::unique_ptr<SessionShard>> make_shards(
     lanes::LaneEngine& engine, const ScenarioParams& params,
     const WorkloadTrace& trace, const RequestMix& mix, LaneGateway& gateway,
-    const LanedRunOptions& options, const CellPlan& cp) {
-  const std::size_t shard_count = cp.shard_count;
+    const LanedRunOptions& options, const CellPlan& plan) {
+  const std::size_t shard_count = plan.shard_count;
   Rng seeder(params.seed ^ 0xc11e);
   std::vector<std::unique_ptr<SessionShard>> shards;
   shards.reserve(shard_count);
@@ -182,39 +186,18 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
     sp.think_time_mean = params.think_time;
     sp.seed = seeder.next();
     sp.net_delay = options.net_delay;
-    const std::size_t cell = cp.tiered ? cp.first_shard_cell + i
-                                       : shard_lane(i, engine.lane_count());
+    const std::size_t cell = plan.tiered ? plan.first_shard_cell + i
+                                         : shard_lane(i, engine.lane_count());
     shards.push_back(std::make_unique<SessionShard>(
         engine, cell, i, shard_count, trace, mix, gateway,
-        /*gateway_lane=*/cp.entry_cell, sp));
+        /*gateway_lane=*/plan.entry_cell, sp));
   }
   return shards;
 }
 
-void fill_client_stats(ScalingRunResult& run,
-                       const std::vector<std::unique_ptr<SessionShard>>& shards,
-                       const MonitoringAgent& monitor) {
-  std::vector<const SessionShard*> ptrs;
-  ptrs.reserve(shards.size());
-  for (const auto& shard : shards) ptrs.push_back(shard.get());
-  const ClientStats clients = merge_shard_stats(ptrs);
-  const LogHistogram& rts = clients.response_times;
-  run.mean_rt_ms = to_ms(rts.mean());
-  run.p50_ms = to_ms(rts.percentile(50.0));
-  run.p95_ms = to_ms(rts.percentile(95.0));
-  run.p99_ms = to_ms(rts.percentile(99.0));
-  run.max_rt_ms = to_ms(rts.max_recorded());
-  run.sla_500ms = rts.fraction_below(0.5);
-  run.requests_issued = clients.requests_issued;
-  run.requests_completed = clients.requests_completed;
-  run.requests_rejected = clients.requests_rejected;
-  run.hook_underflows = monitor.hook_underflows();
-}
-
 void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
                const lanes::LookaheadAnalysis& analysis,
-               const LanedRunOptions& options, const CellPlan& cp,
-               bool shards_autotuned,
+               const LanedRunOptions& options, const CellPlan& plan,
                const std::vector<std::unique_ptr<SessionShard>>& shards) {
   if (!info) return;
   info->active_sessions = 0;
@@ -226,13 +209,11 @@ void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
   info->protocol = engine.protocol();
   info->lookahead_summary = analysis.summary();
   info->lanes = engine.lane_count();
-  info->threads = cp.tiered ? options.tier_lanes : engine.lane_count();
-  info->shards = cp.shard_count;
-  info->shards_autotuned = shards_autotuned;
-  info->placement = cp.summary;
+  info->threads = plan.tiered ? options.tier_lanes : engine.lane_count();
+  info->shards = plan.shard_count;
+  info->shards_autotuned = plan.shards_autotuned;
+  info->placement = plan.summary;
 }
-
-}  // namespace
 
 std::size_t autotune_shards(double peak_sessions, double think_time_mean) {
   constexpr double kRequestsPerShardSecond = 300.0;
@@ -273,12 +254,9 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
                                    const std::string& framework_ref,
                                    const LanedRunOptions& options,
                                    LaneRunInfo* info) {
-  TraceParams tp;
-  tp.duration = options.base.duration;
-  tp.max_users = params.scaled_users(params.max_users);
-  tp.seed = params.seed ^ 0xbeef;
-  const WorkloadTrace trace = make_trace(kind, tp);
-  return run_scaling_laned(params, trace, framework_ref, options, info);
+  return run_scaling_laned(
+      params, make_run_trace(params, kind, options.base.duration),
+      framework_ref, options, info);
 }
 
 ScalingRunResult run_scaling_laned(const ScenarioParams& params,
@@ -286,125 +264,9 @@ ScalingRunResult run_scaling_laned(const ScenarioParams& params,
                                    const std::string& framework_ref,
                                    const LanedRunOptions& options,
                                    LaneRunInfo* info) {
-  validate_options("run_scaling_laned", options);
-  bool shards_autotuned = false;
-  const std::size_t shard_count =
-      resolve_shard_count(params, options, &shards_autotuned);
-  const lanes::LookaheadAnalysis analysis = analyze_lookahead(params, options);
-
-  SystemConfig sys_config = params.system_config();
-  CellPlan cp;
-  if (options.tier_lanes > 0) {
-    sys_config.lan_delay = options.lan_delay;
-    std::vector<std::string> names;
-    std::vector<double> weights;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < sys_config.tiers.size(); ++i) {
-      names.push_back(sys_config.tiers[i].name);
-      weights.push_back(static_cast<double>(sys_config.initial_vms[i]));
-      if (i + 1 < sys_config.tiers.size()) edges.emplace_back(i, i + 1);
-    }
-    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
-                         shard_count);
-  } else {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    cp.shard_count = shard_count;
-  }
-
-  lanes::LaneEngine engine(make_engine_options(analysis, options, cp));
-  if (cp.tiered) {
-    declare_cell_channels(engine, cp, options.lan_delay, options.net_delay);
-  }
-  Simulation& sim = engine.lane(0).sim();
-
-  // From here the assembly mirrors run_scaling: same construction order,
-  // same seed derivations, so control-lane state is identical run to run.
-  RequestMix mix = params.make_mix();
-  if (options.base.runtime_dataset_scale != 1.0) {
-    mix.apply_dataset_scale(options.base.runtime_dataset_scale);
-  }
-
-  const RunContext* ctx = &options.base.context;
-  std::unique_ptr<NTierSystem> system_ptr =
-      cp.tiered ? std::make_unique<NTierSystem>(engine, sys_config, cp.layout,
-                                                ctx)
-                : std::make_unique<NTierSystem>(sim, sys_config, ctx);
-  NTierSystem& system = *system_ptr;
-  auto warehouse = std::make_shared<MetricsWarehouse>();
-  MonitoringParams monitoring = options.base.monitoring;
-  monitoring.fine_period *= params.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-  if (cp.tiered) {
-    monitor.set_tier_sim_resolver(
-        [&system](std::size_t tier) -> Simulation& {
-          return system.tier_sim(tier);
-        });
-  }
-
-  FrameworkConfig config = options.base.framework_config
-                               ? *options.base.framework_config
-                               : make_framework_config(params);
-  ScalingFramework framework(sim, system, *warehouse, framework_ref, config,
-                             ctx);
-
-  // NTierSystem's submit has no rejection path; adapt it to the gateway's
-  // outcome-aware shape.
-  LaneGateway::SubmitFn submit =
-      [&system](const RequestContext& request,
-                std::function<void(RequestOutcome)> done) {
-        system.submit(request, [done = std::move(done)] {
-          done(RequestOutcome::kServed);
-        });
-      };
-  LaneGateway::Params gateway_params;
-  gateway_params.net_delay = options.net_delay;
-  LaneGateway gateway(engine, cp.entry_cell, std::move(submit),
-                      gateway_params);
-  validate_net_delay(analysis, gateway);
-  gateway.set_completion_hook(
-      [&monitor](SimTime issued, double rt, const RequestClass&) {
-        monitor.on_client_completion(issued, rt);
-      });
-  gateway.set_rejection_hook(
-      [&monitor](SimTime at) { monitor.on_client_rejection(at); });
-
-  const auto shards =
-      make_shards(engine, params, trace, mix, gateway, options, cp);
-
-  std::unique_ptr<FaultInjector> injector;
-  if (!options.base.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(sim, system, warehouse.get(),
-                                               options.base.faults, ctx);
-    injector->arm();
-  }
-
-  engine.run(options.base.duration);
-
-  ScalingRunResult result;
-  result.framework_name = framework.name();
-  result.framework_key = framework.key();
-  result.trace_name = trace.name();
-  result.controller_counters = framework.controller().counters();
-  result.system = warehouse->system_series();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    const std::string& name = system.tier(i).name();
-    result.tiers[name] = warehouse->tier_series(name);
-  }
-  result.events = framework.all_events();
-  if (auto* estimator = framework.estimator_service()) {
-    result.sct_history = estimator->history();
-  }
-  fill_client_stats(result, shards, monitor);
-  if (injector) {
-    result.fault_stats = injector->stats();
-    result.fault_windows = injector->windows();
-    result.fault_plan_text = injector->plan().to_text();
-    result.requests_aborted = system.total_aborted_requests();
-    result.dropped_samples = warehouse->dropped_samples();
-  }
-  result.warehouse = std::move(warehouse);
-  fill_info(info, engine, analysis, options, cp, shards_autotuned, shards);
-  return result;
+  return run_graph_scaling_laned(make_linear_scenario(params), trace,
+                                 framework_ref, options, info)
+      .run;
 }
 
 GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
@@ -412,13 +274,9 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
                                        const std::string& framework_ref,
                                        const LanedRunOptions& options,
                                        LaneRunInfo* info) {
-  TraceParams tp;
-  tp.duration = options.base.duration;
-  tp.max_users = scenario.base.scaled_users(scenario.base.max_users);
-  tp.seed = scenario.base.seed ^ 0xbeef;
-  const WorkloadTrace trace = make_trace(kind, tp);
-  return run_graph_scaling_laned(scenario, trace, framework_ref, options,
-                                 info);
+  return run_graph_scaling_laned(
+      scenario, make_run_trace(scenario.base, kind, options.base.duration),
+      framework_ref, options, info);
 }
 
 GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
@@ -426,137 +284,8 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
                                        const std::string& framework_ref,
                                        const LanedRunOptions& options,
                                        LaneRunInfo* info) {
-  validate_options("run_graph_scaling_laned", options);
-  bool shards_autotuned = false;
-  const std::size_t shard_count =
-      resolve_shard_count(scenario.base, options, &shards_autotuned);
-  const lanes::LookaheadAnalysis analysis =
-      analyze_lookahead(scenario.base, options);
-
-  topology::ServiceGraphConfig graph_config = scenario.graph;
-  CellPlan cp;
-  if (options.tier_lanes > 0) {
-    graph_config.lan_delay = options.lan_delay;
-    std::vector<std::string> names;
-    std::vector<double> weights;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < graph_config.nodes.size(); ++i) {
-      const topology::GraphNodeConfig& node = graph_config.nodes[i];
-      names.push_back(node.tier.name);
-      weights.push_back(static_cast<double>(node.initial_vms));
-      for (const topology::RouteStage& stage : node.route) {
-        for (const topology::GraphCall& call : stage.calls) {
-          edges.emplace_back(i, call.node);
-        }
-      }
-    }
-    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
-                         shard_count);
-  } else {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    cp.shard_count = shard_count;
-  }
-
-  lanes::LaneEngine engine(make_engine_options(analysis, options, cp));
-  if (cp.tiered) {
-    declare_cell_channels(engine, cp, options.lan_delay, options.net_delay);
-  }
-  Simulation& sim = engine.lane(0).sim();
-
-  RequestMix mix = scenario.mix;
-  if (options.base.runtime_dataset_scale != 1.0) {
-    mix.apply_dataset_scale(options.base.runtime_dataset_scale);
-  }
-
-  const RunContext* ctx = &options.base.context;
-  std::unique_ptr<topology::ServiceGraph> system_ptr =
-      cp.tiered ? std::make_unique<topology::ServiceGraph>(
-                      engine, graph_config, cp.layout, ctx)
-                : std::make_unique<topology::ServiceGraph>(sim, graph_config,
-                                                           ctx);
-  topology::ServiceGraph& system = *system_ptr;
-  auto warehouse = std::make_shared<MetricsWarehouse>();
-  MonitoringParams monitoring = options.base.monitoring;
-  monitoring.fine_period *= scenario.base.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-  if (cp.tiered) {
-    monitor.set_tier_sim_resolver(
-        [&system](std::size_t tier) -> Simulation& {
-          return system.tier_sim(tier);
-        });
-  }
-
-  FrameworkConfig config = options.base.framework_config
-                               ? *options.base.framework_config
-                               : scenario.framework;
-  ScalingFramework framework(sim, system, *warehouse, framework_ref, config,
-                             ctx);
-  LatencyBreakdown breakdown(system);
-
-  LaneGateway::SubmitFn submit =
-      [&system](const RequestContext& request,
-                std::function<void(RequestOutcome)> done) {
-        system.submit(request, std::move(done));
-      };
-  LaneGateway::Params gateway_params;
-  gateway_params.net_delay = options.net_delay;
-  LaneGateway gateway(engine, cp.entry_cell, std::move(submit),
-                      gateway_params);
-  validate_net_delay(analysis, gateway);
-  gateway.set_completion_hook(
-      [&monitor](SimTime issued, double rt, const RequestClass&) {
-        monitor.on_client_completion(issued, rt);
-      });
-  gateway.set_rejection_hook(
-      [&monitor](SimTime at) { monitor.on_client_rejection(at); });
-
-  const auto shards =
-      make_shards(engine, scenario.base, trace, mix, gateway, options, cp);
-
-  std::unique_ptr<FaultInjector> injector;
-  if (!options.base.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(sim, system, warehouse.get(),
-                                               options.base.faults, ctx);
-    injector->arm();
-  }
-
-  engine.run(options.base.duration);
-
-  GraphRunResult result;
-  ScalingRunResult& run = result.run;
-  run.framework_name = framework.name();
-  run.framework_key = framework.key();
-  run.trace_name = trace.name();
-  run.controller_counters = framework.controller().counters();
-  run.system = warehouse->system_series();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    const std::string& name = system.tier(i).name();
-    run.tiers[name] = warehouse->tier_series(name);
-  }
-  run.events = framework.all_events();
-  if (auto* estimator = framework.estimator_service()) {
-    run.sct_history = estimator->history();
-  }
-  fill_client_stats(run, shards, monitor);
-  if (injector) {
-    run.fault_stats = injector->stats();
-    run.fault_windows = injector->windows();
-    run.fault_plan_text = injector->plan().to_text();
-    run.requests_aborted = system.total_aborted_requests();
-    run.dropped_samples = warehouse->dropped_samples();
-  }
-  run.warehouse = std::move(warehouse);
-
-  result.admission = system.admission_stats();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    if (graph_config.nodes[i].cache.enabled) {
-      result.caches.emplace_back(system.tier(i).name(),
-                                 system.cache_stats(i));
-    }
-  }
-  result.node_latency = breakdown.by_tier();
-  fill_info(info, engine, analysis, options, cp, shards_autotuned, shards);
-  return result;
+  return assemble_run(scenario, trace, framework_ref, options.base, &options,
+                      info);
 }
 
 }  // namespace conscale

@@ -4,7 +4,7 @@
 // Two placements share these entry points:
 //
 //  * Client-edge partitioning (tier_lanes == 0, the original layout): lane 0
-//    hosts the entire serving system — NTierSystem or topology::ServiceGraph,
+//    hosts the entire serving system — the topology::ServiceGraph,
 //    warehouse, monitor, scaling framework, fault injector — completely
 //    unchanged, so every registry controller runs unmodified. The closed-loop
 //    session population is what gets parallel: it is split into `shards`
@@ -13,14 +13,15 @@
 //
 //  * Tier-laned partitioning (tier_lanes > 0): the serving system itself is
 //    cut. Cell 0 carries only the control plane (warehouse, monitor coarse
-//    poll, scaling framework); TierLanePlacement packs the tiers into cells
-//    joined by explicit LAN-hop channels (`lan_delay` per direction); each
-//    session shard gets its own cell behind the client network channel. The
-//    cell layout is a pure function of the model config, and `tier_lanes`
-//    sets ONLY the worker thread count — so tier_lanes=1 and tier_lanes=K
-//    are byte-identical under either synchronization protocol. The engine
-//    serializes instants where cell 0 acts, which is what lets controllers
-//    keep calling scale_out()/scale_in() directly on remote tiers.
+//    poll, scaling framework, fault injector); TierLanePlacement packs the
+//    tiers into cells joined by explicit LAN-hop channels (`lan_delay` per
+//    direction); each session shard gets its own cell behind the client
+//    network channel. The cell layout is a pure function of the model
+//    config, and `tier_lanes` sets ONLY the worker thread count — so
+//    tier_lanes=1 and tier_lanes=K are byte-identical under either
+//    synchronization protocol. The engine serializes instants where cell 0
+//    acts, which is what lets controllers keep calling scale_out() and
+//    scale_in(), and fault plans crash VMs, directly on remote tiers.
 //
 // Determinism contract: `lanes` / `tier_lanes` control thread placement
 // only; results are pinned byte-identical across thread counts by
@@ -42,9 +43,8 @@ namespace conscale {
 struct LanedRunOptions {
   /// Everything run_scaling accepts (duration, monitoring, framework
   /// overrides, faults, context). session_workload is not supported on the
-  /// laned path (throws std::invalid_argument), and fault plans are not
-  /// supported with tier_lanes > 0 (the injector mutates tier internals
-  /// from lane 0 without a channel).
+  /// laned path (throws std::invalid_argument): session shards do not model
+  /// Markov sessions.
   ScalingRunOptions base;
   /// Event-loop partitions for the client-edge layout. 1 = serial reference
   /// execution (zero threads, same window schedule). Results are

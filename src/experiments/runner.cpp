@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
+#include "experiments/graph_runner.h"
+#include "experiments/run_assembly.h"
 #include "workload/client.h"
-#include "workload/session_population.h"
 
 namespace conscale {
 
@@ -28,118 +28,17 @@ FrameworkConfig make_framework_config(const ScenarioParams& params) {
 ScalingRunResult run_scaling(const ScenarioParams& params, TraceKind kind,
                              const std::string& framework,
                              const ScalingRunOptions& options) {
-  TraceParams tp;
-  tp.duration = options.duration;
-  tp.max_users = params.scaled_users(params.max_users);
-  tp.seed = params.seed ^ 0xbeef;
-  const WorkloadTrace trace = make_trace(kind, tp);
-  return run_scaling(params, trace, framework, options);
+  return run_scaling(params, make_run_trace(params, kind, options.duration),
+                     framework, options);
 }
 
 ScalingRunResult run_scaling(const ScenarioParams& params,
                              const WorkloadTrace& trace,
                              const std::string& framework_ref,
                              const ScalingRunOptions& options) {
-  Simulation sim;
-  RequestMix mix = params.make_mix();
-  if (options.runtime_dataset_scale != 1.0) {
-    mix.apply_dataset_scale(options.runtime_dataset_scale);
-  }
-
-  const RunContext* ctx = &options.context;
-  NTierSystem system(sim, params.system_config(), ctx);
-  auto warehouse = std::make_shared<MetricsWarehouse>();
-  MonitoringParams monitoring = options.monitoring;
-  // Keep the fine interval matched to the service-demand scale (see the
-  // same adjustment in collect_scatter): at work_scale k, "50 ms" means
-  // 50k ms or each window holds k× fewer completions than the paper's.
-  monitoring.fine_period *= params.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-
-  FrameworkConfig config = options.framework_config
-                               ? *options.framework_config
-                               : make_framework_config(params);
-  ScalingFramework framework(sim, system, *warehouse, framework_ref, config,
-                             ctx);
-
-  auto submit_fn = [&system](const RequestContext& request,
-                             std::function<void()> done) {
-    system.submit(request, std::move(done));
-  };
-  auto completion_hook = [&monitor](SimTime issued, double rt,
-                                    const RequestClass&) {
-    monitor.on_client_completion(issued, rt);
-  };
-  std::unique_ptr<ClientPopulation> clients;
-  std::unique_ptr<SessionModel> session_model;
-  std::unique_ptr<SessionPopulation> sessions;
-  if (options.session_workload) {
-    session_model =
-        std::make_unique<SessionModel>(SessionModel::rubbos_browse(mix));
-    SessionPopulation::Params sp;
-    sp.seed = params.seed ^ 0xc11e;
-    sessions = std::make_unique<SessionPopulation>(sim, trace, mix,
-                                                   *session_model, submit_fn,
-                                                   sp);
-    sessions->set_completion_hook(completion_hook);
-  } else {
-    ClientPopulation::Params client_params;
-    client_params.think_time_mean = params.think_time;
-    client_params.seed = params.seed ^ 0xc11e;
-    clients = std::make_unique<ClientPopulation>(sim, trace, mix, submit_fn,
-                                                 client_params);
-    clients->set_completion_hook(completion_hook);
-  }
-
-  // Fault injection is opt-in per run: with an empty plan no injector is
-  // even constructed, so fault-free runs execute the exact event sequence
-  // they did before the subsystem existed.
-  std::unique_ptr<FaultInjector> injector;
-  if (!options.faults.empty()) {
-    injector = std::make_unique<FaultInjector>(sim, system, warehouse.get(),
-                                               options.faults, ctx);
-    injector->arm();
-  }
-
-  sim.run_until(options.duration);
-
-  ScalingRunResult result;
-  result.framework_name = framework.name();
-  result.framework_key = framework.key();
-  result.trace_name = trace.name();
-  result.controller_counters = framework.controller().counters();
-  result.system = warehouse->system_series();
-  for (std::size_t i = 0; i < system.tier_count(); ++i) {
-    const std::string& name = system.tier(i).name();
-    result.tiers[name] = warehouse->tier_series(name);
-  }
-  result.events = framework.all_events();
-  if (auto* estimator = framework.estimator_service()) {
-    result.sct_history = estimator->history();
-  }
-  const LogHistogram& rts =
-      clients ? clients->response_times() : sessions->response_times();
-  result.mean_rt_ms = to_ms(rts.mean());
-  result.p50_ms = to_ms(rts.percentile(50.0));
-  result.p95_ms = to_ms(rts.percentile(95.0));
-  result.p99_ms = to_ms(rts.percentile(99.0));
-  result.max_rt_ms = to_ms(rts.max_recorded());
-  result.sla_500ms = rts.fraction_below(0.5);
-  result.requests_issued =
-      clients ? clients->requests_issued() : sessions->requests_issued();
-  result.requests_completed = clients ? clients->requests_completed()
-                                      : sessions->requests_completed();
-  result.requests_rejected = clients ? clients->requests_rejected() : 0;
-  result.hook_underflows = monitor.hook_underflows();
-  if (injector) {
-    result.fault_stats = injector->stats();
-    result.fault_windows = injector->windows();
-    result.fault_plan_text = injector->plan().to_text();
-    result.requests_aborted = system.total_aborted_requests();
-    result.dropped_samples = warehouse->dropped_samples();
-  }
-  result.warehouse = std::move(warehouse);
-  return result;
+  return run_graph_scaling(make_linear_scenario(params), trace, framework_ref,
+                           options)
+      .run;
 }
 
 namespace {
@@ -185,7 +84,7 @@ std::vector<SweepPoint> run_concurrency_sweep(
 
     Simulation sim;
     RequestMix mix = p.make_mix();
-    NTierSystem system(sim, p.system_config());
+    topology::ServiceGraph system(sim, p.system_config());
     ClientPopulation::Params cp;
     cp.think_time_mean = 0.0;  // §II-B: zero think time
     cp.seed = p.seed ^ (0x5eed + static_cast<std::uint64_t>(level));
@@ -193,7 +92,8 @@ std::vector<SweepPoint> run_concurrency_sweep(
         static_cast<double>(level), options.settle + options.measure + 1.0);
     ClientPopulation clients(
         sim, trace, mix,
-        [&system](const RequestContext& ctx, std::function<void()> done) {
+        [&system](const RequestContext& ctx,
+                  std::function<void(RequestOutcome)> done) {
           system.submit(ctx, std::move(done));
         },
         cp);
@@ -238,7 +138,7 @@ ScatterRunResult collect_scatter(const ScenarioParams& params,
 
   Simulation sim;
   RequestMix mix = p.make_mix();
-  NTierSystem system(sim, p.system_config(), &options.context);
+  topology::ServiceGraph system(sim, p.system_config(), &options.context);
   auto warehouse = std::make_shared<MetricsWarehouse>();
   MonitoringParams mp;
   // The 50 ms interval is matched to the paper's sub-millisecond service
@@ -255,7 +155,8 @@ ScatterRunResult collect_scatter(const ScenarioParams& params,
       make_ramp_trace(1.0, options.max_users, options.duration);
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       cp);

@@ -80,9 +80,8 @@ struct ScalingRunResult {
   double sla_500ms = 0.0;
   std::uint64_t requests_issued = 0;
   std::uint64_t requests_completed = 0;
-  /// Requests shed by admission control. Always zero for linear-chain runs
-  /// (NTierSystem has no admission path); service-graph runs with shedding
-  /// enabled report the count here (see experiments/graph_runner.h).
+  /// Requests shed by admission control. Always zero unless the graph arms
+  /// an AdmissionPolicy (the paper's chain never does).
   std::uint64_t requests_rejected = 0;
   /// Departure/abort hooks seen without a matching admission, summed over
   /// every 50 ms aggregator. Always zero in a correct run — a nonzero value

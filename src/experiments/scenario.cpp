@@ -1,10 +1,11 @@
 #include "experiments/scenario.h"
 
+#include <iterator>
+#include <utility>
+
 namespace conscale {
 
-SystemConfig ScenarioParams::system_config() const {
-  SystemConfig config;
-
+topology::ServiceGraphConfig ScenarioParams::system_config() const {
   TierConfig web;
   web.name = "Apache";
   web.server_template.cores = web_cores;
@@ -42,8 +43,19 @@ SystemConfig ScenarioParams::system_config() const {
   db.min_vms = db_min;
   db.max_vms = db_max;
 
-  config.tiers = {web, app, db};
-  config.initial_vms = {web_init, app_init, db_init};
+  const TierConfig tiers[] = {web, app, db};
+  const std::size_t initial_vms[] = {web_init, app_init, db_init};
+  topology::ServiceGraphConfig config;
+  config.seed = seed ^ 0x77;  // no cache node ever draws from it
+  for (std::size_t i = 0; i < std::size(tiers); ++i) {
+    topology::GraphNodeConfig node;
+    node.tier = tiers[i];
+    node.initial_vms = initial_vms[i];
+    if (i + 1 < std::size(tiers)) {
+      node.route = {topology::RouteStage{{{i + 1}}}};
+    }
+    config.nodes.push_back(std::move(node));
+  }
   return config;
 }
 

@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/ntier_system.h"
 #include "resources/contention.h"
+#include "topology/service_graph.h"
 #include "workload/client.h"
 #include "workload/mix.h"
 #include "workload/trace.h"
@@ -52,8 +52,10 @@ struct ScenarioParams {
   std::size_t app_dbconn = 40;
   std::size_t db_threads = 400;  ///< MySQL accepts what the conn pools send
 
-  /// Builds the three-tier SystemConfig for these parameters.
-  SystemConfig system_config() const;
+  /// Builds the paper's three-tier chain (Apache -> Tomcat -> MySQL) for
+  /// these parameters: a linear service graph whose node i makes one
+  /// synchronous call into node i+1.
+  topology::ServiceGraphConfig system_config() const;
 
   /// Builds the request mix for the current mode (work_scale and the mix's
   /// dataset_scale already applied).

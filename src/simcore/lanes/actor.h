@@ -7,9 +7,9 @@
 // key stream is identical for lanes=1 and lanes=K — which is what makes the
 // two executions byte-identical. Components that live permanently on the
 // system lane (lane 0) and never share a Simulation with another lane's
-// components (NTierSystem, the controllers, the warehouse) keep using plain
-// schedule_at unchanged; only components whose events could interleave with
-// another lane's at equal times — i.e. everything that is actually
+// components (the serving system, the controllers, the warehouse) keep using
+// plain schedule_at unchanged; only components whose events could interleave
+// with another lane's at equal times — i.e. everything that is actually
 // partitioned — must go through an actor.
 #pragma once
 

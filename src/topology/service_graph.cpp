@@ -97,7 +97,37 @@ void ServiceGraph::validate(const ServiceGraphConfig& config) const {
 }
 
 namespace {
+
 constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
+
+/// Checks `layout` against the config and the engine before any lane is
+/// touched, and returns the entry node's sim (the admission clock).
+Simulation& entry_sim(lanes::LaneEngine& engine,
+                      const ServiceGraphConfig& config,
+                      const TierLaneLayout& layout) {
+  if (config.nodes.empty()) {
+    throw std::invalid_argument("ServiceGraph: no nodes configured");
+  }
+  if (layout.lane_of_tier.size() != config.nodes.size()) {
+    throw std::invalid_argument(
+        "ServiceGraph: layout.lane_of_tier must match node count");
+  }
+  const std::size_t lanes = engine.lane_count();
+  for (std::size_t lane : layout.lane_of_tier) {
+    if (lane >= lanes) {
+      throw std::invalid_argument("ServiceGraph: layout names lane " +
+                                  std::to_string(lane) + " of " +
+                                  std::to_string(lanes));
+    }
+  }
+  if (layout.control_lane >= lanes) {
+    throw std::invalid_argument("ServiceGraph: control lane " +
+                                std::to_string(layout.control_lane) +
+                                " of " + std::to_string(lanes));
+  }
+  return engine.lane(layout.lane_of_tier.front()).sim();
+}
+
 }  // namespace
 
 ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config,
@@ -111,16 +141,9 @@ ServiceGraph::ServiceGraph(lanes::LaneEngine& engine,
                            ServiceGraphConfig config,
                            const TierLaneLayout& layout,
                            const RunContext* context)
-    : sim_(engine.lane(config.nodes.empty()
-                           ? layout.control_lane
-                           : layout.lane_of_tier.front())
-               .sim()),
+    : sim_(entry_sim(engine, config, layout)),
       ctx_(context ? context : &RunContext::global()),
       config_(std::move(config)) {
-  if (layout.lane_of_tier.size() != config_.nodes.size()) {
-    throw std::invalid_argument(
-        "ServiceGraph: layout.lane_of_tier must match node count");
-  }
   build(&engine, &layout);
 }
 
@@ -149,7 +172,7 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
   // One TierChannel per distinct route edge, built in route order so actor
   // stream allocation is layout-independent. lan_delay = 0 (serial default)
   // makes every channel a direct dispatch — byte-identical to the pre-hop
-  // wiring, including the single-call linear-equivalence contract.
+  // wiring.
   edge_channel_.assign(n * n, kNoChannel);
   for (std::size_t i = 0; i < n; ++i) {
     for (const RouteStage& stage : config_.nodes[i].route) {
@@ -250,8 +273,8 @@ void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
     };
   }
   if (stage.calls.size() == 1) {
-    // Sequential call: no join bookkeeping — this is the chain's downstream
-    // dispatch verbatim (the linear-equivalence contract rides on it).
+    // Sequential call: no join bookkeeping — a chain's downstream dispatch
+    // verbatim.
     dispatch_call(node_index, stage.calls[0].node, ctx, std::move(next));
     return;
   }

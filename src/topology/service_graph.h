@@ -1,5 +1,5 @@
-// ServiceGraph: the DAG generalization of NTierSystem (DESIGN.md §"Service
-// graphs"). Each graph node owns one horizontally scalable TierGroup plus a
+// ServiceGraph: the system under test (DESIGN.md §"Service graphs"). Each
+// graph node owns one horizontally scalable TierGroup plus a
 // routing spec: an ordered list of stages executed sequentially, where every
 // stage fans out to one or more child nodes in parallel and joins on all
 // replies before the next stage runs (synchronous RPC semantics throughout —
@@ -19,8 +19,10 @@
 //
 // ServiceGraph implements TierSystem with node index == tier index, so every
 // scaling framework, estimator, monitor, and fault plan runs against a graph
-// unmodified; a linear chain expressed as a graph replays the exact event
-// sequence NTierSystem produces (pinned by tests/topology).
+// unmodified. The paper's n-tier chain is the linear graph where node i
+// makes one call into node i+1 (ScenarioParams::system_config); a
+// single-call stage dispatches with no join bookkeeping, so the chain pays
+// nothing for the generality.
 #pragma once
 
 #include <cstdint>
@@ -136,7 +138,9 @@ class ServiceGraph final : public TierSystem {
   /// TierChannel (requiring `config.lan_delay > 0` on cross-lane edges),
   /// and vm-ready signals are forwarded to `layout.control_lane`. The
   /// caller must declare the matching engine channels and submit() only
-  /// from the entry node's lane.
+  /// from the entry node's lane. Throws std::invalid_argument, before any
+  /// lane is touched, when the layout does not name one lane per node or
+  /// names a lane the engine does not have.
   ServiceGraph(lanes::LaneEngine& engine, ServiceGraphConfig config,
                const TierLaneLayout& layout,
                const RunContext* context = nullptr);

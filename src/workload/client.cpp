@@ -4,28 +4,9 @@
 
 namespace conscale {
 
-namespace {
-
-// A plain SubmitFn can never reject; wrap it so the internal path is
-// uniformly outcome-aware without changing its event sequence.
-ClientPopulation::OutcomeSubmitFn wrap_submit(ClientPopulation::SubmitFn fn) {
-  return [fn = std::move(fn)](const RequestContext& ctx,
-                              std::function<void(RequestOutcome)> done) {
-    fn(ctx, [done = std::move(done)] { done(RequestOutcome::kServed); });
-  };
-}
-
-}  // namespace
-
 ClientPopulation::ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
                                    const RequestMix& mix, SubmitFn submit,
                                    Params params)
-    : ClientPopulation(sim, trace, mix, wrap_submit(std::move(submit)),
-                       params) {}
-
-ClientPopulation::ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
-                                   const RequestMix& mix,
-                                   OutcomeSubmitFn submit, Params params)
     : sim_(sim), trace_(trace), mix_(&mix), submit_(std::move(submit)),
       params_(params), rng_(params.seed) {
   adjust_population(sim_.now());

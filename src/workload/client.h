@@ -25,13 +25,10 @@ namespace conscale {
 
 class ClientPopulation {
  public:
-  /// The system entry point: deliver `ctx` and invoke the continuation when
-  /// the response returns.
-  using SubmitFn = std::function<void(const RequestContext&,
-                                      std::function<void()> on_response)>;
-  /// Outcome-aware entry point: the continuation reports whether the request
-  /// was served or shed by admission control (topology::ServiceGraph).
-  using OutcomeSubmitFn =
+  /// The system entry point (topology::ServiceGraph::submit's shape):
+  /// deliver `ctx` and invoke the continuation when the response returns,
+  /// reporting whether the request was served or shed by admission control.
+  using SubmitFn =
       std::function<void(const RequestContext&,
                          std::function<void(RequestOutcome)> on_response)>;
   /// Observer of completed end-to-end requests (issued time, response time).
@@ -46,15 +43,11 @@ class ClientPopulation {
     std::uint64_t seed = 7;
   };
 
+  /// A request the system sheds (RequestOutcome::kRejected) counts toward
+  /// requests_issued()/requests_rejected() but not the RT histogram, and its
+  /// user goes back to thinking (retry-after-backoff behavior).
   ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
                    const RequestMix& mix, SubmitFn submit, Params params);
-  /// Outcome-aware variant: systems with admission control report
-  /// RequestOutcome::kRejected for shed requests. A rejected user goes back
-  /// to thinking (retry-after-backoff behavior); the request counts toward
-  /// requests_issued()/requests_rejected() but not the RT histogram.
-  ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
-                   const RequestMix& mix, OutcomeSubmitFn submit,
-                   Params params);
   ~ClientPopulation();
   ClientPopulation(const ClientPopulation&) = delete;
   ClientPopulation& operator=(const ClientPopulation&) = delete;
@@ -70,7 +63,7 @@ class ClientPopulation {
   std::size_t active_users() const { return users_.size(); }
   std::uint64_t requests_issued() const { return issued_; }
   std::uint64_t requests_completed() const { return completed_; }
-  /// Requests shed by admission control (always zero for plain SubmitFn).
+  /// Requests shed by admission control.
   std::uint64_t requests_rejected() const { return rejected_; }
   /// End-to-end (client-perceived) response times of the whole run.
   const LogHistogram& response_times() const { return rt_histogram_; }
@@ -91,7 +84,7 @@ class ClientPopulation {
   Simulation& sim_;
   const WorkloadTrace& trace_;
   const RequestMix* mix_;
-  OutcomeSubmitFn submit_;
+  SubmitFn submit_;
   Params params_;
   Rng rng_;
   CompletionHook hook_;

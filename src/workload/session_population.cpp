@@ -78,20 +78,26 @@ void SessionPopulation::issue(std::uint64_t id) {
   ctx.request_class = &mix_.classes().at(state.class_index);
   ctx.issued_at = sim_.now();
   ++issued_;
-  submit_(ctx, [this, id, ctx] {
-    ++completed_;
-    const double rt = sim_.now() - ctx.issued_at;
-    rt_histogram_.add(rt);
-    if (hook_) hook_(ctx.issued_at, rt, *ctx.request_class);
-    after_response(id);
+  submit_(ctx, [this, id, ctx](RequestOutcome outcome) {
+    const bool served = outcome == RequestOutcome::kServed;
+    if (served) {
+      ++completed_;
+      const double rt = sim_.now() - ctx.issued_at;
+      rt_histogram_.add(rt);
+      if (hook_) hook_(ctx.issued_at, rt, *ctx.request_class);
+    } else {
+      ++rejected_;
+      if (rejection_hook_) rejection_hook_(sim_.now());
+    }
+    after_response(id, served);
   });
 }
 
-void SessionPopulation::after_response(std::uint64_t id) {
+void SessionPopulation::after_response(std::uint64_t id, bool served) {
   auto it = users_.find(id);
   if (it == users_.end()) return;
   const auto& state = model_.states()[it->second.state];
-  ++per_state_[state.name];
+  if (served) ++per_state_[state.name];
   if (maybe_retire(id)) return;
   it = users_.find(id);
   if (it == users_.end()) return;

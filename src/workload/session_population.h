@@ -21,8 +21,10 @@ namespace conscale {
 
 class SessionPopulation {
  public:
-  using SubmitFn = std::function<void(const RequestContext&,
-                                      std::function<void()> on_response)>;
+  /// Same outcome-aware shape as ClientPopulation::SubmitFn.
+  using SubmitFn =
+      std::function<void(const RequestContext&,
+                         std::function<void(RequestOutcome)> on_response)>;
 
   struct Params {
     SimDuration adjust_period = 0.5;
@@ -32,11 +34,16 @@ class SessionPopulation {
     std::uint64_t seed = 7;
   };
 
-  /// Observer of completed end-to-end requests (parity with
+  /// Observers of completed and shed requests (parity with
   /// ClientPopulation so monitoring hooks interchange).
   using CompletionHook =
       std::function<void(SimTime issued, double rt, const RequestClass&)>;
+  using RejectionHook = std::function<void(SimTime rejected_at)>;
 
+  /// A shed request (RequestOutcome::kRejected) follows ClientPopulation's
+  /// rule: it counts toward requests_issued()/requests_rejected(), records
+  /// no RT sample and no per-state completion, and the user carries on as
+  /// after a response.
   SessionPopulation(Simulation& sim, const WorkloadTrace& trace,
                     const RequestMix& mix, const SessionModel& model,
                     SubmitFn submit, Params params);
@@ -45,10 +52,14 @@ class SessionPopulation {
   SessionPopulation& operator=(const SessionPopulation&) = delete;
 
   void set_completion_hook(CompletionHook hook) { hook_ = std::move(hook); }
+  void set_rejection_hook(RejectionHook hook) {
+    rejection_hook_ = std::move(hook);
+  }
 
   std::size_t active_users() const { return users_.size(); }
   std::uint64_t requests_issued() const { return issued_; }
   std::uint64_t requests_completed() const { return completed_; }
+  std::uint64_t requests_rejected() const { return rejected_; }
   std::uint64_t sessions_started() const { return sessions_started_; }
   std::uint64_t sessions_finished() const { return sessions_finished_; }
   const LogHistogram& response_times() const { return rt_histogram_; }
@@ -69,7 +80,7 @@ class SessionPopulation {
   bool maybe_retire(std::uint64_t id);
   void begin_session(std::uint64_t id);
   void issue(std::uint64_t id);
-  void after_response(std::uint64_t id);
+  void after_response(std::uint64_t id, bool served);
 
   Simulation& sim_;
   const WorkloadTrace& trace_;
@@ -90,11 +101,13 @@ class SessionPopulation {
   std::size_t retire_pending_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
+  std::uint64_t rejected_ = 0;
   std::uint64_t sessions_started_ = 0;
   std::uint64_t sessions_finished_ = 0;
   LogHistogram rt_histogram_;
   std::map<std::string, std::uint64_t> per_state_;
   CompletionHook hook_;
+  RejectionHook rejection_hook_;
   std::unique_ptr<PeriodicTask> adjust_task_;
 };
 

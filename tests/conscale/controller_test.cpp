@@ -37,7 +37,7 @@ struct ControllerFixture : ::testing::Test {
           warehouse(std::make_shared<MetricsWarehouse>()) {}
     Simulation sim;
     ScenarioParams scenario;
-    NTierSystem system;
+    topology::ServiceGraph system;
     std::shared_ptr<MetricsWarehouse> warehouse;
   };
 

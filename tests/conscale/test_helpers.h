@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "cluster/ntier_system.h"
 #include "experiments/scenario.h"
 #include "metrics/monitor.h"
 #include "metrics/warehouse.h"
@@ -37,7 +36,8 @@ struct Harness {
     cp.seed = scenario.seed ^ 0xabcd;
     auto clients = std::make_unique<ClientPopulation>(
         sim, *trace, mix,
-        [this](const RequestContext& ctx, std::function<void()> done) {
+        [this](const RequestContext& ctx,
+               std::function<void(RequestOutcome)> done) {
           system.submit(ctx, std::move(done));
         },
         cp);
@@ -51,7 +51,7 @@ struct Harness {
   Simulation sim;
   ScenarioParams scenario;
   RequestMix mix;
-  NTierSystem system;
+  topology::ServiceGraph system;
   std::shared_ptr<MetricsWarehouse> warehouse;
   MonitoringAgent monitor;
   std::unique_ptr<WorkloadTrace> trace;

@@ -51,7 +51,7 @@ struct ZooFixture : ::testing::Test {
 
   Simulation sim;
   ScenarioParams scenario;
-  NTierSystem system;
+  topology::ServiceGraph system;
   std::shared_ptr<MetricsWarehouse> warehouse;
   HardwareAgent hw;
   SoftwareAgent sw;

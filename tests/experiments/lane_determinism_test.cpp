@@ -253,13 +253,58 @@ TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
   EXPECT_GT(info.stats.nulls_announced, 0u);
 }
 
-TEST(TierLaneDeterminism, FaultPlansAreRejectedOnTierLanes) {
+TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {
+  // The injector lives on the control cell, so it acts only at serialized
+  // control instants — the guarantee controllers rely on to mutate remote
+  // tiers. A crash/cpu/boot/drop plan on the cut chain and fan-out DAG must
+  // reproduce byte for byte at 1 and 4 threads under both protocols.
   const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
-  options.base.faults = FaultPlan::parse("crash t=10 tier=app vm=0");
-  EXPECT_THROW(run_scaling_laned(params, TraceKind::kBigSpike, "ec2", options),
-               std::invalid_argument);
+  const GraphScenario fanout = make_fanout_scenario(params);
+  struct Cell {
+    bool graph;
+    LanedRunOptions::ProtocolChoice protocol;
+    std::size_t threads;
+  };
+  std::vector<Cell> cells;
+  for (const bool graph : {false, true}) {
+    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
+                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
+      cells.push_back({graph, protocol, 1});
+      cells.push_back({graph, protocol, 4});
+    }
+  }
+  const auto results = parallel_map<GraphRunResult>(
+      cells.size(), 4, [&](std::size_t i) {
+        LanedRunOptions options =
+            tier_laned_options(params, cells[i].threads, cells[i].protocol);
+        options.base.faults = FaultPlan::parse(
+            "crash t=20 tier=app vm=0 restart=10; "
+            "cpu t=15 dur=20 tier=db vm=all factor=0.5; "
+            "boot t=0 dur=60 tier=app factor=3; drop t=30 dur=5");
+        if (cells[i].graph) {
+          options.base.framework_config.reset();
+          return run_graph_scaling_laned(fanout, TraceKind::kBigSpike, "ec2",
+                                         options);
+        }
+        GraphRunResult chain;
+        chain.run = run_scaling_laned(params, TraceKind::kBigSpike, "ec2",
+                                      options);
+        return chain;
+      });
+  for (std::size_t i = 0; i < cells.size(); i += 2) {
+    SCOPED_TRACE(std::to_string(i) + (cells[i].graph ? " fanout" : " chain"));
+    std::string diff;
+    EXPECT_TRUE(graph_results_equivalent(results[i], results[i + 1], &diff))
+        << diff;
+    EXPECT_EQ(render_graph("tier_fault_1_" + std::to_string(i), results[i]),
+              render_graph("tier_fault_4_" + std::to_string(i),
+                           results[i + 1]));
+    const ScalingRunResult& run = results[i].run;
+    EXPECT_EQ(run.fault_stats.crashes_injected, 1u);
+    EXPECT_GT(run.requests_aborted, 0u);
+    EXPECT_GT(run.fault_stats.dropout_windows, 0u);
+    EXPECT_GT(run.requests_completed, 0u);
+  }
 }
 
 TEST(TierLaneDeterminism, LanDelayIsAModelParameter) {

@@ -7,38 +7,56 @@ namespace {
 
 TEST(ScenarioParams, DefaultTopologyIsPaper111) {
   const ScenarioParams p = ScenarioParams::paper_default();
-  const SystemConfig config = p.system_config();
-  ASSERT_EQ(config.tiers.size(), 3u);
-  EXPECT_EQ(config.tiers[0].name, "Apache");
-  EXPECT_EQ(config.tiers[1].name, "Tomcat");
-  EXPECT_EQ(config.tiers[2].name, "MySQL");
-  EXPECT_EQ(config.initial_vms, (std::vector<std::size_t>{1, 1, 1}));
+  const topology::ServiceGraphConfig config = p.system_config();
+  ASSERT_EQ(config.nodes.size(), 3u);
+  EXPECT_EQ(config.nodes[0].tier.name, "Apache");
+  EXPECT_EQ(config.nodes[1].tier.name, "Tomcat");
+  EXPECT_EQ(config.nodes[2].tier.name, "MySQL");
+  for (const auto& node : config.nodes) EXPECT_EQ(node.initial_vms, 1u);
+}
+
+TEST(ScenarioParams, ChainIsALinearGraph) {
+  // Each tier makes one synchronous call into the next; the last is a leaf.
+  const topology::ServiceGraphConfig config =
+      ScenarioParams::paper_default().system_config();
+  ASSERT_EQ(config.nodes.size(), 3u);
+  for (std::size_t i = 0; i + 1 < config.nodes.size(); ++i) {
+    ASSERT_EQ(config.nodes[i].route.size(), 1u);
+    ASSERT_EQ(config.nodes[i].route[0].calls.size(), 1u);
+    EXPECT_EQ(config.nodes[i].route[0].calls[0].node, i + 1);
+  }
+  EXPECT_TRUE(config.nodes.back().route.empty());
+  for (const auto& node : config.nodes) EXPECT_FALSE(node.cache.enabled);
+  EXPECT_FALSE(config.admission.enabled);
+  EXPECT_DOUBLE_EQ(config.lan_delay, 0.0);
 }
 
 TEST(ScenarioParams, SoftAllocationIs1000_60_40) {
   // The paper's initial soft resources (§V).
   const ScenarioParams p = ScenarioParams::paper_default();
-  const SystemConfig config = p.system_config();
-  EXPECT_EQ(config.tiers[0].server_template.thread_pool_size, 1000u);
-  EXPECT_EQ(config.tiers[1].server_template.thread_pool_size, 60u);
-  EXPECT_EQ(config.tiers[1].server_template.downstream_pool_size, 40u);
+  const topology::ServiceGraphConfig config = p.system_config();
+  EXPECT_EQ(config.nodes[0].tier.server_template.thread_pool_size, 1000u);
+  EXPECT_EQ(config.nodes[1].tier.server_template.thread_pool_size, 60u);
+  EXPECT_EQ(config.nodes[1].tier.server_template.downstream_pool_size, 40u);
 }
 
 TEST(ScenarioParams, PrepDelayIsPaper15s) {
   const ScenarioParams p = ScenarioParams::paper_default();
-  for (const auto& tier : p.system_config().tiers) {
-    EXPECT_DOUBLE_EQ(tier.vm_prep_delay, 15.0);
+  for (const auto& node : p.system_config().nodes) {
+    EXPECT_DOUBLE_EQ(node.tier.vm_prep_delay, 15.0);
   }
 }
 
 TEST(ScenarioParams, TierIndicesAssignedInOrder) {
-  const SystemConfig config = ScenarioParams::paper_default().system_config();
-  // tier_index is (re)assigned by NTierSystem, but the template carries the
-  // scenario's intent; verify the canonical constants line up.
+  const topology::ServiceGraphConfig config =
+      ScenarioParams::paper_default().system_config();
+  // tier_index is (re)assigned by ServiceGraph (node index), but the
+  // template carries the scenario's intent; verify the canonical constants
+  // line up.
   EXPECT_EQ(kWebTier, 0u);
   EXPECT_EQ(kAppTier, 1u);
   EXPECT_EQ(kDbTier, 2u);
-  EXPECT_EQ(config.tiers.size(), 3u);
+  EXPECT_EQ(config.nodes.size(), 3u);
 }
 
 TEST(ScenarioParams, MakeMixRespectsMode) {
@@ -79,17 +97,18 @@ TEST(ScenarioParams, CoreCountsPropagate) {
   ScenarioParams p = ScenarioParams::paper_default();
   p.db_cores = 2;
   p.app_cores = 4;
-  const SystemConfig config = p.system_config();
-  EXPECT_EQ(config.tiers[kAppTier].server_template.cores, 4);
-  EXPECT_EQ(config.tiers[kDbTier].server_template.cores, 2);
+  const topology::ServiceGraphConfig config = p.system_config();
+  EXPECT_EQ(config.nodes[kAppTier].tier.server_template.cores, 4);
+  EXPECT_EQ(config.nodes[kDbTier].tier.server_template.cores, 2);
 }
 
 TEST(ScenarioParams, SeedsDifferPerTier) {
-  const SystemConfig config = ScenarioParams::paper_default().system_config();
-  EXPECT_NE(config.tiers[0].server_template.seed,
-            config.tiers[1].server_template.seed);
-  EXPECT_NE(config.tiers[1].server_template.seed,
-            config.tiers[2].server_template.seed);
+  const topology::ServiceGraphConfig config =
+      ScenarioParams::paper_default().system_config();
+  EXPECT_NE(config.nodes[0].tier.server_template.seed,
+            config.nodes[1].tier.server_template.seed);
+  EXPECT_NE(config.nodes[1].tier.server_template.seed,
+            config.nodes[2].tier.server_template.seed);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the deterministic fault-injection subsystem (src/faults):
-// FaultPlan parsing, FaultInjector arming against a live NTierSystem, the
+// FaultPlan parsing, FaultInjector arming against a live ServiceGraph, the
 // interaction with metrics/estimation during monitoring dropouts, and the
 // determinism guarantees (same plan + seed -> identical runs, empty plan ->
 // indistinguishable from a fault-free run).
@@ -99,7 +99,7 @@ struct InjectorFixture : ::testing::Test {
   Simulation sim;
   ScenarioParams params;
   RequestMix mix;
-  NTierSystem system;
+  topology::ServiceGraph system;
   MetricsWarehouse warehouse;
   std::uint64_t next_id = 1;
 };
@@ -135,7 +135,9 @@ TEST_F(InjectorFixture, CrashAbortsInFlightAndKeepsLbAwayUntilRestart) {
 
   // Saturate the doomed VM so the crash catches work in flight.
   int done = 0;
-  for (int i = 0; i < 40; ++i) system.submit(ctx(), [&] { ++done; });
+  for (int i = 0; i < 40; ++i) {
+    system.submit(ctx(), [&](RequestOutcome) { ++done; });
+  }
   sim.run_until(1.5);  // crash fired at t=1
 
   EXPECT_EQ(app.failed_vms(), 1u);
@@ -150,13 +152,15 @@ TEST_F(InjectorFixture, CrashAbortsInFlightAndKeepsLbAwayUntilRestart) {
 
   // While one VM is down, new work only reaches the survivor.
   const std::uint64_t before = victim->completed_requests();
-  for (int i = 0; i < 20; ++i) system.submit(ctx(), [&] { ++done; });
+  for (int i = 0; i < 20; ++i) {
+    system.submit(ctx(), [&](RequestOutcome) { ++done; });
+  }
   sim.run_until(2.9);
   EXPECT_EQ(victim->completed_requests(), before);
   EXPECT_EQ(victim->in_flight(), 0u);
 
   // After restart + prep delay the VM rejoins the LB.
-  sim.run_until(3.0 + params.system_config().tiers[1].vm_prep_delay + 1.0);
+  sim.run_until(3.0 + params.vm_prep_delay + 1.0);
   EXPECT_EQ(app.running_vms(), 2u);
   EXPECT_EQ(app.lb().backend_count(), 2u);
   EXPECT_EQ(app.failed_vms(), 0u);

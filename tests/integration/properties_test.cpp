@@ -20,13 +20,14 @@ TEST(Properties, RequestConservationUnderLoad) {
   ScenarioParams params = fast_params();
   Simulation sim;
   RequestMix mix = params.make_mix();
-  NTierSystem system(sim, params.system_config());
+  topology::ServiceGraph system(sim, params.system_config());
   const WorkloadTrace trace = make_constant_trace(80.0, 60.0);
   ClientPopulation::Params cp;
   cp.think_time_mean = 0.5;
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       cp);
@@ -85,13 +86,14 @@ TEST(Properties, MoreHardwareNeverHurtsThroughputMuch) {
     p.web_max = 1;
     Simulation sim;
     RequestMix mix = p.make_mix();
-    NTierSystem system(sim, p.system_config());
+    topology::ServiceGraph system(sim, p.system_config());
     const WorkloadTrace trace = make_constant_trace(150.0, 60.0);
     ClientPopulation::Params cp;
     cp.think_time_mean = 0.0;
     ClientPopulation clients(
         sim, trace, mix,
-        [&system](const RequestContext& ctx, std::function<void()> done) {
+        [&system](const RequestContext& ctx,
+                  std::function<void(RequestOutcome)> done) {
           system.submit(ctx, std::move(done));
         },
         cp);

@@ -126,7 +126,7 @@ TEST(SctIntegration, PerformanceInterferenceLowersTpMax) {
   p.app_dbconn = 1024;
   Simulation sim;
   RequestMix mix = p.make_mix();
-  NTierSystem system(sim, p.system_config());
+  topology::ServiceGraph system(sim, p.system_config());
   auto warehouse = std::make_shared<MetricsWarehouse>();
   MonitoringAgent monitor(sim, system, *warehouse);
   sim.run_until(0.01);
@@ -139,7 +139,8 @@ TEST(SctIntegration, PerformanceInterferenceLowersTpMax) {
   const WorkloadTrace trace = make_ramp_trace(1.0, 140.0, 180.0);
   ClientPopulation clients(
       sim, trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
         system.submit(ctx, std::move(done));
       },
       cp);

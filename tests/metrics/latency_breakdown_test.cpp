@@ -27,7 +27,8 @@ struct BreakdownFixture : ::testing::Test {
     cp.think_time_mean = 0.2;
     clients = std::make_unique<ClientPopulation>(
         sim, *trace, mix,
-        [this](const RequestContext& ctx, std::function<void()> done) {
+        [this](const RequestContext& ctx,
+               std::function<void(RequestOutcome)> done) {
           system.submit(ctx, std::move(done));
         },
         cp);
@@ -37,7 +38,7 @@ struct BreakdownFixture : ::testing::Test {
   Simulation sim;
   ScenarioParams params;
   RequestMix mix;
-  NTierSystem system;
+  topology::ServiceGraph system;
   LatencyBreakdown breakdown;
   std::unique_ptr<WorkloadTrace> trace;
   std::unique_ptr<ClientPopulation> clients;

@@ -27,7 +27,8 @@ struct MonitorFixture : ::testing::Test {
     cp.think_time_mean = 0.2;
     clients = std::make_unique<ClientPopulation>(
         sim, *trace, mix,
-        [this](const RequestContext& ctx, std::function<void()> done) {
+        [this](const RequestContext& ctx,
+               std::function<void(RequestOutcome)> done) {
           system.submit(ctx, std::move(done));
         },
         cp);
@@ -41,7 +42,7 @@ struct MonitorFixture : ::testing::Test {
   Simulation sim;
   ScenarioParams params;
   RequestMix mix;
-  NTierSystem system;
+  topology::ServiceGraph system;
   MetricsWarehouse warehouse;
   MonitoringAgent monitor;
   std::unique_ptr<WorkloadTrace> trace;

@@ -1,15 +1,20 @@
-#include "cluster/ntier_system.h"
-
+// The paper's n-tier chain as a ServiceGraph: ScenarioParams::system_config
+// builds the linear graph every chain experiment runs, and these cases pin
+// its topology, tier lookup, request flow, scale-out traffic and vm-ready
+// fan-out. A deeper chain is the same graph with more nodes.
 #include <gtest/gtest.h>
 
-#include "experiments/scenario.h"
+#include <string>
 
-namespace conscale {
+#include "experiments/scenario.h"
+#include "topology/service_graph.h"
+
+namespace conscale::topology {
 namespace {
 
-// A small 3-tier system built from the standard scenario.
-struct SystemFixture : ::testing::Test {
-  SystemFixture()
+// A small 3-tier chain built from the standard scenario.
+struct ChainFixture : ::testing::Test {
+  ChainFixture()
       : params(make_params()), mix(params.make_mix()),
         system(sim, params.system_config()) {
     sim.run_until(0.01);  // let bootstrap VMs come online
@@ -34,11 +39,11 @@ struct SystemFixture : ::testing::Test {
   Simulation sim;
   ScenarioParams params;
   RequestMix mix;
-  NTierSystem system;
+  ServiceGraph system;
   std::uint64_t next_id = 1;
 };
 
-TEST_F(SystemFixture, TopologyMatchesConfig) {
+TEST_F(ChainFixture, TopologyMatchesConfig) {
   ASSERT_EQ(system.tier_count(), 3u);
   EXPECT_EQ(system.tier(0).name(), "Apache");
   EXPECT_EQ(system.tier(1).name(), "Tomcat");
@@ -48,16 +53,21 @@ TEST_F(SystemFixture, TopologyMatchesConfig) {
   EXPECT_EQ(system.total_billed_vms(), 4u);
 }
 
-TEST_F(SystemFixture, TierByNameLookup) {
+TEST_F(ChainFixture, TierByNameLookup) {
   EXPECT_EQ(&system.tier_by_name("MySQL"), &system.tier(2));
   EXPECT_THROW(system.tier_by_name("NoSuch"), std::out_of_range);
 }
 
-TEST_F(SystemFixture, RequestFlowsThroughAllTiers) {
+TEST_F(ChainFixture, RequestFlowsThroughAllTiers) {
   bool done = false;
-  system.submit(ctx(), [&] { done = true; });
+  RequestOutcome outcome = RequestOutcome::kRejected;
+  system.submit(ctx(), [&](RequestOutcome o) {
+    done = true;
+    outcome = o;
+  });
   sim.run_until(5.0);
   EXPECT_TRUE(done);
+  EXPECT_EQ(outcome, RequestOutcome::kServed);
   // Every tier saw work: the request visited web -> app -> db (twice).
   EXPECT_EQ(system.tier(0).running_servers()[0]->completed_requests(), 1u);
   EXPECT_EQ(system.tier(1).running_servers()[0]->completed_requests(), 1u);
@@ -68,19 +78,26 @@ TEST_F(SystemFixture, RequestFlowsThroughAllTiers) {
   EXPECT_EQ(db_queries, 2u);  // app_db_queries = 2
 }
 
-TEST_F(SystemFixture, ManyRequestsAllComplete) {
+TEST_F(ChainFixture, ManyRequestsAllComplete) {
   int done = 0;
-  for (int i = 0; i < 200; ++i) system.submit(ctx(), [&] { ++done; });
+  for (int i = 0; i < 200; ++i) {
+    system.submit(ctx(), [&](RequestOutcome) { ++done; });
+  }
   sim.run_until(30.0);
   EXPECT_EQ(done, 200);
+  // The chain arms no admission policy: everything is admitted.
+  EXPECT_EQ(system.admission_stats().admitted, 200u);
+  EXPECT_EQ(system.admission_stats().rejected(), 0u);
 }
 
-TEST_F(SystemFixture, ScaledOutVmReceivesTraffic) {
+TEST_F(ChainFixture, ScaledOutVmReceivesTraffic) {
   system.tier(1).scale_out();
   sim.run_until(20.0);
   ASSERT_EQ(system.tier(1).running_vms(), 2u);
   int done = 0;
-  for (int i = 0; i < 100; ++i) system.submit(ctx(), [&] { ++done; });
+  for (int i = 0; i < 100; ++i) {
+    system.submit(ctx(), [&](RequestOutcome) { ++done; });
+  }
   sim.run_until(40.0);
   EXPECT_EQ(done, 100);
   // leastconn should spread requests across both Tomcats.
@@ -89,7 +106,7 @@ TEST_F(SystemFixture, ScaledOutVmReceivesTraffic) {
   }
 }
 
-TEST_F(SystemFixture, VmReadyCallbacksMulticast) {
+TEST_F(ChainFixture, VmReadyCallbacksMulticast) {
   int calls_a = 0, calls_b = 0;
   system.add_vm_ready_callback([&](std::size_t, Vm&) { ++calls_a; });
   system.add_vm_ready_callback([&](std::size_t, Vm&) { ++calls_b; });
@@ -99,20 +116,28 @@ TEST_F(SystemFixture, VmReadyCallbacksMulticast) {
   EXPECT_EQ(calls_b, 1);
 }
 
-// The tier chain is generic: a 4-tier deployment (e.g. web -> app ->
-// microservice -> db) wires and serves end to end.
-TEST(NTierSystem, FourTierChainWorks) {
-  Simulation sim;
-  SystemConfig config;
-  for (int i = 0; i < 4; ++i) {
-    TierConfig tc;
-    tc.name = "T" + std::to_string(i);
-    tc.server_template.thread_pool_size = 64;
-    tc.server_template.seed = 100 + static_cast<std::uint64_t>(i);
-    config.tiers.push_back(tc);
+/// A linear chain of `tiers` nodes: node i makes one call into node i+1.
+ServiceGraphConfig linear_chain(std::size_t tiers,
+                                const std::vector<std::size_t>& vms) {
+  ServiceGraphConfig config;
+  for (std::size_t i = 0; i < tiers; ++i) {
+    GraphNodeConfig node;
+    node.tier.name = "T";
+    node.tier.name += std::to_string(i);
+    node.tier.server_template.thread_pool_size = 64;
+    node.tier.server_template.seed = 100 + i;
+    node.initial_vms = vms[i];
+    if (i + 1 < tiers) node.route = {RouteStage{{{i + 1}}}};
+    config.nodes.push_back(std::move(node));
   }
-  config.initial_vms = {1, 1, 2, 1};
-  NTierSystem system(sim, config);
+  return config;
+}
+
+// The chain is generic: a 4-tier deployment (e.g. web -> app ->
+// microservice -> db) wires and serves end to end.
+TEST(Chain, FourTierChainWorks) {
+  Simulation sim;
+  ServiceGraph system(sim, linear_chain(4, {1, 1, 2, 1}));
 
   RequestClass cls;
   cls.name = "deep";
@@ -130,7 +155,7 @@ TEST(NTierSystem, FourTierChainWorks) {
     RequestContext ctx;
     ctx.id = static_cast<std::uint64_t>(i);
     ctx.request_class = &cls;
-    system.submit(ctx, [&] { ++done; });
+    system.submit(ctx, [&](RequestOutcome) { ++done; });
   }
   sim.run_until(10.0);
   EXPECT_EQ(done, 50);
@@ -144,15 +169,19 @@ TEST(NTierSystem, FourTierChainWorks) {
   }
 }
 
-TEST(NTierSystem, RejectsBadConfig) {
+TEST(Chain, RejectsBadConfig) {
   Simulation sim;
-  SystemConfig empty;
-  EXPECT_THROW(NTierSystem(sim, empty), std::invalid_argument);
-  SystemConfig mismatched;
-  mismatched.tiers.resize(2);
-  mismatched.initial_vms = {1};
-  EXPECT_THROW(NTierSystem(sim, mismatched), std::invalid_argument);
+  EXPECT_THROW(ServiceGraph(sim, ServiceGraphConfig{}),
+               std::invalid_argument);
+  // A chain whose middle tier stops calling leaves the last tier
+  // unreachable.
+  ServiceGraphConfig broken = linear_chain(3, {1, 1, 1});
+  broken.nodes[1].route.clear();
+  EXPECT_THROW(ServiceGraph(sim, broken), std::invalid_argument);
+  ServiceGraphConfig negative_hop = linear_chain(3, {1, 1, 1});
+  negative_hop.lan_delay = -1.0;
+  EXPECT_THROW(ServiceGraph(sim, negative_hop), std::invalid_argument);
 }
 
 }  // namespace
-}  // namespace conscale
+}  // namespace conscale::topology

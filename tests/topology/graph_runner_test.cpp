@@ -1,11 +1,10 @@
-// Pins the two contracts the graph experiments layer rides on:
+// Pins the contracts the graph experiments layer rides on:
 //
-//  * Linear equivalence — the paper's 3-tier chain expressed as the trivial
-//    DAG must replay the NTierSystem event sequence byte-identically, for
-//    every controller family (threshold, profile-driven, SCT).
+//  * The chain is a graph — run_scaling is run_graph_scaling on
+//    make_linear_scenario, with the per-node breakdown on top.
 //  * Run determinism — graph runs (fan-out DAG with a shared backend, cache
-//    chain with churn, admission shedding) are bit-identical across serial
-//    repeats and jobs=4 thread fan-out.
+//    chain with churn, admission shedding, Markov sessions) are
+//    bit-identical across serial repeats and jobs=4 thread fan-out.
 #include "experiments/graph_runner.h"
 
 #include <gtest/gtest.h>
@@ -30,33 +29,37 @@ ScalingRunOptions quick_options() {
   return options;
 }
 
-TEST(LinearEquivalence, ChainAsDagMatchesNTierSystemByteForByte) {
+TEST(LinearScenario, ChainRunIsTheLinearGraphRun) {
+  // run_scaling is run_graph_scaling on make_linear_scenario: same result,
+  // and no graph feature activates on the chain.
   const ScenarioParams params = quick_params();
-  const GraphScenario linear = make_linear_scenario(params);
-  // One controller per family: threshold scale-out (ec2), the paper's SCT
-  // loop (conscale), and a zoo feedback policy (pi). All three must see the
-  // exact same world through either system implementation.
-  for (const char* framework : {"ec2", "conscale", "pi"}) {
-    const ScalingRunResult chain =
-        run_scaling(params, TraceKind::kBigSpike, framework, quick_options());
-    const GraphRunResult graph = run_graph_scaling(
-        linear, TraceKind::kBigSpike, framework, quick_options());
-    std::string diff;
-    EXPECT_TRUE(results_equivalent(chain, graph.run, &diff))
-        << framework << ": " << diff;
-    // No graph feature may activate on the trivial DAG.
-    EXPECT_EQ(graph.run.requests_rejected, 0u) << framework;
-    EXPECT_TRUE(graph.caches.empty()) << framework;
+  const ScalingRunResult chain =
+      run_scaling(params, TraceKind::kBigSpike, "conscale", quick_options());
+  const GraphRunResult graph =
+      run_graph_scaling(make_linear_scenario(params), TraceKind::kBigSpike,
+                        "conscale", quick_options());
+  std::string diff;
+  EXPECT_TRUE(results_equivalent(chain, graph.run, &diff)) << diff;
+  EXPECT_EQ(graph.run.requests_rejected, 0u);
+  EXPECT_EQ(graph.admission.admitted, graph.run.requests_issued);
+  EXPECT_TRUE(graph.caches.empty());
+  // The per-node latency breakdown now covers the chain too.
+  ASSERT_EQ(graph.node_latency.size(), 3u);
+  for (const auto& node : graph.node_latency) {
+    EXPECT_GT(node.completions, 0u) << node.tier;
   }
 }
 
-TEST(LinearEquivalence, LinearScenarioMirrorsChainTopology) {
-  const GraphScenario linear = make_linear_scenario(quick_params());
-  const SystemConfig chain = quick_params().system_config();
-  ASSERT_EQ(linear.graph.nodes.size(), chain.tiers.size());
-  for (std::size_t i = 0; i < chain.tiers.size(); ++i) {
-    EXPECT_EQ(linear.graph.nodes[i].tier.name, chain.tiers[i].name);
-    EXPECT_EQ(linear.graph.nodes[i].initial_vms, chain.initial_vms[i]);
+TEST(LinearScenario, GraphIsTheParamsChain) {
+  const ScenarioParams params = quick_params();
+  const GraphScenario linear = make_linear_scenario(params);
+  const topology::ServiceGraphConfig chain = params.system_config();
+  ASSERT_EQ(linear.graph.nodes.size(), chain.nodes.size());
+  for (std::size_t i = 0; i < chain.nodes.size(); ++i) {
+    EXPECT_EQ(linear.graph.nodes[i].tier.name, chain.nodes[i].tier.name);
+    EXPECT_EQ(linear.graph.nodes[i].initial_vms, chain.nodes[i].initial_vms);
+    EXPECT_EQ(linear.graph.nodes[i].route.size(),
+              chain.nodes[i].route.size());
     EXPECT_FALSE(linear.graph.nodes[i].cache.enabled);
   }
   EXPECT_FALSE(linear.graph.admission.enabled);
@@ -126,13 +129,39 @@ TEST(GraphDeterminism, SheddingRunAccountsEveryRequest) {
   EXPECT_LE(series_rejections, first.run.requests_rejected);
 }
 
-TEST(GraphRunner, RejectsSessionWorkloads) {
-  const GraphScenario scenario = make_linear_scenario(quick_params());
+TEST(GraphRunner, SessionWorkloadShedsUnderAdmission) {
+  // Markov sessions on the fan-out DAG at 2x overload with admission on: a
+  // shed request counts as issued and rejected, its user carries on, and
+  // every issued request is served, shed, or still in flight at cutoff.
+  ScenarioParams params = quick_params();
+  params.max_users *= 2.0;
+  GraphScenario scenario = make_fanout_scenario(params);
+  scenario.graph.admission.enabled = true;
+  scenario.graph.admission.queue_limit = 40;
+  scenario.graph.admission.max_queue_age = 2.0;
   ScalingRunOptions options = quick_options();
   options.session_workload = true;
-  EXPECT_THROW(run_graph_scaling(scenario, TraceKind::kBigSpike, "conscale",
-                                 options),
-               std::invalid_argument);
+
+  const GraphRunResult first =
+      run_graph_scaling(scenario, TraceKind::kBigSpike, "ec2", options);
+  const GraphRunResult second =
+      run_graph_scaling(scenario, TraceKind::kBigSpike, "ec2", options);
+  std::string diff;
+  EXPECT_TRUE(graph_results_equivalent(first, second, &diff)) << diff;
+
+  const ScalingRunResult& run = first.run;
+  EXPECT_GT(run.requests_rejected, 0u);
+  EXPECT_GT(run.requests_completed, 0u);
+  EXPECT_EQ(run.requests_rejected, first.admission.rejected());
+  // The graph counts what it admitted; whatever it admitted and has not
+  // answered is in flight, at most one request per session user.
+  ASSERT_GE(first.admission.admitted, run.requests_completed);
+  const std::uint64_t in_flight =
+      first.admission.admitted - run.requests_completed;
+  EXPECT_EQ(run.requests_issued,
+            run.requests_completed + run.requests_rejected + in_flight);
+  EXPECT_LE(static_cast<double>(in_flight),
+            params.scaled_users(params.max_users));
 }
 
 }  // namespace

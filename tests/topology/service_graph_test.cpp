@@ -1,13 +1,15 @@
 // Unit tests for the ServiceGraph subsystem: config validation, DAG routing
-// with join-on-all fan-out, the deterministic cache model, and entry-point
-// admission control. Demands use demand_cv = 0 so every service time is
-// exact and completion instants can be asserted analytically.
+// with join-on-all fan-out, the deterministic cache model, entry-point
+// admission control, and the laned constructor's layout checks. Demands use
+// demand_cv = 0 so every service time is exact and completion instants can
+// be asserted analytically.
 #include "topology/service_graph.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "simcore/lanes/lane_engine.h"
 #include "simcore/simulation.h"
 #include "workload/request.h"
 
@@ -115,6 +117,62 @@ TEST(GraphValidation, AcceptsSharedBackendDag) {
   config.nodes[1].route = {RouteStage{{{3}}}};
   config.nodes[2].route = {RouteStage{{{3}}}};
   EXPECT_NO_THROW(ServiceGraph(sim, config));
+}
+
+// The laned constructor checks the layout against the graph and the engine
+// before it touches any lane.
+struct LaneLayoutFixture : ::testing::Test {
+  LaneLayoutFixture() : engine(engine_options()) {
+    config.nodes = {leaf("A", 1), leaf("B", 2)};
+    config.nodes[0].route = {RouteStage{{{1}}}};
+    config.lan_delay = 0.01;
+  }
+
+  static lanes::LaneEngine::Options engine_options() {
+    lanes::LaneEngine::Options options;
+    options.lanes = 2;
+    options.lookahead = 0.01;
+    return options;
+  }
+
+  static TierLaneLayout layout(std::vector<std::size_t> lanes,
+                               std::size_t control = 0) {
+    TierLaneLayout l;
+    l.lane_of_tier = std::move(lanes);
+    l.control_lane = control;
+    return l;
+  }
+
+  lanes::LaneEngine engine;
+  ServiceGraphConfig config;
+};
+
+TEST_F(LaneLayoutFixture, RejectsEmptyLayout) {
+  EXPECT_THROW(ServiceGraph(engine, config, layout({})),
+               std::invalid_argument);
+  EXPECT_THROW(ServiceGraph(engine, ServiceGraphConfig{}, layout({})),
+               std::invalid_argument);
+}
+
+TEST_F(LaneLayoutFixture, RejectsShortLayout) {
+  EXPECT_THROW(ServiceGraph(engine, config, layout({0})),
+               std::invalid_argument);
+}
+
+TEST_F(LaneLayoutFixture, RejectsOutOfRangeLanes) {
+  EXPECT_THROW(ServiceGraph(engine, config, layout({0, 2})),
+               std::invalid_argument);
+  EXPECT_THROW(ServiceGraph(engine, config, layout({7, 1})),
+               std::invalid_argument);
+  EXPECT_THROW(ServiceGraph(engine, config, layout({0, 1}, /*control=*/2)),
+               std::invalid_argument);
+}
+
+TEST_F(LaneLayoutFixture, AcceptsOneInRangeLanePerNode) {
+  ServiceGraph graph(engine, config, layout({0, 1}));
+  EXPECT_EQ(graph.tier_lane(0), 0u);
+  EXPECT_EQ(graph.tier_lane(1), 1u);
+  EXPECT_EQ(&graph.tier_sim(1), &engine.lane(1).sim());
 }
 
 // ---------------------------------------------------------------------------

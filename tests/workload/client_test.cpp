@@ -16,13 +16,18 @@ RequestMix trivial_mix() {
 
 // An instant-response "system": completes every request immediately.
 ClientPopulation::SubmitFn instant_system() {
-  return [](const RequestContext&, std::function<void()> done) { done(); };
+  return [](const RequestContext&, std::function<void(RequestOutcome)> done) {
+    done(RequestOutcome::kServed);
+  };
 }
 
 // A system that responds after a fixed delay.
 ClientPopulation::SubmitFn delayed_system(Simulation& sim, double delay) {
-  return [&sim, delay](const RequestContext&, std::function<void()> done) {
-    sim.schedule_after(delay, std::move(done));
+  return [&sim, delay](const RequestContext&,
+                       std::function<void(RequestOutcome)> done) {
+    sim.schedule_after(delay, [done = std::move(done)] {
+      done(RequestOutcome::kServed);
+    });
   };
 }
 

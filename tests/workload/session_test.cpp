@@ -103,6 +103,16 @@ TEST(SessionModel, EmpiricalVisitsMatchAnalyticalFractions) {
   }
 }
 
+// A system that serves every request after a fixed delay.
+SessionPopulation::SubmitFn respond_after(Simulation& sim, double delay) {
+  return [&sim, delay](const RequestContext&,
+                       std::function<void(RequestOutcome)> done) {
+    sim.schedule_after(delay, [done = std::move(done)] {
+      done(RequestOutcome::kServed);
+    });
+  };
+}
+
 TEST(SessionPopulation, DrivesRequestsThroughStates) {
   Simulation sim;
   const RequestMix mix = make_browse_only_mix(MixParams{});
@@ -112,9 +122,7 @@ TEST(SessionPopulation, DrivesRequestsThroughStates) {
   params.inter_session_gap_mean = 0.5;
   SessionPopulation clients(
       sim, trace, mix, model,
-      [&sim](const RequestContext&, std::function<void()> done) {
-        sim.schedule_after(0.01, std::move(done));
-      },
+      respond_after(sim, 0.01),
       params);
   sim.run_until(60.0);
   EXPECT_EQ(clients.active_users(), 30u);
@@ -137,14 +145,57 @@ TEST(SessionPopulation, TracksShrinkingTrace) {
   params.inter_session_gap_mean = 0.2;
   SessionPopulation clients(
       sim, trace, mix, model,
-      [&sim](const RequestContext&, std::function<void()> done) {
-        sim.schedule_after(0.005, std::move(done));
-      },
+      respond_after(sim, 0.005),
       params);
   sim.run_until(59.0);
   EXPECT_EQ(clients.active_users(), 40u);
   sim.run_until(120.0);
   EXPECT_LE(clients.active_users(), 8u);
+}
+
+TEST(SessionPopulation, ShedRequestsCountAndUsersCarryOn) {
+  // A system that sheds every other request at submit time, as admission
+  // control does: a shed request is issued and rejected, records no RT
+  // sample and no per-state completion, and its user keeps navigating.
+  Simulation sim;
+  const RequestMix mix = make_browse_only_mix(MixParams{});
+  const SessionModel model = SessionModel::rubbos_browse(mix);
+  const WorkloadTrace trace = make_constant_trace(20.0, 60.0);
+  SessionPopulation::Params params;
+  params.inter_session_gap_mean = 0.5;
+  std::uint64_t submitted = 0;
+  SessionPopulation clients(
+      sim, trace, mix, model,
+      [&sim, &submitted](const RequestContext&,
+                         std::function<void(RequestOutcome)> done) {
+        if (++submitted % 2 == 0) {
+          done(RequestOutcome::kRejected);
+          return;
+        }
+        sim.schedule_after(0.01, [done = std::move(done)] {
+          done(RequestOutcome::kServed);
+        });
+      },
+      params);
+  std::uint64_t rejections_seen = 0;
+  clients.set_rejection_hook([&](SimTime) { ++rejections_seen; });
+  sim.run_until(60.0);
+
+  EXPECT_GT(clients.requests_rejected(), 100u);
+  EXPECT_EQ(rejections_seen, clients.requests_rejected());
+  EXPECT_EQ(clients.requests_issued(), submitted);
+  EXPECT_GE(clients.requests_issued(),
+            clients.requests_completed() + clients.requests_rejected());
+  EXPECT_LE(clients.requests_issued() - clients.requests_completed() -
+                clients.requests_rejected(),
+            clients.active_users());
+  EXPECT_EQ(clients.response_times().total(), clients.requests_completed());
+  std::uint64_t per_state = 0;
+  for (const auto& [state, count] : clients.per_state_completions()) {
+    per_state += count;
+  }
+  EXPECT_EQ(per_state, clients.requests_completed());
+  EXPECT_GT(clients.sessions_finished(), 10u);
 }
 
 TEST(SessionPopulation, DeterministicWithSeed) {
@@ -157,9 +208,7 @@ TEST(SessionPopulation, DeterministicWithSeed) {
     params.seed = 77;
     SessionPopulation clients(
         sim, trace, mix, model,
-        [&sim](const RequestContext&, std::function<void()> done) {
-          sim.schedule_after(0.01, std::move(done));
-        },
+        respond_after(sim, 0.01),
         params);
     sim.run_until(30.0);
     return clients.requests_completed();
