@@ -23,26 +23,6 @@ int analytic_optimum(double cpu, double held_delay, int cores) {
       1, static_cast<int>(std::lround(cores * (cpu + held_delay) / cpu)));
 }
 
-GraphNodeConfig make_node(const std::string& name, std::uint64_t seed,
-                          const ContentionModel& contention,
-                          std::size_t threads, std::size_t downstream_pool,
-                          std::size_t min_vms, std::size_t init_vms,
-                          std::size_t max_vms, const ScenarioParams& base) {
-  GraphNodeConfig node;
-  node.tier.name = name;
-  node.tier.server_template.cores = 1;
-  node.tier.server_template.contention = contention;
-  node.tier.server_template.thread_pool_size = threads;
-  node.tier.server_template.downstream_pool_size = downstream_pool;
-  node.tier.server_template.seed = seed;
-  node.tier.vm_prep_delay = base.vm_prep_delay;
-  node.tier.lb_policy = base.lb_policy;
-  node.tier.min_vms = min_vms;
-  node.tier.max_vms = max_vms;
-  node.initial_vms = init_vms;
-  return node;
-}
-
 PhaseDemand phase(double cpu_pre, double cpu_post, double pure_delay,
                   int downstream_calls, double scale) {
   PhaseDemand d;
@@ -67,20 +47,20 @@ GraphScenario make_fanout_scenario(const ScenarioParams& base) {
   ServiceGraphConfig graph;
   graph.seed = base.seed ^ 0x77;
   GraphNodeConfig gateway =
-      make_node("Gateway", base.seed ^ 0x11, base.web_contention,
-                base.web_threads, 0, 1, 1, 1, base);
+      base.make_node("Gateway", base.seed ^ 0x11, base.web_contention,
+                     base.web_threads, 0, 1, 1, 1);
   gateway.route = {RouteStage{{{1}, {2}}}};  // parallel fan-out, join on both
   GraphNodeConfig svc_a =
-      make_node("SvcA", base.seed ^ 0x22, base.app_contention,
-                base.app_threads, base.app_dbconn, 1, 1, 6, base);
+      base.make_node("SvcA", base.seed ^ 0x22, base.app_contention,
+                     base.app_threads, base.app_dbconn, 1, 1, 6);
   svc_a.route = {RouteStage{{{3}}}};
   GraphNodeConfig svc_b =
-      make_node("SvcB", base.seed ^ 0x44, base.app_contention,
-                base.app_threads, base.app_dbconn, 1, 1, 6, base);
+      base.make_node("SvcB", base.seed ^ 0x44, base.app_contention,
+                     base.app_threads, base.app_dbconn, 1, 1, 6);
   svc_b.route = {RouteStage{{{3}}}};
   GraphNodeConfig db =
-      make_node("SharedDB", base.seed ^ 0x33, base.db_contention,
-                base.db_threads, 0, 1, 1, 5, base);
+      base.make_node("SharedDB", base.seed ^ 0x33, base.db_contention,
+                     base.db_threads, 0, 1, 1, 5);
   graph.nodes = {gateway, svc_a, svc_b, db};
   scenario.graph = std::move(graph);
 
@@ -155,12 +135,12 @@ GraphScenario make_cache_scenario(const ScenarioParams& base) {
   ServiceGraphConfig graph;
   graph.seed = base.seed ^ 0x77;
   GraphNodeConfig frontend =
-      make_node("Frontend", base.seed ^ 0x11, base.app_contention,
-                base.app_threads, base.app_dbconn, 1, 1, 6, base);
+      base.make_node("Frontend", base.seed ^ 0x11, base.app_contention,
+                     base.app_threads, base.app_dbconn, 1, 1, 6);
   frontend.route = {RouteStage{{{1}}}};
   GraphNodeConfig cache =
-      make_node("Cache", base.seed ^ 0x22, base.web_contention,
-                base.db_threads, base.app_dbconn, 1, 1, 4, base);
+      base.make_node("Cache", base.seed ^ 0x22, base.web_contention,
+                     base.db_threads, base.app_dbconn, 1, 1, 4);
   cache.route = {RouteStage{{{2}}}};
   cache.cache.enabled = true;
   cache.cache.base_hit_ratio = 0.85;
@@ -168,8 +148,9 @@ GraphScenario make_cache_scenario(const ScenarioParams& base) {
   cache.cache.working_set = 1.0;
   cache.cache.churn_period = 240.0;
   cache.cache.churn_amplitude = 0.8;
-  GraphNodeConfig db = make_node("Db", base.seed ^ 0x33, base.db_contention,
-                                 base.db_threads, 0, 1, 1, 5, base);
+  GraphNodeConfig db = base.make_node("Db", base.seed ^ 0x33,
+                                      base.db_contention, base.db_threads, 0,
+                                      1, 1, 5);
   graph.nodes = {frontend, cache, db};
   scenario.graph = std::move(graph);
 

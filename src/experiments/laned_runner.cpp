@@ -14,37 +14,6 @@ namespace conscale {
 
 namespace {
 
-/// Packs the tiers into cells and lays the full cell map out around them.
-CellPlan plan_tier_cells(const std::vector<std::string>& names,
-                         const std::vector<double>& weights,
-                         std::vector<std::pair<std::size_t, std::size_t>> edges,
-                         SimDuration lan_delay, std::size_t shard_count) {
-  lanes::TierLanePlacement placement;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    placement.add_node(names[i], weights[i]);
-  }
-  for (const auto& edge : edges) {
-    placement.add_edge(edge.first, edge.second, lan_delay);
-  }
-  const lanes::LanePlan plan = placement.plan(/*min_cut_delay=*/lan_delay);
-
-  CellPlan cp;
-  cp.tiered = true;
-  cp.layout.control_lane = 0;
-  cp.layout.lane_of_tier.reserve(names.size());
-  for (std::size_t lane : plan.lane_of) {
-    cp.layout.lane_of_tier.push_back(1 + lane);
-  }
-  cp.edges = std::move(edges);
-  cp.entry_cell = cp.layout.lane_of_tier.front();
-  cp.first_shard_cell = 1 + plan.lane_count;
-  cp.shard_count = shard_count;
-  cp.cells = cp.first_shard_cell + shard_count;
-  cp.summary = "control + " + plan.summary(names) + " + " +
-               std::to_string(shard_count) + " shard cell(s)";
-  return cp;
-}
-
 /// Declares every engine channel a tier-laned run posts across: the LAN hop
 /// on each cross-cell tier edge (both directions), the vm-ready hop from
 /// each tier cell to the control cell, and the client network between the
@@ -71,50 +40,58 @@ void declare_cell_channels(lanes::LaneEngine& engine, const CellPlan& cp,
   }
 }
 
-void validate_options(const LanedRunOptions& options) {
-  if (options.base.session_workload) {
-    throw std::invalid_argument(
-        "laned runner: session workloads are not supported on lanes");
-  }
-  if (options.tier_lanes > 0 && !(options.lan_delay > 0.0)) {
-    throw std::invalid_argument(
-        "laned runner: tier_lanes needs lan_delay > 0");
-  }
-}
-
 }  // namespace
 
 CellPlan plan_cells(const GraphScenario& scenario,
                     const LanedRunOptions& options) {
-  validate_options(options);
-  const bool autotuned = options.shards == 0;
-  const std::size_t shard_count =
-      autotuned ? autotune_shards(
-                      scenario.base.scaled_users(scenario.base.max_users),
-                      scenario.base.think_time)
-                : options.shards;
+  if (options.base.session_workload) {
+    throw std::invalid_argument(
+        "laned runner: session workloads are not supported on lanes");
+  }
   CellPlan cp;
-  if (options.tier_lanes > 0) {
-    std::vector<std::string> names;
-    std::vector<double> weights;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 0; i < scenario.graph.nodes.size(); ++i) {
-      const topology::GraphNodeConfig& node = scenario.graph.nodes[i];
-      names.push_back(node.tier.name);
-      weights.push_back(static_cast<double>(node.initial_vms));
-      for (const topology::RouteStage& stage : node.route) {
-        for (const topology::GraphCall& call : stage.calls) {
-          edges.emplace_back(i, call.node);
-        }
+  cp.shards_autotuned = options.shards == 0;
+  cp.shard_count = cp.shards_autotuned
+                       ? autotune_shards(
+                             scenario.base.scaled_users(scenario.base.max_users),
+                             scenario.base.think_time)
+                       : options.shards;
+  if (options.tier_lanes == 0) {
+    cp.cells = std::max<std::size_t>(options.lanes, 1);
+    return cp;
+  }
+  if (!(options.lan_delay > 0.0)) {
+    throw std::invalid_argument(
+        "laned runner: tier_lanes needs lan_delay > 0");
+  }
+  // Pack the tiers into cells, then lay the full cell map out around them.
+  lanes::TierLanePlacement placement;
+  std::vector<std::string> names;
+  const auto& nodes = scenario.graph.nodes;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    names.push_back(nodes[i].tier.name);
+    placement.add_node(nodes[i].tier.name,
+                       static_cast<double>(nodes[i].initial_vms));
+    for (const topology::RouteStage& stage : nodes[i].route) {
+      for (const topology::GraphCall& call : stage.calls) {
+        cp.edges.emplace_back(i, call.node);
       }
     }
-    cp = plan_tier_cells(names, weights, std::move(edges), options.lan_delay,
-                         shard_count);
-  } else {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    cp.shard_count = shard_count;
   }
-  cp.shards_autotuned = autotuned;
+  for (const auto& [from, to] : cp.edges) {
+    placement.add_edge(from, to, options.lan_delay);
+  }
+  const lanes::LanePlan plan =
+      placement.plan(/*min_cut_delay=*/options.lan_delay);
+  cp.tiered = true;
+  cp.layout.control_lane = 0;
+  for (std::size_t lane : plan.lane_of) {
+    cp.layout.lane_of_tier.push_back(1 + lane);
+  }
+  cp.entry_cell = cp.layout.lane_of_tier.front();
+  cp.first_shard_cell = 1 + plan.lane_count;
+  cp.cells = cp.first_shard_cell + cp.shard_count;
+  cp.summary = "control + " + plan.summary(names) + " + " +
+               std::to_string(cp.shard_count) + " shard cell(s)";
   return cp;
 }
 

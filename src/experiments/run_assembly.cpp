@@ -14,14 +14,6 @@ ClientStats population_stats(const Population& population) {
           population.requests_completed(), population.requests_rejected()};
 }
 
-ClientStats shard_stats(
-    const std::vector<std::unique_ptr<SessionShard>>& shards) {
-  std::vector<const SessionShard*> ptrs;
-  ptrs.reserve(shards.size());
-  for (const auto& shard : shards) ptrs.push_back(shard.get());
-  return merge_shard_stats(ptrs);
-}
-
 }  // namespace
 
 WorkloadTrace make_run_trace(const ScenarioParams& base, TraceKind kind,
@@ -176,7 +168,7 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   }
   const ClientStats stats = clients    ? population_stats(*clients)
                             : sessions ? population_stats(*sessions)
-                                       : shard_stats(shards);
+                                       : merge_shard_stats(shards);
   const LogHistogram& rts = stats.response_times;
   run.mean_rt_ms = to_ms(rts.mean());
   run.p50_ms = to_ms(rts.percentile(50.0));

@@ -1,61 +1,42 @@
 #include "experiments/scenario.h"
 
-#include <iterator>
-#include <utility>
-
 namespace conscale {
 
+topology::GraphNodeConfig ScenarioParams::make_node(
+    const std::string& name, std::uint64_t node_seed,
+    const ContentionModel& contention, std::size_t threads,
+    std::size_t downstream_pool, std::size_t min_vms, std::size_t init_vms,
+    std::size_t max_vms, int cores) const {
+  topology::GraphNodeConfig node;
+  node.tier.name = name;
+  node.tier.server_template.cores = cores;
+  node.tier.server_template.contention = contention;
+  node.tier.server_template.thread_pool_size = threads;
+  node.tier.server_template.downstream_pool_size = downstream_pool;
+  node.tier.server_template.seed = node_seed;
+  node.tier.vm_prep_delay = vm_prep_delay;
+  node.tier.lb_policy = lb_policy;
+  node.tier.min_vms = min_vms;
+  node.tier.max_vms = max_vms;
+  node.initial_vms = init_vms;
+  return node;
+}
+
 topology::ServiceGraphConfig ScenarioParams::system_config() const {
-  TierConfig web;
-  web.name = "Apache";
-  web.server_template.cores = web_cores;
-  web.server_template.contention = web_contention;
-  web.server_template.thread_pool_size = web_threads;
-  web.server_template.downstream_pool_size = 0;  // ungated into the app tier
-  web.server_template.seed = seed ^ 0x11;
-  web.vm_prep_delay = vm_prep_delay;
-  web.lb_policy = lb_policy;
-  web.min_vms = web_min;
-  web.max_vms = web_max;
-
-  TierConfig app;
-  app.name = "Tomcat";
-  app.server_template.cores = app_cores;
-  app.server_template.contention = app_contention;
-  app.server_template.thread_pool_size = app_threads;
-  app.server_template.downstream_pool_size = app_dbconn;
-  app.server_template.seed = seed ^ 0x22;
-  app.vm_prep_delay = vm_prep_delay;
-  app.lb_policy = lb_policy;
-  app.min_vms = app_min;
-  app.max_vms = app_max;
-
-  TierConfig db;
-  db.name = "MySQL";
-  db.server_template.cores = db_cores;
-  db.server_template.contention = db_contention;
-  db.server_template.thread_pool_size = db_threads;
-  db.server_template.downstream_pool_size = 0;
-  db.server_template.disk_channels = 1;
-  db.server_template.seed = seed ^ 0x33;
-  db.vm_prep_delay = vm_prep_delay;
-  db.lb_policy = lb_policy;
-  db.min_vms = db_min;
-  db.max_vms = db_max;
-
-  const TierConfig tiers[] = {web, app, db};
-  const std::size_t initial_vms[] = {web_init, app_init, db_init};
   topology::ServiceGraphConfig config;
   config.seed = seed ^ 0x77;  // no cache node ever draws from it
-  for (std::size_t i = 0; i < std::size(tiers); ++i) {
-    topology::GraphNodeConfig node;
-    node.tier = tiers[i];
-    node.initial_vms = initial_vms[i];
-    if (i + 1 < std::size(tiers)) {
-      node.route = {topology::RouteStage{{{i + 1}}}};
-    }
-    config.nodes.push_back(std::move(node));
-  }
+  // Apache calls into Tomcat ungated (no downstream pool); Tomcat's
+  // connection pool gates its MySQL queries.
+  config.nodes = {
+      make_node("Apache", seed ^ 0x11, web_contention, web_threads, 0,
+                web_min, web_init, web_max, web_cores),
+      make_node("Tomcat", seed ^ 0x22, app_contention, app_threads,
+                app_dbconn, app_min, app_init, app_max, app_cores),
+      make_node("MySQL", seed ^ 0x33, db_contention, db_threads, 0, db_min,
+                db_init, db_max, db_cores),
+  };
+  config.nodes[kWebTier].route = {topology::RouteStage{{{kAppTier}}}};
+  config.nodes[kAppTier].route = {topology::RouteStage{{{kDbTier}}}};
   return config;
 }
 

@@ -57,6 +57,20 @@ struct ScenarioParams {
   /// synchronous call into node i+1.
   topology::ServiceGraphConfig system_config() const;
 
+  /// One node of a topology built from these parameters: a `cores`-core
+  /// server template with the given contention, pools and seed, and the
+  /// scenario's VM prep delay and LB policy. The chain and every graph
+  /// preset (experiments/graph_scenario.h) build their nodes through it.
+  topology::GraphNodeConfig make_node(const std::string& name,
+                                      std::uint64_t node_seed,
+                                      const ContentionModel& contention,
+                                      std::size_t threads,
+                                      std::size_t downstream_pool,
+                                      std::size_t min_vms,
+                                      std::size_t init_vms,
+                                      std::size_t max_vms,
+                                      int cores = 1) const;
+
   /// Builds the request mix for the current mode (work_scale and the mix's
   /// dataset_scale already applied).
   RequestMix make_mix() const;

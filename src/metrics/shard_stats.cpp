@@ -5,8 +5,10 @@
 namespace conscale {
 
 ClientStats merge_shard_stats(
-    const std::vector<const SessionShard*>& shards) {
-  std::vector<const SessionShard*> ordered = shards;
+    const std::vector<std::unique_ptr<SessionShard>>& shards) {
+  std::vector<const SessionShard*> ordered;
+  ordered.reserve(shards.size());
+  for (const auto& shard : shards) ordered.push_back(shard.get());
   std::sort(ordered.begin(), ordered.end(),
             [](const SessionShard* a, const SessionShard* b) {
               return a->shard_index() < b->shard_index();

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/histogram.h"
@@ -30,6 +31,6 @@ struct ClientStats {
 
 /// Folds `shards` in shard-index order regardless of the vector's order.
 ClientStats merge_shard_stats(
-    const std::vector<const SessionShard*>& shards);
+    const std::vector<std::unique_ptr<SessionShard>>& shards);
 
 }  // namespace conscale
