@@ -48,13 +48,13 @@ CellPlan plan_cells(const GraphScenario& scenario,
     throw std::invalid_argument(
         "laned runner: session workloads are not supported on lanes");
   }
+  const ScenarioParams& base = scenario.base;
   CellPlan cp;
   cp.shards_autotuned = options.shards == 0;
-  cp.shard_count = cp.shards_autotuned
-                       ? autotune_shards(
-                             scenario.base.scaled_users(scenario.base.max_users),
-                             scenario.base.think_time)
-                       : options.shards;
+  cp.shard_count =
+      cp.shards_autotuned
+          ? autotune_shards(base.scaled_users(base.max_users), base.think_time)
+          : options.shards;
   if (options.tier_lanes == 0) {
     cp.cells = std::max<std::size_t>(options.lanes, 1);
     return cp;

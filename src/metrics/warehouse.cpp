@@ -24,6 +24,7 @@ MetricsWarehouse::SeriesId MetricsWarehouse::server_id(
     const std::string& server) {
   const SeriesId id = intern(server, server_index_, server_names_);
   if (id >= servers_.size()) servers_.resize(id + 1);
+  if (id >= server_drops_.size()) server_drops_.resize(id + 1);
   return id;
 }
 
@@ -37,10 +38,16 @@ void MetricsWarehouse::record_server(SeriesId id,
                                      const IntervalSample& sample) {
   assert(id < servers_.size());
   if (!ingestion_enabled_) {
-    ++dropped_samples_;
+    ++server_drops_[id];
     return;
   }
   servers_[id].push_back(sample);
+}
+
+std::uint64_t MetricsWarehouse::dropped_samples() const {
+  std::uint64_t total = dropped_samples_;
+  for (const std::uint64_t drops : server_drops_) total += drops;
+  return total;
 }
 
 void MetricsWarehouse::record_tier(SeriesId id, const TierSample& sample) {

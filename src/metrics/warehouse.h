@@ -66,7 +66,7 @@ class MetricsWarehouse {
   /// ingestion path. Queries still serve the pre-dropout series.
   void set_ingestion_enabled(bool enabled) { ingestion_enabled_ = enabled; }
   bool ingestion_enabled() const { return ingestion_enabled_; }
-  std::uint64_t dropped_samples() const { return dropped_samples_; }
+  std::uint64_t dropped_samples() const;
 
   // ---- full-series access (figure rendering) ----
   const std::vector<IntervalSample>& server_series(SeriesId id) const;
@@ -114,7 +114,11 @@ class MetricsWarehouse {
   std::vector<std::vector<TierSample>> tiers_;        ///< by SeriesId
   std::vector<SystemSample> system_;
   bool ingestion_enabled_ = true;
-  std::uint64_t dropped_samples_ = 0;
+  std::uint64_t dropped_samples_ = 0;  ///< tier and system samples
+  /// Dropped server samples by SeriesId. A server's samples arrive from the
+  /// lane hosting it, so on a tier-laned run concurrent lanes drop into
+  /// distinct counters, never into one shared count. Kept across clear().
+  std::vector<std::uint64_t> server_drops_;
 };
 
 }  // namespace conscale
