@@ -24,6 +24,7 @@
 
 #include "common/time_units.h"
 #include "simcore/lanes/actor.h"
+#include "workload/client.h"
 #include "workload/request.h"
 #include "workload/session_shard.h"
 
@@ -41,17 +42,12 @@ inline std::size_t shard_lane(std::size_t shard_index,
 
 class LaneGateway final : public ShardGateway, public lanes::LaneActor {
  public:
-  /// Outcome-aware system entry point (same shape as
-  /// ClientPopulation::SubmitFn).
-  using SubmitFn =
-      std::function<void(const RequestContext&,
-                         std::function<void(RequestOutcome)> on_response)>;
-  /// Observer of completed requests: (client issue time, client-perceived
-  /// response time, request class).
-  using CompletionHook =
-      std::function<void(SimTime issued, double rt, const RequestClass&)>;
-  /// Observer of shed requests (fires at the rejection instant).
-  using RejectionHook = std::function<void(SimTime rejected_at)>;
+  /// ClientPopulation's submit shape and observers: completions report
+  /// (client issue time, client-perceived response time, request class),
+  /// rejections fire at the rejection instant.
+  using SubmitFn = ClientPopulation::SubmitFn;
+  using CompletionHook = ClientPopulation::CompletionHook;
+  using RejectionHook = ClientPopulation::RejectionHook;
 
   struct Params {
     /// Client<->frontend one-way network latency; must match the shards'.

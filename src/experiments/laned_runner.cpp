@@ -172,26 +172,6 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
   return shards;
 }
 
-void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
-               const lanes::LookaheadAnalysis& analysis,
-               const LanedRunOptions& options, const CellPlan& plan,
-               const std::vector<std::unique_ptr<SessionShard>>& shards) {
-  if (!info) return;
-  info->active_sessions = 0;
-  for (const auto& shard : shards) {
-    info->active_sessions += shard->active_users();
-  }
-  info->stats = engine.stats();
-  info->lookahead = engine.lookahead();
-  info->protocol = engine.protocol();
-  info->lookahead_summary = analysis.summary();
-  info->lanes = engine.lane_count();
-  info->threads = plan.tiered ? options.tier_lanes : engine.lane_count();
-  info->shards = plan.shard_count;
-  info->shards_autotuned = plan.shards_autotuned;
-  info->placement = plan.summary;
-}
-
 std::size_t autotune_shards(double peak_sessions, double think_time_mean) {
   constexpr double kRequestsPerShardSecond = 300.0;
   const double think = std::max(think_time_mean, 1e-6);

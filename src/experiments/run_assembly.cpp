@@ -197,7 +197,21 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
     }
   }
   result.node_latency = breakdown.by_tier();
-  if (engine) fill_info(info, *engine, analysis, *laned, plan, shards);
+  if (engine && info) {
+    info->stats = engine->stats();
+    info->lookahead = engine->lookahead();
+    info->protocol = engine->protocol();
+    info->lookahead_summary = analysis.summary();
+    info->lanes = engine->lane_count();
+    info->threads = plan.tiered ? laned->tier_lanes : engine->lane_count();
+    info->shards = plan.shard_count;
+    info->shards_autotuned = plan.shards_autotuned;
+    info->placement = plan.summary;
+    info->active_sessions = 0;
+    for (const auto& shard : shards) {
+      info->active_sessions += shard->active_users();
+    }
+  }
   return result;
 }
 

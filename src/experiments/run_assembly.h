@@ -58,12 +58,6 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
     const WorkloadTrace& trace, const RequestMix& mix, LaneGateway& gateway,
     const LanedRunOptions& options, const CellPlan& plan);
 
-/// Fills `info` (when non-null) after the engine has run.
-void fill_info(LaneRunInfo* info, const lanes::LaneEngine& engine,
-               const lanes::LookaheadAnalysis& analysis,
-               const LanedRunOptions& options, const CellPlan& plan,
-               const std::vector<std::unique_ptr<SessionShard>>& shards);
-
 /// The trace a TraceKind entry point runs: the scenario's user scale over
 /// `duration`, seeded with base.seed ^ 0xbeef.
 WorkloadTrace make_run_trace(const ScenarioParams& base, TraceKind kind,

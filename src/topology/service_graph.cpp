@@ -168,7 +168,6 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
     node_sims_.push_back(&node_sim);
     tiers_.push_back(std::make_unique<TierGroup>(node_sim, tc, ctx_));
   }
-  if (engine) node_lane_ = layout->lane_of_tier;
   // One TierChannel per distinct route edge, built in route order so actor
   // stream allocation is layout-independent. lan_delay = 0 (serial default)
   // makes every channel a direct dispatch — byte-identical to the pre-hop

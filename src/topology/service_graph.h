@@ -160,10 +160,6 @@ class ServiceGraph final : public TierSystem {
   }
   void add_vm_ready_callback(VmReadyCallback callback) override;
 
-  /// The lane hosting node `index` (always 0 for serial construction).
-  std::size_t tier_lane(std::size_t index) const {
-    return node_lane_.empty() ? 0 : node_lane_[index];
-  }
   /// The Simulation hosting node `index` (the shared sim when serial).
   Simulation& tier_sim(std::size_t index) { return *node_sims_[index]; }
 
@@ -199,7 +195,6 @@ class ServiceGraph final : public TierSystem {
   ServiceGraphConfig config_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
   std::vector<Simulation*> node_sims_;
-  std::vector<std::size_t> node_lane_;  ///< empty when serial
   std::vector<std::unique_ptr<TierChannel>> channels_;
   /// Dense (from * n + to) -> channel index, or npos for absent edges.
   std::vector<std::size_t> edge_channel_;

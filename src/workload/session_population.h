@@ -12,6 +12,7 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "simcore/simulation.h"
+#include "workload/client.h"
 #include "workload/mix.h"
 #include "workload/request.h"
 #include "workload/session.h"
@@ -21,10 +22,11 @@ namespace conscale {
 
 class SessionPopulation {
  public:
-  /// Same outcome-aware shape as ClientPopulation::SubmitFn.
-  using SubmitFn =
-      std::function<void(const RequestContext&,
-                         std::function<void(RequestOutcome)> on_response)>;
+  /// ClientPopulation's submit shape and observers, so systems and
+  /// monitoring hooks interchange.
+  using SubmitFn = ClientPopulation::SubmitFn;
+  using CompletionHook = ClientPopulation::CompletionHook;
+  using RejectionHook = ClientPopulation::RejectionHook;
 
   struct Params {
     SimDuration adjust_period = 0.5;
@@ -33,12 +35,6 @@ class SessionPopulation {
     double inter_session_gap_mean = 5.0;
     std::uint64_t seed = 7;
   };
-
-  /// Observers of completed and shed requests (parity with
-  /// ClientPopulation so monitoring hooks interchange).
-  using CompletionHook =
-      std::function<void(SimTime issued, double rt, const RequestClass&)>;
-  using RejectionHook = std::function<void(SimTime rejected_at)>;
 
   /// A shed request (RequestOutcome::kRejected) follows ClientPopulation's
   /// rule: it counts toward requests_issued()/requests_rejected(), records

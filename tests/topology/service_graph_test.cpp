@@ -170,8 +170,7 @@ TEST_F(LaneLayoutFixture, RejectsOutOfRangeLanes) {
 
 TEST_F(LaneLayoutFixture, AcceptsOneInRangeLanePerNode) {
   ServiceGraph graph(engine, config, layout({0, 1}));
-  EXPECT_EQ(graph.tier_lane(0), 0u);
-  EXPECT_EQ(graph.tier_lane(1), 1u);
+  EXPECT_EQ(&graph.tier_sim(0), &engine.lane(0).sim());
   EXPECT_EQ(&graph.tier_sim(1), &engine.lane(1).sim());
 }
 
