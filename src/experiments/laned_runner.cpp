@@ -101,32 +101,30 @@ std::unique_ptr<lanes::LaneEngine> make_lane_engine(
   lanes::LaneEngine::Options eo;
   eo.lanes = plan.cells;
   eo.lookahead = analysis.window();
-  if (plan.tiered) {
-    eo.threads = options.tier_lanes;
-    switch (options.protocol) {
-      case LanedRunOptions::ProtocolChoice::kTimeWindow:
-        eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
-        break;
-      case LanedRunOptions::ProtocolChoice::kNullMessage:
-        eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-        break;
-      case LanedRunOptions::ProtocolChoice::kAuto:
-        eo.protocol = analysis.recommended();
-        break;
-    }
-    // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
-    // caps null traffic without affecting results (scheduling-only, see
-    // lane_engine.h) — the rescue pass re-announces when a lane would
-    // starve.
-    eo.null_floor = 0.5 * analysis.window();
-    eo.serialize_lane0 = true;
+  if (!plan.tiered) {
+    // Client-edge layout: lanes == threads, time windows, no declared
+    // channels.
+    return std::make_unique<lanes::LaneEngine>(eo);
   }
-  // Client-edge layout: lanes == threads, time windows, no declared
-  // channels.
+  eo.threads = options.tier_lanes;
+  switch (options.protocol) {
+    case LanedRunOptions::ProtocolChoice::kTimeWindow:
+      eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
+      break;
+    case LanedRunOptions::ProtocolChoice::kNullMessage:
+      eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
+      break;
+    case LanedRunOptions::ProtocolChoice::kAuto:
+      eo.protocol = analysis.recommended();
+      break;
+  }
+  // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
+  // caps null traffic without affecting results (scheduling-only, see
+  // lane_engine.h) — the rescue pass re-announces when a lane would starve.
+  eo.null_floor = 0.5 * analysis.window();
+  eo.serialize_lane0 = true;
   auto engine = std::make_unique<lanes::LaneEngine>(eo);
-  if (plan.tiered) {
-    declare_cell_channels(*engine, plan, options.lan_delay, options.net_delay);
-  }
+  declare_cell_channels(*engine, plan, options.lan_delay, options.net_delay);
   return engine;
 }
 

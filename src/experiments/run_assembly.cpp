@@ -33,8 +33,10 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
                             LaneRunInfo* info) {
   // Construction order is part of the result: every RNG consumer and every
   // event source must be built and seeded in the same sequence on every
-  // path. Serial runs execute on a plain Simulation; laned runs on the lane
-  // engine, whose cell 0 hosts the control plane.
+  // path. Serial runs execute on a plain Simulation — a one-lane engine
+  // would bring the laned workload's client network delay and change every
+  // serial result; laned runs execute on the lane engine, whose cell 0
+  // hosts the control plane.
   const ScenarioParams& base = scenario.base;
   CellPlan plan;
   lanes::LookaheadAnalysis analysis;

@@ -22,7 +22,7 @@
 // unmodified. The paper's n-tier chain is the linear graph where node i
 // makes one call into node i+1 (ScenarioParams::system_config); a
 // single-call stage dispatches with no join bookkeeping, so the chain pays
-// nothing for the generality.
+// only the routing closure per call.
 #pragma once
 
 #include <cstdint>
