@@ -12,13 +12,11 @@ void LaneGateway::on_request(const RequestContext& ctx, SessionShard& from,
   const SimTime client_issued = ctx.issued_at;
   RequestContext arrival = ctx;
   arrival.issued_at = sim().now();
-  ++forwarded_;
 
   const std::size_t reply_lane = from.lane();
   submit_(arrival, [this, &from, reply_lane, user_slot, client_issued,
                     cls = ctx.request_class](RequestOutcome outcome) {
     if (outcome == RequestOutcome::kServed) {
-      ++served_;
       if (completion_hook_) {
         // Client-perceived response time: the reply still has to cross the
         // network, so the client sees it one net_delay after system done.
@@ -26,7 +24,6 @@ void LaneGateway::on_request(const RequestContext& ctx, SessionShard& from,
         completion_hook_(client_issued, rt, *cls);
       }
     } else {
-      ++rejected_;
       if (rejection_hook_) rejection_hook_(sim().now());
     }
     post(reply_lane, params_.net_delay,

@@ -73,18 +73,11 @@ class LaneGateway final : public ShardGateway, public lanes::LaneActor {
   /// the shards' configured delay, so the three cannot silently diverge.
   SimDuration net_delay() const { return params_.net_delay; }
 
-  std::uint64_t forwarded() const { return forwarded_; }
-  std::uint64_t served() const { return served_; }
-  std::uint64_t rejected() const { return rejected_; }
-
  private:
   SubmitFn submit_;
   Params params_;
   CompletionHook completion_hook_;
   RejectionHook rejection_hook_;
-  std::uint64_t forwarded_ = 0;
-  std::uint64_t served_ = 0;
-  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace conscale

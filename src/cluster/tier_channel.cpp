@@ -1,67 +1,28 @@
 #include "cluster/tier_channel.h"
 
-#include <stdexcept>
-
 namespace conscale {
-
-TierChannel::TierChannel(Simulation& sim, LoadBalancer& dest,
-                         SimDuration delay)
-    : sim_(&sim), dest_(&dest), delay_(delay) {
-  if (delay_ < 0.0) {
-    throw std::invalid_argument("TierChannel: delay must be >= 0");
-  }
-}
 
 TierChannel::TierChannel(lanes::LaneEngine& engine, std::size_t src_lane,
                          std::size_t dst_lane, LoadBalancer& dest,
                          SimDuration delay)
-    : dest_(&dest), delay_(delay) {
-  if (src_lane == dst_lane) {
-    // Co-located endpoints need no messaging; fall back to same-sim mode.
-    sim_ = &engine.lane(src_lane).sim();
-    if (delay_ < 0.0) {
-      throw std::invalid_argument("TierChannel: delay must be >= 0");
-    }
-    return;
-  }
-  if (!(delay_ > 0.0)) {
-    throw std::invalid_argument(
-        "TierChannel: a cross-lane edge needs a positive LAN delay "
-        "(zero-delay edges must be co-located — see TierLanePlacement)");
-  }
-  forward_ = std::make_unique<Endpoint>(engine, src_lane);
-  reply_ = std::make_unique<Endpoint>(engine, dst_lane);
+    : dest_(dest),
+      delay_(delay),
+      forward_(engine, src_lane),
+      reply_(engine, dst_lane) {
+  engine.declare_channel(src_lane, dst_lane, delay);
+  engine.declare_channel(dst_lane, src_lane, delay);
 }
 
 void TierChannel::dispatch(const RequestContext& ctx,
                            Server::Completion done) {
-  ++forwarded_;
-  if (sim_ != nullptr) {
-    if (delay_ == 0.0) {
-      dest_->dispatch(ctx, std::move(done));
-      return;
-    }
-    // Both legs ride the shared sim; `ctx` is captured by value (it is a
-    // small id/class/issue-time triple pointing at the run-wide mix).
-    Simulation& sim = *sim_;
-    const SimDuration delay = delay_;
-    sim.schedule_after(delay, [this, &sim, delay, ctx,
-                               done = std::move(done)]() mutable {
-      dest_->dispatch(ctx, [&sim, delay, done = std::move(done)]() {
-        sim.schedule_after(delay, done);
-      });
-    });
-    return;
-  }
-  const std::size_t src_lane = forward_->lane();
-  const std::size_t dst_lane = reply_->lane();
-  const SimDuration delay = delay_;
-  forward_->post_to(
-      dst_lane, delay, [this, src_lane, delay, ctx, done = std::move(done)]() {
-        dest_->dispatch(ctx, [this, src_lane, delay, done]() {
-          reply_->post_to(src_lane, delay, done);
-        });
-      });
+  // `ctx` is captured by value (a small id/class/issue-time triple pointing
+  // at the run-wide mix).
+  forward_.post_to(reply_.lane(), delay_,
+                   [this, ctx, done = std::move(done)]() {
+                     dest_.dispatch(ctx, [this, done]() {
+                       reply_.post_to(forward_.lane(), delay_, done);
+                     });
+                   });
 }
 
 }  // namespace conscale

@@ -1,32 +1,22 @@
-// TierChannel: one directed tier->tier (or node->node) RPC edge with an
-// explicit LAN hop (DESIGN.md §6.6). The paper's testbed is a real n-tier
-// deployment where every inter-tier call crosses the datacenter network;
-// modeling that delay explicitly is what opens a lookahead window on the
-// edge, letting the placement planner cut the serving system itself across
-// lanes.
+// TierChannel: one directed node->node RPC edge between two cells of a
+// tier-laned run, with an explicit LAN hop each way (DESIGN.md §6.6.1). The
+// paper's testbed is a real n-tier deployment where every inter-tier call
+// crosses the datacenter network; modeling that delay explicitly is what
+// opens a lookahead window on the edge, letting the lane engine run the
+// serving system itself across cells.
 //
-// Three regimes, picked at construction:
-//   * zero delay, same Simulation — a direct LoadBalancer::dispatch call,
-//     byte-identical to the pre-channel wiring (the lan_delay=0 default
-//     keeps every existing result);
-//   * positive delay, same Simulation — both legs (request forward, reply
-//     return) are scheduled `delay` ahead on the shared sim;
-//   * positive delay, cross-lane — both legs travel the lane engine as
-//     keyed messages via per-endpoint LaneActors, so delivery order is
-//     canonical and independent of the thread count.
+// Both legs (request forward, reply return) travel the lane engine as keyed
+// messages via per-endpoint LaneActors, so delivery order is canonical and
+// independent of the thread count. A serial graph has no channels: it
+// dispatches straight into the child's load balancer.
 #pragma once
-
-#include <cstdint>
-#include <memory>
-#include <utility>
 
 #include <cstddef>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "cluster/load_balancer.h"
 #include "simcore/lanes/actor.h"
-#include "simcore/simulation.h"
 #include "tier/server.h"
 #include "workload/request.h"
 
@@ -34,25 +24,11 @@ namespace conscale {
 
 class Vm;
 
-/// Where each tier (graph node) of a laned system lives. The placement is a
-/// *model* parameter (TierLanePlacement computes it; results are identical
-/// for any layout given the same layout) — `control_lane` is the lane
-/// hosting the control plane (monitor, controllers, agents), which the
-/// engine serializes (LaneEngine::Options::serialize_lane0).
-struct TierLaneLayout {
-  std::vector<std::size_t> lane_of_tier;
-  std::size_t control_lane = 0;
-};
-
 class TierChannel {
  public:
-  /// Same-simulation edge (serial runs, or co-located lanes). `delay == 0`
-  /// degenerates to a direct dispatch.
-  TierChannel(Simulation& sim, LoadBalancer& dest, SimDuration delay);
-
-  /// Cross-lane (or same-lane, keyed) edge on a lane engine. Requires
-  /// `delay > 0` when the endpoints live on different lanes; the caller
-  /// must declare the src->dst and dst->src channels on the engine.
+  /// Declares the src->dst and dst->src engine channels at `delay`; throws
+  /// what LaneEngine::declare_channel throws when the endpoints share a lane
+  /// or `delay` <= 0.
   TierChannel(lanes::LaneEngine& engine, std::size_t src_lane,
               std::size_t dst_lane, LoadBalancer& dest, SimDuration delay);
 
@@ -63,17 +39,6 @@ class TierChannel {
   /// side after the reply hop.
   void dispatch(const RequestContext& ctx, Server::Completion done);
 
-  /// The edge packaged as a server downstream callable.
-  Server::DownstreamFn downstream() {
-    return [this](const RequestContext& ctx, Server::Completion done) {
-      dispatch(ctx, std::move(done));
-    };
-  }
-
-  SimDuration delay() const { return delay_; }
-  bool cross_lane() const { return forward_ != nullptr; }
-  std::uint64_t forwarded() const { return forwarded_; }
-
  private:
   /// LaneActor with the posting surface opened up for the channel.
   class Endpoint final : public lanes::LaneActor {
@@ -83,23 +48,19 @@ class TierChannel {
                  EventCallback callback) {
       post(dest_lane, delay, std::move(callback));
     }
-    void schedule(SimDuration delay, EventCallback callback) {
-      schedule_after(delay, std::move(callback));
-    }
   };
 
-  Simulation* sim_ = nullptr;  ///< same-sim mode (null in cross-lane mode)
-  LoadBalancer* dest_;
+  LoadBalancer& dest_;
   SimDuration delay_;
-  std::unique_ptr<Endpoint> forward_;  ///< on the source lane
-  std::unique_ptr<Endpoint> reply_;    ///< on the destination lane
-  std::uint64_t forwarded_ = 0;
+  Endpoint forward_;  ///< on the source lane
+  Endpoint reply_;    ///< on the destination lane
 };
 
-/// Forwards a tier's vm-ready signal across the LAN hop to the control
+/// Forwards a tier cell's vm-ready signal across the LAN hop to the control
 /// lane, where the registered VmReadyCallbacks (monitor attach, decision
-/// hooks, latency breakdown) run exactly as in a serial run. The Vm pointer
-/// stays valid: TierGroup owns its VMs for the whole run.
+/// hooks, latency breakdown) run exactly as in a serial run. Declares the
+/// lane->control engine channel. The Vm pointer stays valid: TierGroup owns
+/// its VMs for the whole run.
 class VmReadyNotifier final : public lanes::LaneActor {
  public:
   using Deliver = std::function<void(Vm&)>;
@@ -110,13 +71,11 @@ class VmReadyNotifier final : public lanes::LaneActor {
       : LaneActor(engine, lane),
         control_lane_(control_lane),
         delay_(delay),
-        deliver_(std::move(deliver)) {}
+        deliver_(std::move(deliver)) {
+    engine.declare_channel(lane, control_lane, delay);
+  }
 
   void notify(Vm& vm) {
-    if (lane() == control_lane_) {
-      deliver_(vm);
-      return;
-    }
     post(control_lane_, delay_, [this, vm = &vm] { deliver_(*vm); });
   }
 

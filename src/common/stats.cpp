@@ -67,18 +67,6 @@ double percentile_inplace(std::vector<double>& values, double pct) {
   return v_lo + frac * (v_hi - v_lo);
 }
 
-double mean_of(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.mean();
-}
-
-double stddev_of(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
-}
-
 double t_critical_95(double df) {
   // Two-sided 95% critical values; interpolation keeps the stage detector
   // smooth for the small bucket counts the 3-minute SCT window produces.

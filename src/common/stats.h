@@ -42,9 +42,6 @@ double percentile(std::span<const double> values, double pct);
 /// In-place variant for callers that can afford mutating their buffer.
 double percentile_inplace(std::vector<double>& values, double pct);
 
-double mean_of(std::span<const double> values);
-double stddev_of(std::span<const double> values);
-
 /// Result of Welch's unequal-variance t-test.
 struct TTestResult {
   double t = 0.0;                ///< test statistic

@@ -16,7 +16,6 @@ constexpr SimDuration us(double u) { return u * 1e-6; }
 constexpr SimDuration minutes(double m) { return m * 60.0; }
 
 constexpr double to_ms(SimDuration d) { return d * 1e3; }
-constexpr double to_seconds(SimDuration d) { return d; }
 
 /// Sentinel for "no deadline / never".
 constexpr SimTime kSimTimeNever = 1e300;

@@ -1,8 +1,10 @@
 #include "conscale/agents.h"
 
+#include "topology/service_graph.h"
+
 namespace conscale {
 
-HardwareAgent::HardwareAgent(Simulation& sim, TierSystem& system,
+HardwareAgent::HardwareAgent(Simulation& sim, topology::ServiceGraph& system,
                              const RunContext* context)
     : sim_(sim), system_(system),
       ctx_(context ? context : &RunContext::global()) {}
@@ -40,7 +42,7 @@ bool HardwareAgent::set_tier_cpu_entitlement(std::size_t tier_index,
   return true;
 }
 
-SoftwareAgent::SoftwareAgent(Simulation& sim, TierSystem& system,
+SoftwareAgent::SoftwareAgent(Simulation& sim, topology::ServiceGraph& system,
                              const RunContext* context)
     : sim_(sim), system_(system),
       ctx_(context ? context : &RunContext::global()) {}

@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/run_context.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -25,7 +28,7 @@ struct ScalingEvent {
 
 class HardwareAgent {
  public:
-  HardwareAgent(Simulation& sim, TierSystem& system,
+  HardwareAgent(Simulation& sim, topology::ServiceGraph& system,
                 const RunContext* context = nullptr);
 
   /// Returns true if the scale-out was initiated (VM begins provisioning).
@@ -46,7 +49,7 @@ class HardwareAgent {
 
  private:
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const RunContext* ctx_;
   std::vector<ScalingEvent> events_;
 };
@@ -57,7 +60,7 @@ class SoftwareAgent {
     SimDuration actuation_delay = 0.1;  ///< JMX round-trip + pool adjustment
   };
 
-  SoftwareAgent(Simulation& sim, TierSystem& system,
+  SoftwareAgent(Simulation& sim, topology::ServiceGraph& system,
                 const RunContext* context = nullptr);
 
   /// Sets every server in the tier's worker thread pool to `size`.
@@ -70,7 +73,7 @@ class SoftwareAgent {
 
  private:
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const RunContext* ctx_;
   Params params_;
   std::vector<ScalingEvent> events_;

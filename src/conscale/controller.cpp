@@ -1,10 +1,12 @@
 #include "conscale/controller.h"
 
 #include "common/logging.h"
+#include "topology/service_graph.h"
 
 namespace conscale {
 
-DecisionController::DecisionController(Simulation& sim, TierSystem& system,
+DecisionController::DecisionController(Simulation& sim,
+                                       topology::ServiceGraph& system,
                                        const MetricsWarehouse& warehouse,
                                        HardwareAgent& hw, SoftwareAgent& sw,
                                        SoftResourcePolicy& policy,

@@ -15,12 +15,15 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/policy.h"
 #include "conscale/threshold_rule.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -58,7 +61,7 @@ struct ControllerConfig {
 
 class DecisionController : public Controller {
  public:
-  DecisionController(Simulation& sim, TierSystem& system,
+  DecisionController(Simulation& sim, topology::ServiceGraph& system,
                      const MetricsWarehouse& warehouse, HardwareAgent& hw,
                      SoftwareAgent& sw, SoftResourcePolicy& policy,
                      ControllerConfig config);
@@ -75,7 +78,7 @@ class DecisionController : public Controller {
   void tick(SimTime now);
 
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const MetricsWarehouse& warehouse_;
   HardwareAgent& hw_;
   SoftwareAgent& sw_;

@@ -3,11 +3,13 @@
 #include <cmath>
 
 #include "sct/scatter.h"
+#include "topology/service_graph.h"
 
 namespace conscale {
 
 ConcurrencyEstimatorService::ConcurrencyEstimatorService(
-    Simulation& sim, TierSystem& system, const MetricsWarehouse& warehouse,
+    Simulation& sim, topology::ServiceGraph& system,
+    const MetricsWarehouse& warehouse,
     EstimatorServiceParams params, const RunContext* context)
     : sim_(sim), system_(system),
       ctx_(context ? context : &RunContext::global()), warehouse_(warehouse),

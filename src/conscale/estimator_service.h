@@ -15,11 +15,14 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/run_context.h"
 #include "metrics/warehouse.h"
 #include "sct/estimator.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -43,7 +46,7 @@ struct EstimatorServiceParams {
 
 class ConcurrencyEstimatorService {
  public:
-  ConcurrencyEstimatorService(Simulation& sim, TierSystem& system,
+  ConcurrencyEstimatorService(Simulation& sim, topology::ServiceGraph& system,
                               const MetricsWarehouse& warehouse,
                               EstimatorServiceParams params,
                               const RunContext* context = nullptr);
@@ -73,7 +76,7 @@ class ConcurrencyEstimatorService {
   void refresh(SimTime now);
 
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const RunContext* ctx_;
   const MetricsWarehouse& warehouse_;
   EstimatorServiceParams params_;

@@ -5,7 +5,8 @@
 
 namespace conscale {
 
-ScalingFramework::ScalingFramework(Simulation& sim, TierSystem& system,
+ScalingFramework::ScalingFramework(Simulation& sim,
+                                   topology::ServiceGraph& system,
                                    MetricsWarehouse& warehouse,
                                    const std::string& controller_ref,
                                    FrameworkConfig config,

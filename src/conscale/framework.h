@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
 #include "conscale/estimator_service.h"
@@ -18,6 +17,10 @@
 #include "conscale/registry.h"
 #include "conscale/zoo/zoo_params.h"
 #include "metrics/warehouse.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -46,7 +49,7 @@ class ScalingFramework {
   /// syntax, or invalid options. `context` (optional) scopes the
   /// framework's components' log output to the owning run; it must outlive
   /// the framework.
-  ScalingFramework(Simulation& sim, TierSystem& system,
+  ScalingFramework(Simulation& sim, topology::ServiceGraph& system,
                    MetricsWarehouse& warehouse,
                    const std::string& controller_ref, FrameworkConfig config,
                    const RunContext* context = nullptr);

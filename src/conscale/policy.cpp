@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "topology/service_graph.h"
+
 namespace conscale {
 
 void apply_optima(
-    TierSystem& system, SoftwareAgent& agent, const SoftAdaptTargets& targets,
+    topology::ServiceGraph& system, SoftwareAgent& agent,
+    const SoftAdaptTargets& targets,
     const std::function<std::optional<int>(std::size_t)>& optimum_for_tier) {
   for (std::size_t tier : targets.thread_adapt_tiers) {
     if (auto optimum = optimum_for_tier(tier)) {

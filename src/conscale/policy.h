@@ -26,9 +26,12 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/estimator_service.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -58,7 +61,8 @@ class SoftResourcePolicy {
 /// `optimum_for_tier` returns the per-server optimal concurrency for a tier,
 /// or nullopt to leave that tier's allocation untouched.
 void apply_optima(
-    TierSystem& system, SoftwareAgent& agent, const SoftAdaptTargets& targets,
+    topology::ServiceGraph& system, SoftwareAgent& agent,
+    const SoftAdaptTargets& targets,
     const std::function<std::optional<int>(std::size_t)>& optimum_for_tier);
 
 /// EC2-AutoScaling: hardware-only; soft resources never move.
@@ -76,7 +80,7 @@ struct DcmProfile {
 
 class DcmPolicy final : public SoftResourcePolicy {
  public:
-  DcmPolicy(TierSystem& system, SoftwareAgent& agent,
+  DcmPolicy(topology::ServiceGraph& system, SoftwareAgent& agent,
             SoftAdaptTargets targets, DcmProfile profile)
       : system_(system), agent_(agent), targets_(std::move(targets)),
         profile_(std::move(profile)) {}
@@ -85,7 +89,7 @@ class DcmPolicy final : public SoftResourcePolicy {
   void adapt(SimTime now) override;
 
  private:
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   SoftwareAgent& agent_;
   SoftAdaptTargets targets_;
   DcmProfile profile_;
@@ -98,7 +102,7 @@ class ConScalePolicy final : public SoftResourcePolicy {
   /// zero slack for estimation noise and sampling censoring (once a pool is
   /// capped, concurrency beyond the cap can never be observed again), so a
   /// small cushion keeps the operating point safely inside the stable stage.
-  ConScalePolicy(TierSystem& system, SoftwareAgent& agent,
+  ConScalePolicy(topology::ServiceGraph& system, SoftwareAgent& agent,
                  SoftAdaptTargets targets,
                  ConcurrencyEstimatorService& estimator,
                  double headroom = 1.2)
@@ -109,7 +113,7 @@ class ConScalePolicy final : public SoftResourcePolicy {
   void adapt(SimTime now) override;
 
  private:
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   SoftwareAgent& agent_;
   SoftAdaptTargets targets_;
   ConcurrencyEstimatorService& estimator_;

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/run_context.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
@@ -30,6 +29,10 @@
 #include "conscale/policy.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -40,7 +43,7 @@ struct FrameworkConfig;  // conscale/framework.h
 /// guaranteed alive during the build call — copy what you keep.
 struct ControllerBuildContext {
   Simulation& sim;
-  TierSystem& system;
+  topology::ServiceGraph& system;
   MetricsWarehouse& warehouse;
   HardwareAgent& hw;
   SoftwareAgent& sw;

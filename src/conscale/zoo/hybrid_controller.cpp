@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "topology/service_graph.h"
+
 namespace conscale::zoo {
 
 namespace {
 constexpr double kMinLevel = 1e-6;  ///< guards the growth-ratio division
 }
 
-HybridController::HybridController(Simulation& sim, TierSystem& system,
+HybridController::HybridController(Simulation& sim,
+                                   topology::ServiceGraph& system,
                                    const MetricsWarehouse& warehouse,
                                    HardwareAgent& hw,
                                    SoftResourcePolicy& policy,

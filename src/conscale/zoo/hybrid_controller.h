@@ -18,7 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
 #include "conscale/policy.h"
@@ -26,11 +25,15 @@
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
 
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
+
 namespace conscale::zoo {
 
 class HybridController final : public Controller {
  public:
-  HybridController(Simulation& sim, TierSystem& system,
+  HybridController(Simulation& sim, topology::ServiceGraph& system,
                    const MetricsWarehouse& warehouse, HardwareAgent& hw,
                    SoftResourcePolicy& policy, HybridControllerParams params);
 
@@ -40,7 +43,7 @@ class HybridController final : public Controller {
   void step(SimTime now);
 
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const MetricsWarehouse& warehouse_;
   HardwareAgent& hw_;
   SoftResourcePolicy& policy_;

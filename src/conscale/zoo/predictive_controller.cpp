@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "topology/service_graph.h"
+
 namespace conscale::zoo {
 
 namespace {
@@ -10,7 +12,7 @@ constexpr double kMinLevel = 1e-6;  ///< guards the growth-ratio division
 }
 
 PredictiveController::PredictiveController(Simulation& sim,
-                                           TierSystem& system,
+                                           topology::ServiceGraph& system,
                                            const MetricsWarehouse& warehouse,
                                            HardwareAgent& hw,
                                            PredictiveControllerParams params)

@@ -13,18 +13,21 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
 #include "conscale/zoo/zoo_params.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
 
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
+
 namespace conscale::zoo {
 
 class PredictiveController final : public Controller {
  public:
-  PredictiveController(Simulation& sim, TierSystem& system,
+  PredictiveController(Simulation& sim, topology::ServiceGraph& system,
                        const MetricsWarehouse& warehouse, HardwareAgent& hw,
                        PredictiveControllerParams params);
 
@@ -33,7 +36,7 @@ class PredictiveController final : public Controller {
  private:
   void step(SimTime now);
 
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const MetricsWarehouse& warehouse_;
   HardwareAgent& hw_;
   PredictiveControllerParams params_;

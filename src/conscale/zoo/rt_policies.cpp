@@ -4,14 +4,16 @@
 #include <cmath>
 #include <optional>
 
+#include "topology/service_graph.h"
+
 namespace conscale::zoo {
 
 namespace {
 
 /// Seeds the control variable from the live allocation so the first applied
 /// value continues the scenario's initial topology instead of jumping.
-double initial_allocation(TierSystem& system, const SoftAdaptTargets& targets,
-                          int fallback) {
+double initial_allocation(topology::ServiceGraph& system,
+                          const SoftAdaptTargets& targets, int fallback) {
   if (!targets.thread_adapt_tiers.empty()) {
     const std::size_t pool =
         system.tier(targets.thread_adapt_tiers.front()).thread_pool_size();
@@ -32,7 +34,7 @@ std::optional<SystemSample> latest_rt_sample(
   return sample;
 }
 
-void apply_allocation(TierSystem& system, SoftwareAgent& agent,
+void apply_allocation(topology::ServiceGraph& system, SoftwareAgent& agent,
                       const SoftAdaptTargets& targets, double allocation) {
   const int threads = static_cast<int>(std::lround(allocation));
   apply_optima(system, agent, targets,
@@ -43,7 +45,7 @@ void apply_allocation(TierSystem& system, SoftwareAgent& agent,
 
 }  // namespace
 
-PiResponseTimePolicy::PiResponseTimePolicy(TierSystem& system,
+PiResponseTimePolicy::PiResponseTimePolicy(topology::ServiceGraph& system,
                                            SoftwareAgent& agent,
                                            const MetricsWarehouse& warehouse,
                                            SoftAdaptTargets targets,
@@ -101,7 +103,7 @@ bool PiResponseTimePolicy::targets_provisioning() const {
 }
 
 FuzzyResponseTimePolicy::FuzzyResponseTimePolicy(
-    TierSystem& system, SoftwareAgent& agent,
+    topology::ServiceGraph& system, SoftwareAgent& agent,
     const MetricsWarehouse& warehouse, SoftAdaptTargets targets,
     FuzzyPolicyParams params)
     : system_(system), agent_(agent), warehouse_(warehouse),

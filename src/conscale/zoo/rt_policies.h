@@ -14,11 +14,14 @@
 
 #include <string>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/policy.h"
 #include "conscale/zoo/zoo_params.h"
 #include "metrics/warehouse.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale::zoo {
 
@@ -33,7 +36,7 @@ namespace conscale::zoo {
 /// original zoo grid's 9.5 s dual_phase p99).
 class PiResponseTimePolicy final : public SoftResourcePolicy {
  public:
-  PiResponseTimePolicy(TierSystem& system, SoftwareAgent& agent,
+  PiResponseTimePolicy(topology::ServiceGraph& system, SoftwareAgent& agent,
                        const MetricsWarehouse& warehouse,
                        SoftAdaptTargets targets, PiPolicyParams params);
 
@@ -45,7 +48,7 @@ class PiResponseTimePolicy final : public SoftResourcePolicy {
   /// window conditional integration suspends the ki term in.
   bool targets_provisioning() const;
 
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   SoftwareAgent& agent_;
   const MetricsWarehouse& warehouse_;
   SoftAdaptTargets targets_;
@@ -61,7 +64,7 @@ class PiResponseTimePolicy final : public SoftResourcePolicy {
 /// {-large, -small, 0, +small, +large}, weighted-average defuzzification.
 class FuzzyResponseTimePolicy final : public SoftResourcePolicy {
  public:
-  FuzzyResponseTimePolicy(TierSystem& system, SoftwareAgent& agent,
+  FuzzyResponseTimePolicy(topology::ServiceGraph& system, SoftwareAgent& agent,
                           const MetricsWarehouse& warehouse,
                           SoftAdaptTargets targets, FuzzyPolicyParams params);
 
@@ -71,7 +74,7 @@ class FuzzyResponseTimePolicy final : public SoftResourcePolicy {
  private:
   double defuzzify_step(double error, double delta_error) const;
 
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   SoftwareAgent& agent_;
   const MetricsWarehouse& warehouse_;
   SoftAdaptTargets targets_;

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "topology/service_graph.h"
+
 namespace conscale::zoo {
 
 VerticalEntitlementController::VerticalEntitlementController(
-    Simulation& sim, TierSystem& system, const MetricsWarehouse& warehouse,
+    Simulation& sim, topology::ServiceGraph& system,
+    const MetricsWarehouse& warehouse,
     HardwareAgent& hw, SoftwareAgent& sw, SoftResourcePolicy& policy,
     const ControllerConfig& controller_config,
     VerticalControllerParams params)

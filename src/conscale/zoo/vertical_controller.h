@@ -11,12 +11,15 @@
 #include <memory>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
 #include "conscale/zoo/zoo_params.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale::zoo {
 
@@ -31,7 +34,7 @@ namespace conscale::zoo {
 /// safely below the threshold rule's 80 % scale-out line.
 class VerticalEntitlementController final : public Controller {
  public:
-  VerticalEntitlementController(Simulation& sim, TierSystem& system,
+  VerticalEntitlementController(Simulation& sim, topology::ServiceGraph& system,
                                 const MetricsWarehouse& warehouse,
                                 HardwareAgent& hw, SoftwareAgent& sw,
                                 SoftResourcePolicy& policy,
@@ -43,7 +46,7 @@ class VerticalEntitlementController final : public Controller {
  private:
   void review(SimTime now);
 
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const MetricsWarehouse& warehouse_;
   HardwareAgent& hw_;
   VerticalControllerParams params_;

@@ -8,39 +8,8 @@
 #include <vector>
 
 #include "experiments/run_assembly.h"
-#include "simcore/lanes/placement.h"
 
 namespace conscale {
-
-namespace {
-
-/// Declares every engine channel a tier-laned run posts across: the LAN hop
-/// on each cross-cell tier edge (both directions), the vm-ready hop from
-/// each tier cell to the control cell, and the client network between the
-/// entry cell and every shard cell. declare_channel keeps the minimum on
-/// re-declaration, so duplicate edges are harmless.
-void declare_cell_channels(lanes::LaneEngine& engine, const CellPlan& cp,
-                           SimDuration lan_delay, SimDuration net_delay) {
-  for (const auto& edge : cp.edges) {
-    const std::size_t from = cp.layout.lane_of_tier[edge.first];
-    const std::size_t to = cp.layout.lane_of_tier[edge.second];
-    if (from == to) continue;
-    engine.declare_channel(from, to, lan_delay);
-    engine.declare_channel(to, from, lan_delay);
-  }
-  for (std::size_t cell : cp.layout.lane_of_tier) {
-    if (cell != cp.layout.control_lane) {
-      engine.declare_channel(cell, cp.layout.control_lane, lan_delay);
-    }
-  }
-  for (std::size_t j = 0; j < cp.shard_count; ++j) {
-    const std::size_t cell = cp.first_shard_cell + j;
-    engine.declare_channel(cp.entry_cell, cell, net_delay);
-    engine.declare_channel(cell, cp.entry_cell, net_delay);
-  }
-}
-
-}  // namespace
 
 CellPlan plan_cells(const GraphScenario& scenario,
                     const LanedRunOptions& options) {
@@ -63,35 +32,18 @@ CellPlan plan_cells(const GraphScenario& scenario,
     throw std::invalid_argument(
         "laned runner: tier_lanes needs lan_delay > 0");
   }
-  // Pack the tiers into cells, then lay the full cell map out around them.
-  lanes::TierLanePlacement placement;
-  std::vector<std::string> names;
+  // The graph's fixed layout (control, then one cell per node), then one
+  // cell per shard.
   const auto& nodes = scenario.graph.nodes;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    names.push_back(nodes[i].tier.name);
-    placement.add_node(nodes[i].tier.name,
-                       static_cast<double>(nodes[i].initial_vms));
-    for (const topology::RouteStage& stage : nodes[i].route) {
-      for (const topology::GraphCall& call : stage.calls) {
-        cp.edges.emplace_back(i, call.node);
-      }
-    }
-  }
-  for (const auto& [from, to] : cp.edges) {
-    placement.add_edge(from, to, options.lan_delay);
-  }
-  const lanes::LanePlan plan =
-      placement.plan(/*min_cut_delay=*/options.lan_delay);
   cp.tiered = true;
-  cp.layout.control_lane = 0;
-  for (std::size_t lane : plan.lane_of) {
-    cp.layout.lane_of_tier.push_back(1 + lane);
-  }
-  cp.entry_cell = cp.layout.lane_of_tier.front();
-  cp.first_shard_cell = 1 + plan.lane_count;
+  cp.entry_cell = topology::node_lane(0);
+  cp.first_shard_cell = topology::node_lane(nodes.size());
   cp.cells = cp.first_shard_cell + cp.shard_count;
-  cp.summary = "control + " + plan.summary(names) + " + " +
-               std::to_string(cp.shard_count) + " shard cell(s)";
+  cp.summary = "control +";
+  for (const topology::GraphNodeConfig& node : nodes) {
+    cp.summary += " [" + node.tier.name + "]";
+  }
+  cp.summary += " + " + std::to_string(cp.shard_count) + " shard cell(s)";
   return cp;
 }
 
@@ -124,7 +76,13 @@ std::unique_ptr<lanes::LaneEngine> make_lane_engine(
   eo.null_floor = 0.5 * analysis.window();
   eo.serialize_lane0 = true;
   auto engine = std::make_unique<lanes::LaneEngine>(eo);
-  declare_cell_channels(*engine, plan, options.lan_delay, options.net_delay);
+  // The client network between the entry cell and every shard cell; the
+  // graph's channels and notifiers declare the LAN hops themselves.
+  for (std::size_t j = 0; j < plan.shard_count; ++j) {
+    const std::size_t cell = plan.first_shard_cell + j;
+    engine->declare_channel(plan.entry_cell, cell, options.net_delay);
+    engine->declare_channel(cell, plan.entry_cell, options.net_delay);
+  }
   return engine;
 }
 

@@ -13,12 +13,12 @@
 //
 //  * Tier-laned partitioning (tier_lanes > 0): the serving system itself is
 //    cut. Cell 0 carries only the control plane (warehouse, monitor coarse
-//    poll, scaling framework, fault injector); TierLanePlacement packs the
-//    tiers into cells joined by explicit LAN-hop channels (`lan_delay` per
-//    direction); each session shard gets its own cell behind the client
-//    network channel. The cell layout is a pure function of the model
-//    config, and `tier_lanes` sets ONLY the worker thread count — so
-//    tier_lanes=1 and tier_lanes=K are byte-identical under either
+//    poll, scaling framework, fault injector); graph node i gets cell 1 + i
+//    (topology::node_lane), the cells joined by explicit LAN-hop channels
+//    (`lan_delay` per direction); each session shard gets its own cell
+//    behind the client network channel. The cell layout is a pure function
+//    of the model config, and `tier_lanes` sets ONLY the worker thread
+//    count — so tier_lanes=1 and tier_lanes=K are byte-identical under either
 //    synchronization protocol. The engine serializes instants where cell 0
 //    acts, which is what lets controllers keep calling scale_out() and
 //    scale_in(), and fault plans crash VMs, directly on remote tiers.
@@ -59,7 +59,7 @@ struct LanedRunOptions {
   SimDuration net_delay = 0.05;
   /// Tier-laned mode switch and worker thread count: 0 keeps the
   /// client-edge layout; K > 0 partitions the system into cells (control /
-  /// tier clusters / shards) executed by K threads. The cell layout never
+  /// one per tier / shards) executed by K threads. The cell layout never
   /// depends on K.
   std::size_t tier_lanes = 0;
   /// Inter-tier LAN hop (each direction) in tier-laned mode — every

@@ -59,10 +59,8 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   const RunContext* ctx = &options.context;
   std::unique_ptr<topology::ServiceGraph> system_ptr;
   if (plan.tiered) {
-    topology::ServiceGraphConfig graph = scenario.graph;
-    graph.lan_delay = laned->lan_delay;
     system_ptr = std::make_unique<topology::ServiceGraph>(
-        *engine, std::move(graph), plan.layout, ctx);
+        *engine, scenario.graph, laned->lan_delay, ctx);
   } else {
     system_ptr =
         std::make_unique<topology::ServiceGraph>(sim, scenario.graph, ctx);
@@ -75,12 +73,6 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   // 50k ms or each window holds k× fewer completions than the paper's.
   monitoring.fine_period *= base.work_scale;
   MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
-  if (plan.tiered) {
-    monitor.set_tier_sim_resolver(
-        [&system](std::size_t tier) -> Simulation& {
-          return system.tier_sim(tier);
-        });
-  }
 
   const FrameworkConfig& config = options.framework_config
                                       ? *options.framework_config

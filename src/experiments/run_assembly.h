@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/lane_gateway.h"
@@ -19,14 +18,11 @@ namespace conscale {
 
 /// The cell map of one laned run. For the client-edge layout only `cells`
 /// and the shard fields are meaningful (the system on lane 0, shards
-/// round-robin via shard_lane). For the tier-laned layout it carries the
-/// full placement: cell 0 = control plane, cells 1..C = tier clusters from
-/// TierLanePlacement, cells C+1.. = one per session shard.
+/// round-robin via shard_lane). For the tier-laned layout: cell 0 = control
+/// plane, cell 1 + i = graph node i (topology::node_lane), then one cell per
+/// session shard.
 struct CellPlan {
   bool tiered = false;
-  TierLaneLayout layout;  ///< tier -> cell, control on cell 0
-  /// Distinct tier->tier edges (both directions implied), tier indices.
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
   std::size_t cells = 1;
   std::size_t entry_cell = 0;       ///< gateway + front tier
   std::size_t first_shard_cell = 0; ///< shard j lives on first_shard_cell + j
@@ -40,8 +36,8 @@ struct CellPlan {
 CellPlan plan_cells(const GraphScenario& scenario,
                     const LanedRunOptions& options);
 
-/// The lane engine for `plan`, with every channel the run posts across
-/// declared.
+/// The lane engine for `plan`, with the client channels between the entry
+/// cell and the shard cells declared (a tier-laned graph declares its own).
 std::unique_ptr<lanes::LaneEngine> make_lane_engine(
     const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
     const CellPlan& plan);

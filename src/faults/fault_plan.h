@@ -1,5 +1,5 @@
 // FaultPlan: a declarative, deterministic schedule of environment
-// perturbations to replay against a running TierSystem. The plan is data —
+// perturbations to replay against a running ServiceGraph. The plan is data —
 // it names *what* happens and *when*; the FaultInjector (injector.h) turns
 // it into simcore events. Because plans carry no randomness of their own,
 // the same plan + scenario seed reproduces the same run bit-for-bit, serial

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "topology/service_graph.h"
 
 namespace conscale {
 
@@ -19,7 +20,7 @@ bool is_all_digits(const std::string& s) {
 
 }  // namespace
 
-FaultInjector::FaultInjector(Simulation& sim, TierSystem& system,
+FaultInjector::FaultInjector(Simulation& sim, topology::ServiceGraph& system,
                              MetricsWarehouse* warehouse, FaultPlan plan,
                              const RunContext* context)
     : sim_(sim), system_(system), warehouse_(warehouse),

@@ -1,4 +1,4 @@
-// FaultInjector: arms a FaultPlan against a running TierSystem by
+// FaultInjector: arms a FaultPlan against a running ServiceGraph by
 // translating each declarative event into ordinary simcore events. All
 // scheduling happens in arm(), before the simulation advances, so the
 // injections interleave with workload and control-loop events in the
@@ -22,11 +22,14 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/run_context.h"
 #include "faults/fault_plan.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
+
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
 
 namespace conscale {
 
@@ -57,7 +60,7 @@ class FaultInjector {
   /// kMonitoringDropout events are invalid and arm() throws on them.
   /// The plan's tier selectors are resolved against `system` immediately,
   /// so a plan naming a nonexistent tier fails at construction.
-  FaultInjector(Simulation& sim, TierSystem& system,
+  FaultInjector(Simulation& sim, topology::ServiceGraph& system,
                 MetricsWarehouse* warehouse, FaultPlan plan,
                 const RunContext* context = nullptr);
 
@@ -76,7 +79,7 @@ class FaultInjector {
   void arm_dropout(const FaultEvent& event);
 
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   MetricsWarehouse* warehouse_;
   const RunContext* ctx_;
   FaultPlan plan_;

@@ -5,10 +5,11 @@
 #include <sstream>
 
 #include "common/time_units.h"
+#include "topology/service_graph.h"
 
 namespace conscale {
 
-LatencyBreakdown::LatencyBreakdown(TierSystem& system) {
+LatencyBreakdown::LatencyBreakdown(topology::ServiceGraph& system) {
   for (std::size_t i = 0; i < system.tier_count(); ++i) {
     TierGroup& tier = system.tier(i);
     for (Vm* vm : tier.all_vms()) attach(tier.name(), *vm);

@@ -9,15 +9,20 @@
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/histogram.h"
 
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
+
 namespace conscale {
+
+class Vm;
 
 class LatencyBreakdown {
  public:
   /// Attaches RT recorders to every present and future server of `system`.
-  explicit LatencyBreakdown(TierSystem& system);
+  explicit LatencyBreakdown(topology::ServiceGraph& system);
 
   struct ServerStats {
     std::string server;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 
+#include "topology/service_graph.h"
+
 namespace conscale {
 
-MonitoringAgent::MonitoringAgent(Simulation& sim, TierSystem& system,
+MonitoringAgent::MonitoringAgent(Simulation& sim,
+                                 topology::ServiceGraph& system,
                                  MetricsWarehouse& warehouse, Params params,
                                  const RunContext* context)
     : sim_(sim), system_(system),
@@ -18,10 +21,11 @@ MonitoringAgent::MonitoringAgent(Simulation& sim, TierSystem& system,
 
 void MonitoringAgent::attach(std::size_t tier_index, Vm& vm) {
   if (!attached_.insert(vm.name()).second) return;  // restarted VM
-  Simulation& host_sim =
-      tier_sim_resolver_ ? tier_sim_resolver_(tier_index) : sim_;
+  // Each per-VM aggregator ticks on the sim hosting its tier — the run's
+  // sim when serial, the tier's own lane when laned, so its samples land in
+  // per-series warehouse vectors no other lane touches.
   auto aggregator = std::make_unique<IntervalAggregator>(
-      host_sim, vm.server(), params_.fine_period);
+      system_.tier_sim(tier_index), vm.server(), params_.fine_period);
   // Intern the series once at attach; every 50 ms ingest is then an index.
   const MetricsWarehouse::SeriesId id = warehouse_.server_id(vm.name());
   aggregator->start([this, id](const IntervalSample& sample) {

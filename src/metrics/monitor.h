@@ -6,19 +6,23 @@
 // in the MetricsWarehouse.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "cluster/tier_system.h"
 #include "common/run_context.h"
 #include "metrics/interval.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
 
+namespace conscale::topology {
+class ServiceGraph;
+}  // namespace conscale::topology
+
 namespace conscale {
+
+class Vm;
 
 /// Defaults: §III-B's 50 ms fine interval; Fig 8's 1 s agent reports.
 struct MonitoringParams {
@@ -32,19 +36,9 @@ class MonitoringAgent {
 
   /// `context` (optional) scopes the agent's diagnostics to the owning run;
   /// it must outlive the agent.
-  MonitoringAgent(Simulation& sim, TierSystem& system,
+  MonitoringAgent(Simulation& sim, topology::ServiceGraph& system,
                   MetricsWarehouse& warehouse, Params params = {},
                   const RunContext* context = nullptr);
-
-  /// Lane-partitioned runs: resolves the Simulation hosting a tier, so each
-  /// per-VM IntervalAggregator ticks on the tier's own lane (its samples
-  /// land in per-series warehouse vectors no other lane touches). Must be
-  /// set before the run starts; unset, every aggregator uses the agent's
-  /// sim — the serial behavior.
-  using TierSimResolver = std::function<Simulation&(std::size_t)>;
-  void set_tier_sim_resolver(TierSimResolver resolver) {
-    tier_sim_resolver_ = std::move(resolver);
-  }
 
   /// Wire this to the client population's completion hook.
   void on_client_completion(SimTime issued, double rt);
@@ -64,11 +58,10 @@ class MonitoringAgent {
   void coarse_tick(SimTime now);
 
   Simulation& sim_;
-  TierSystem& system_;
+  topology::ServiceGraph& system_;
   const RunContext* ctx_;
   MetricsWarehouse& warehouse_;
   Params params_;
-  TierSimResolver tier_sim_resolver_;
   std::vector<std::unique_ptr<IntervalAggregator>> aggregators_;
   /// Servers already wired. A restarted VM fires vm-ready again with the
   /// same server; attaching twice would double-count its samples.

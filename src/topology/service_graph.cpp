@@ -100,32 +100,27 @@ namespace {
 
 constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
 
-/// Checks `layout` against the config and the engine before any lane is
-/// touched, and returns the entry node's sim (the admission clock).
+/// Checks the engine and the hop before any lane is touched, and returns
+/// the entry node's sim (the admission clock).
 Simulation& entry_sim(lanes::LaneEngine& engine,
                       const ServiceGraphConfig& config,
-                      const TierLaneLayout& layout) {
+                      SimDuration lan_delay) {
   if (config.nodes.empty()) {
     throw std::invalid_argument("ServiceGraph: no nodes configured");
   }
-  if (layout.lane_of_tier.size() != config.nodes.size()) {
+  // The control lane plus one lane per node: node_lane(n) is the lane count.
+  const std::size_t needed = node_lane(config.nodes.size());
+  if (engine.lane_count() < needed) {
     throw std::invalid_argument(
-        "ServiceGraph: layout.lane_of_tier must match node count");
+        "ServiceGraph: a laned graph needs " + std::to_string(needed) +
+        " lanes, the engine has " + std::to_string(engine.lane_count()));
   }
-  const std::size_t lanes = engine.lane_count();
-  for (std::size_t lane : layout.lane_of_tier) {
-    if (lane >= lanes) {
-      throw std::invalid_argument("ServiceGraph: layout names lane " +
-                                  std::to_string(lane) + " of " +
-                                  std::to_string(lanes));
-    }
+  if (!(lan_delay > 0.0)) {
+    throw std::invalid_argument(
+        "ServiceGraph: a laned graph needs lan_delay > 0 (the node->node "
+        "and vm-ready hops have no lookahead otherwise)");
   }
-  if (layout.control_lane >= lanes) {
-    throw std::invalid_argument("ServiceGraph: control lane " +
-                                std::to_string(layout.control_lane) +
-                                " of " + std::to_string(lanes));
-  }
-  return engine.lane(layout.lane_of_tier.front()).sim();
+  return engine.lane(node_lane(0)).sim();
 }
 
 }  // namespace
@@ -134,25 +129,20 @@ ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config,
                            const RunContext* context)
     : sim_(sim), ctx_(context ? context : &RunContext::global()),
       config_(std::move(config)) {
-  build(nullptr, nullptr);
+  build(nullptr, 0.0);
 }
 
 ServiceGraph::ServiceGraph(lanes::LaneEngine& engine,
-                           ServiceGraphConfig config,
-                           const TierLaneLayout& layout,
+                           ServiceGraphConfig config, SimDuration lan_delay,
                            const RunContext* context)
-    : sim_(entry_sim(engine, config, layout)),
+    : sim_(entry_sim(engine, config, lan_delay)),
       ctx_(context ? context : &RunContext::global()),
       config_(std::move(config)) {
-  build(&engine, &layout);
+  build(&engine, lan_delay);
 }
 
-void ServiceGraph::build(lanes::LaneEngine* engine,
-                         const TierLaneLayout* layout) {
+void ServiceGraph::build(lanes::LaneEngine* engine, SimDuration lan_delay) {
   validate(config_);
-  if (config_.lan_delay < 0.0) {
-    throw std::invalid_argument("ServiceGraph: lan_delay must be >= 0");
-  }
   const std::size_t n = config_.nodes.size();
   cache_stats_.resize(n);
   cache_rngs_.reserve(n);
@@ -163,30 +153,24 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
                              (0x9e3779b97f4a7c15ULL * (i + 1)));
     TierConfig tc = config_.nodes[i].tier;
     tc.tier_index = static_cast<int>(i);
-    Simulation& node_sim =
-        engine ? engine->lane(layout->lane_of_tier[i]).sim() : sim_;
+    Simulation& node_sim = engine ? engine->lane(node_lane(i)).sim() : sim_;
     node_sims_.push_back(&node_sim);
     tiers_.push_back(std::make_unique<TierGroup>(node_sim, tc, ctx_));
   }
-  // One TierChannel per distinct route edge, built in route order so actor
-  // stream allocation is layout-independent. lan_delay = 0 (serial default)
-  // makes every channel a direct dispatch — byte-identical to the pre-hop
-  // wiring.
-  edge_channel_.assign(n * n, kNoChannel);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const RouteStage& stage : config_.nodes[i].route) {
-      for (const GraphCall& call : stage.calls) {
-        std::size_t& slot = edge_channel_[i * n + call.node];
-        if (slot != kNoChannel) continue;
-        slot = channels_.size();
-        if (engine) {
+  // Laned: one TierChannel per distinct route edge, built in route order so
+  // actor stream allocation is fixed by the config. A serial graph builds
+  // none and dispatches straight into the child's load balancer.
+  if (engine) {
+    edge_channel_.assign(n * n, kNoChannel);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const RouteStage& stage : config_.nodes[i].route) {
+        for (const GraphCall& call : stage.calls) {
+          std::size_t& slot = edge_channel_[i * n + call.node];
+          if (slot != kNoChannel) continue;
+          slot = channels_.size();
           channels_.push_back(std::make_unique<TierChannel>(
-              *engine, layout->lane_of_tier[i],
-              layout->lane_of_tier[call.node], tiers_[call.node]->lb(),
-              config_.lan_delay));
-        } else {
-          channels_.push_back(std::make_unique<TierChannel>(
-              sim_, tiers_[call.node]->lb(), config_.lan_delay));
+              *engine, node_lane(i), node_lane(call.node),
+              tiers_[call.node]->lb(), lan_delay));
         }
       }
     }
@@ -215,25 +199,17 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
     });
   }
   for (std::size_t i = 0; i < n; ++i) {
+    auto deliver = [this, i](Vm& vm) {
+      for (auto& callback : on_vm_ready_) callback(i, vm);
+    };
     if (engine) {
-      const std::size_t lane = layout->lane_of_tier[i];
-      if (lane != layout->control_lane && !(config_.lan_delay > 0.0)) {
-        throw std::invalid_argument(
-            "ServiceGraph: cross-lane nodes need lan_delay > 0 (the "
-            "vm-ready hop to the control lane has no lookahead otherwise)");
-      }
       notifiers_.push_back(std::make_unique<VmReadyNotifier>(
-          *engine, lane, layout->control_lane, config_.lan_delay,
-          [this, i](Vm& vm) {
-            for (auto& callback : on_vm_ready_) callback(i, vm);
-          }));
+          *engine, node_lane(i), kControlLane, lan_delay, std::move(deliver)));
       VmReadyNotifier* notifier = notifiers_.back().get();
       tiers_[i]->set_vm_ready_callback(
           [notifier](Vm& vm) { notifier->notify(vm); });
     } else {
-      tiers_[i]->set_vm_ready_callback([this, i](Vm& vm) {
-        for (auto& callback : on_vm_ready_) callback(i, vm);
-      });
+      tiers_[i]->set_vm_ready_callback(std::move(deliver));
     }
   }
   // Bootstrap after wiring so even time-zero VMs get their downstream set.
@@ -245,6 +221,10 @@ void ServiceGraph::build(lanes::LaneEngine* engine,
 void ServiceGraph::dispatch_call(std::size_t from, std::size_t to,
                                  const RequestContext& ctx,
                                  Server::Completion done) {
+  if (edge_channel_.empty()) {
+    tiers_[to]->lb().dispatch(ctx, std::move(done));
+    return;
+  }
   const std::size_t slot = edge_channel_[from * config_.nodes.size() + to];
   channels_[slot]->dispatch(ctx, std::move(done));
 }
@@ -343,6 +323,33 @@ void ServiceGraph::submit(const RequestContext& ctx,
 
 void ServiceGraph::add_vm_ready_callback(VmReadyCallback callback) {
   on_vm_ready_.push_back(std::move(callback));
+}
+
+TierGroup& ServiceGraph::tier_by_name(const std::string& name) {
+  const std::size_t index = tier_index_by_name(name);
+  if (index == tier_count()) {
+    throw std::out_of_range("ServiceGraph: no tier named " + name);
+  }
+  return tier(index);
+}
+
+std::size_t ServiceGraph::tier_index_by_name(const std::string& name) const {
+  for (std::size_t i = 0; i < tier_count(); ++i) {
+    if (tier(i).name() == name) return i;
+  }
+  return tier_count();
+}
+
+std::size_t ServiceGraph::total_billed_vms() const {
+  std::size_t total = 0;
+  for (const auto& group : tiers_) total += group->billed_vms();
+  return total;
+}
+
+std::uint64_t ServiceGraph::total_aborted_requests() const {
+  std::uint64_t total = 0;
+  for (const auto& group : tiers_) total += group->total_aborted_requests();
+  return total;
 }
 
 }  // namespace conscale::topology

@@ -17,12 +17,12 @@
 //     shedding that reports RequestOutcome::kRejected instead of queueing
 //     into an overloaded system.
 //
-// ServiceGraph implements TierSystem with node index == tier index, so every
-// scaling framework, estimator, monitor, and fault plan runs against a graph
-// unmodified. The paper's n-tier chain is the linear graph where node i
-// makes one call into node i+1 (ScenarioParams::system_config); a
-// single-call stage dispatches with no join bookkeeping, so the chain pays
-// only the routing closure per call.
+// Node index == tier index: every scaling framework, estimator, monitor, and
+// fault plan takes the graph directly and addresses its nodes as tiers. The
+// paper's n-tier chain is the linear graph where node i makes one call into
+// node i+1 (ScenarioParams::system_config); a single-call stage dispatches
+// with no join bookkeeping, so the chain pays only the routing closure per
+// call.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@
 
 #include "cluster/tier_channel.h"
 #include "cluster/tier_group.h"
-#include "cluster/tier_system.h"
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "simcore/lanes/lane_engine.h"
@@ -43,6 +42,13 @@
 #include "workload/request.h"
 
 namespace conscale::topology {
+
+/// The fixed cell layout of a laned graph: the control plane (monitor,
+/// controllers, agents) on lane 0, which the engine serializes, and node i
+/// on lane 1 + i. A laned run puts its session shards on the lanes after
+/// the last node, node_lane(node count) onwards.
+constexpr std::size_t kControlLane = 0;
+constexpr std::size_t node_lane(std::size_t node) { return 1 + node; }
 
 /// One call inside a route stage: dispatch into `node`'s load balancer.
 struct GraphCall {
@@ -106,9 +112,6 @@ struct ServiceGraphConfig {
   std::vector<GraphNodeConfig> nodes;
   AdmissionPolicy admission;
   std::uint64_t seed = 1;  ///< cache hit/miss streams fork off this
-  /// LAN hop on every node->node edge (each direction; seconds). 0 keeps
-  /// the direct dispatch wiring. Must be > 0 for cross-lane placements.
-  SimDuration lan_delay = 0.0;
 };
 
 struct AdmissionStats {
@@ -124,8 +127,11 @@ struct CacheStats {
   std::uint64_t misses = 0;
 };
 
-class ServiceGraph final : public TierSystem {
+class ServiceGraph final {
  public:
+  /// (node index, vm) — fired whenever any node brings a VM online.
+  using VmReadyCallback = std::function<void(std::size_t, Vm&)>;
+
   /// Validates the config (throws std::invalid_argument on cycles,
   /// out-of-range route targets, self-calls, duplicate node names, or
   /// nodes unreachable from the entry), builds one TierGroup per node,
@@ -133,45 +139,46 @@ class ServiceGraph final : public TierSystem {
   ServiceGraph(Simulation& sim, ServiceGraphConfig config,
                const RunContext* context = nullptr);
 
-  /// Lane-partitioned construction: node i lives on lane
-  /// `layout.lane_of_tier[i]`'s Simulation, every route edge crosses a
-  /// TierChannel (requiring `config.lan_delay > 0` on cross-lane edges),
-  /// and vm-ready signals are forwarded to `layout.control_lane`. The
-  /// caller must declare the matching engine channels and submit() only
-  /// from the entry node's lane. Throws std::invalid_argument, before any
-  /// lane is touched, when the layout does not name one lane per node or
-  /// names a lane the engine does not have.
+  /// Lane-partitioned construction in the fixed cell layout: node i lives
+  /// on lane node_lane(i), every route edge crosses a TierChannel with a
+  /// `lan_delay` hop each way, and vm-ready signals hop to kControlLane.
+  /// The channels and notifiers declare their own engine channels; the
+  /// caller submit()s only from the entry node's lane. Throws
+  /// std::invalid_argument, before any lane is touched, when the engine has
+  /// fewer than 1 + node-count lanes or `lan_delay` <= 0.
   ServiceGraph(lanes::LaneEngine& engine, ServiceGraphConfig config,
-               const TierLaneLayout& layout,
-               const RunContext* context = nullptr);
-
-  const RunContext& context() const override { return *ctx_; }
+               SimDuration lan_delay, const RunContext* context = nullptr);
 
   /// Client entry point. The continuation reports whether the request was
   /// served or shed; rejections fire synchronously at submit time.
   void submit(const RequestContext& ctx,
               std::function<void(RequestOutcome)> done);
 
-  // ---- TierSystem (node index == tier index) ----
-  std::size_t tier_count() const override { return tiers_.size(); }
-  TierGroup& tier(std::size_t index) override { return *tiers_[index]; }
-  const TierGroup& tier(std::size_t index) const override {
-    return *tiers_[index];
-  }
-  void add_vm_ready_callback(VmReadyCallback callback) override;
+  // ---- Nodes as tiers (node index == tier index) ----
+  std::size_t tier_count() const { return tiers_.size(); }
+  TierGroup& tier(std::size_t index) { return *tiers_[index]; }
+  const TierGroup& tier(std::size_t index) const { return *tiers_[index]; }
+  /// Finds a tier by name; throws std::out_of_range if absent.
+  TierGroup& tier_by_name(const std::string& name);
+  /// Resolves a tier name to its index; returns tier_count() if absent
+  /// (fault plans use this for validation without exceptions).
+  std::size_t tier_index_by_name(const std::string& name) const;
+
+  std::size_t total_billed_vms() const;
+  /// Requests aborted by injected crashes, across all tiers (zero in
+  /// fault-free runs).
+  std::uint64_t total_aborted_requests() const;
+
+  /// Multiple subscribers are supported (metrics, scaling policies, ...).
+  void add_vm_ready_callback(VmReadyCallback callback);
 
   /// The Simulation hosting node `index` (the shared sim when serial).
   Simulation& tier_sim(std::size_t index) { return *node_sims_[index]; }
 
   // ---- Graph-specific observability ----
-  const ServiceGraphConfig& config() const { return config_; }
   const AdmissionStats& admission_stats() const { return admission_stats_; }
   const CacheStats& cache_stats(std::size_t node) const {
     return cache_stats_[node];
-  }
-  /// The cache model's hit ratio at time t (tests pin the churn shape).
-  double cache_hit_ratio(std::size_t node, SimTime t) const {
-    return config_.nodes[node].cache.hit_ratio_at(t);
   }
 
  private:
@@ -181,10 +188,11 @@ class ServiceGraph final : public TierSystem {
   };
 
   void validate(const ServiceGraphConfig& config) const;
-  void build(lanes::LaneEngine* engine, const TierLaneLayout* layout);
+  void build(lanes::LaneEngine* engine, SimDuration lan_delay);
   void run_route(std::size_t node, const RequestContext& ctx,
                  std::size_t stage, Server::Completion done);
-  /// Routes one call across the (from -> to) edge's TierChannel.
+  /// Routes one call into node `to`: straight into its load balancer when
+  /// serial, across the (from -> to) edge's TierChannel when laned.
   void dispatch_call(std::size_t from, std::size_t to,
                      const RequestContext& ctx, Server::Completion done);
   bool admit();
@@ -195,8 +203,10 @@ class ServiceGraph final : public TierSystem {
   ServiceGraphConfig config_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
   std::vector<Simulation*> node_sims_;
+  /// Laned graphs only (empty when serial): one channel per distinct route
+  /// edge, and the dense (from * n + to) -> channel index, npos for absent
+  /// edges.
   std::vector<std::unique_ptr<TierChannel>> channels_;
-  /// Dense (from * n + to) -> channel index, or npos for absent edges.
   std::vector<std::size_t> edge_channel_;
   std::vector<std::unique_ptr<VmReadyNotifier>> notifiers_;
   std::vector<VmReadyCallback> on_vm_ready_;

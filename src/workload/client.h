@@ -57,9 +57,6 @@ class ClientPopulation {
     rejection_hook_ = std::move(hook);
   }
 
-  /// Swap the request mix at runtime (workload-type change experiments).
-  void set_mix(const RequestMix& mix) { mix_ = &mix; }
-
   std::size_t active_users() const { return users_.size(); }
   std::uint64_t requests_issued() const { return issued_; }
   std::uint64_t requests_completed() const { return completed_; }

@@ -144,8 +144,10 @@ double shape_value(TraceKind kind, double u) {
 }  // namespace
 
 WorkloadTrace make_trace(TraceKind kind, const TraceParams& params) {
-  const auto count =
-      static_cast<std::size_t>(params.duration / params.sample_period) + 1;
+  // A run shorter than one sample period still gets the two samples a
+  // WorkloadTrace needs.
+  const auto count = std::max<std::size_t>(
+      static_cast<std::size_t>(params.duration / params.sample_period) + 1, 2);
   Rng rng(params.seed ^ (static_cast<std::uint64_t>(kind) * 0x9e3779b9ULL));
   std::vector<double> samples;
   samples.reserve(count);

@@ -246,11 +246,29 @@ TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
   EXPECT_EQ(info.protocol, lanes::LookaheadAnalysis::Protocol::kNullMessage);
   EXPECT_DOUBLE_EQ(info.lookahead, options.lan_delay);
   EXPECT_EQ(info.threads, 4u);
-  // control + one cell per tier (chain edges all cuttable) + one per shard.
+  // control + one cell per tier + one per shard.
   EXPECT_EQ(info.lanes, 1u + 3u + info.shards);
   EXPECT_FALSE(info.placement.empty());
   EXPECT_GT(info.stats.serial_rounds, 0u);
   EXPECT_GT(info.stats.nulls_announced, 0u);
+
+  // The fan-out graph: control + one cell per node + one per shard, and the
+  // placement names every node.
+  const GraphScenario fanout = make_fanout_scenario(params);
+  options.base.framework_config.reset();
+  LaneRunInfo graph_info;
+  const GraphRunResult graph = run_graph_scaling_laned(
+      fanout, TraceKind::kBigSpike, "conscale", options, &graph_info);
+  EXPECT_GT(graph.run.requests_completed, 0u);
+  EXPECT_EQ(graph_info.protocol,
+            lanes::LookaheadAnalysis::Protocol::kNullMessage);
+  ASSERT_EQ(fanout.graph.nodes.size(), 4u);
+  EXPECT_EQ(graph_info.lanes, 1u + 4u + graph_info.shards);
+  for (const auto& node : fanout.graph.nodes) {
+    EXPECT_NE(graph_info.placement.find("[" + node.tier.name + "]"),
+              std::string::npos)
+        << graph_info.placement;
+  }
 }
 
 TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {

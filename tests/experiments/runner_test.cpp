@@ -38,6 +38,17 @@ TEST(RunScaling, SystemSeriesCoversDuration) {
   EXPECT_NEAR(static_cast<double>(result.system.size()), 45.0, 2.0);
 }
 
+TEST(RunScaling, RunShorterThanOneTraceSampleCompletes) {
+  // Half a trace sample period: the trace is clamped to two samples rather
+  // than aborting the run.
+  ScalingRunOptions options;
+  options.duration = 0.5;
+  const ScalingRunResult result =
+      run_scaling(quick_params(), TraceKind::kBigSpike, "conscale", options);
+  EXPECT_EQ(result.hook_underflows, 0u);
+  EXPECT_LE(result.requests_completed, result.requests_issued);
+}
+
 TEST(RunScaling, RuntimeDatasetScaleChangesServiceTimes) {
   ScalingRunOptions heavy;
   heavy.duration = 60.0;

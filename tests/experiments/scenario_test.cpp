@@ -28,7 +28,6 @@ TEST(ScenarioParams, ChainIsALinearGraph) {
   EXPECT_TRUE(config.nodes.back().route.empty());
   for (const auto& node : config.nodes) EXPECT_FALSE(node.cache.enabled);
   EXPECT_FALSE(config.admission.enabled);
-  EXPECT_DOUBLE_EQ(config.lan_delay, 0.0);
 }
 
 TEST(ScenarioParams, SoftAllocationIs1000_60_40) {

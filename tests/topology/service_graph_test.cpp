@@ -1,6 +1,6 @@
 // Unit tests for the ServiceGraph subsystem: config validation, DAG routing
 // with join-on-all fan-out, the deterministic cache model, entry-point
-// admission control, and the laned constructor's layout checks. Demands use
+// admission control, and the laned constructor's cell layout. Demands use
 // demand_cv = 0 so every service time is exact and completion instants can
 // be asserted analytically.
 #include "topology/service_graph.h"
@@ -119,59 +119,86 @@ TEST(GraphValidation, AcceptsSharedBackendDag) {
   EXPECT_NO_THROW(ServiceGraph(sim, config));
 }
 
-// The laned constructor checks the layout against the graph and the engine
-// before it touches any lane.
-struct LaneLayoutFixture : ::testing::Test {
-  LaneLayoutFixture() : engine(engine_options()) {
+// The laned constructor lays node i out on lane 1 + i behind the control
+// lane, checks the engine and the hop before it touches any lane, and
+// declares every engine channel its edges and vm-ready hops post across.
+struct LanedGraphFixture : ::testing::Test {
+  LanedGraphFixture() {
     config.nodes = {leaf("A", 1), leaf("B", 2)};
     config.nodes[0].route = {RouteStage{{{1}}}};
-    config.lan_delay = 0.01;
   }
 
-  static lanes::LaneEngine::Options engine_options() {
+  static lanes::LaneEngine::Options engine_options(std::size_t lanes) {
     lanes::LaneEngine::Options options;
-    options.lanes = 2;
+    options.lanes = lanes;
     options.lookahead = 0.01;
     return options;
   }
 
-  static TierLaneLayout layout(std::vector<std::size_t> lanes,
-                               std::size_t control = 0) {
-    TierLaneLayout l;
-    l.lane_of_tier = std::move(lanes);
-    l.control_lane = control;
-    return l;
+  /// No actor was built and no event scheduled on any lane.
+  static void expect_untouched(lanes::LaneEngine& engine) {
+    for (std::size_t i = 0; i < engine.lane_count(); ++i) {
+      EXPECT_EQ(engine.lane(i).sim().pending_events(), 0u) << "lane " << i;
+    }
+    EXPECT_EQ(engine.new_stream(), 1u);
   }
 
-  lanes::LaneEngine engine;
   ServiceGraphConfig config;
 };
 
-TEST_F(LaneLayoutFixture, RejectsEmptyLayout) {
-  EXPECT_THROW(ServiceGraph(engine, config, layout({})),
-               std::invalid_argument);
-  EXPECT_THROW(ServiceGraph(engine, ServiceGraphConfig{}, layout({})),
-               std::invalid_argument);
-}
-
-TEST_F(LaneLayoutFixture, RejectsShortLayout) {
-  EXPECT_THROW(ServiceGraph(engine, config, layout({0})),
+TEST_F(LanedGraphFixture, RejectsAnEngineWithTooFewLanes) {
+  // Two nodes need the control lane plus two node lanes.
+  lanes::LaneEngine engine(engine_options(2));
+  EXPECT_THROW(ServiceGraph(engine, config, 0.01), std::invalid_argument);
+  expect_untouched(engine);
+  EXPECT_THROW(ServiceGraph(engine, ServiceGraphConfig{}, 0.01),
                std::invalid_argument);
 }
 
-TEST_F(LaneLayoutFixture, RejectsOutOfRangeLanes) {
-  EXPECT_THROW(ServiceGraph(engine, config, layout({0, 2})),
-               std::invalid_argument);
-  EXPECT_THROW(ServiceGraph(engine, config, layout({7, 1})),
-               std::invalid_argument);
-  EXPECT_THROW(ServiceGraph(engine, config, layout({0, 1}, /*control=*/2)),
-               std::invalid_argument);
+TEST_F(LanedGraphFixture, RejectsANonPositiveLanDelay) {
+  lanes::LaneEngine engine(engine_options(3));
+  EXPECT_THROW(ServiceGraph(engine, config, 0.0), std::invalid_argument);
+  EXPECT_THROW(ServiceGraph(engine, config, -0.01), std::invalid_argument);
+  expect_untouched(engine);
 }
 
-TEST_F(LaneLayoutFixture, AcceptsOneInRangeLanePerNode) {
-  ServiceGraph graph(engine, config, layout({0, 1}));
-  EXPECT_EQ(&graph.tier_sim(0), &engine.lane(0).sim());
-  EXPECT_EQ(&graph.tier_sim(1), &engine.lane(1).sim());
+TEST_F(LanedGraphFixture, HostsNodeIOnLaneOnePlusI) {
+  lanes::LaneEngine engine(engine_options(4));
+  ServiceGraph graph(engine, config, 0.01);
+  for (std::size_t i = 0; i < config.nodes.size(); ++i) {
+    EXPECT_EQ(node_lane(i), 1 + i);
+    EXPECT_EQ(&graph.tier_sim(i), &engine.lane(1 + i).sim());
+  }
+}
+
+TEST_F(LanedGraphFixture, ServesOnNullMessagesWithNoChannelsDeclaredByCaller) {
+  // The null-message protocol needs declared channels; the graph's channels
+  // and notifiers declare their own, so the caller declares none. A holds
+  // 1 s then calls B, B holds 2 s: submitted at t = 1, the request is back
+  // at 1 + 1 + 0.01 + 2 + 0.01.
+  lanes::LaneEngine::Options options = engine_options(3);
+  options.protocol = lanes::LaneEngine::Protocol::kNullMessage;
+  options.serialize_lane0 = true;
+  lanes::LaneEngine engine(options);
+  ServiceGraph graph(engine, config, 0.01);
+  std::size_t ready = 0;
+  graph.add_vm_ready_callback([&](std::size_t, Vm&) { ++ready; });
+
+  const RequestClass cls = exact_class({hold(1.0, 1), hold(2.0)});
+  Simulation& entry = graph.tier_sim(0);
+  SimTime done_at = -1.0;
+  entry.schedule_at(1.0, [&] {
+    graph.submit(request_for(cls, 1, entry.now()),
+                 [&](RequestOutcome outcome) {
+                   EXPECT_EQ(outcome, RequestOutcome::kServed);
+                   done_at = entry.now();
+                 });
+  });
+  engine.run(10.0);
+  EXPECT_NEAR(done_at, 4.02, 1e-9);
+  EXPECT_EQ(ready, 2u);  // both bootstrap VMs crossed to the control lane
+  EXPECT_EQ(graph.tier(1).running_servers().front()->completed_requests(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------

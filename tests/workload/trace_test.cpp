@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace conscale {
 namespace {
 
@@ -58,6 +60,21 @@ TEST_P(AllTraceKinds, HasMeaningfulVariation) {
     hi = std::max(hi, users);
   }
   EXPECT_GT(hi, 2.0 * lo) << "bursty traces should at least double";
+}
+
+TEST_P(AllTraceKinds, RunShorterThanOneSampleGetsTwoSamples) {
+  TraceParams p = default_params();
+  p.noise_fraction = 0.05;
+  for (const double duration : {0.0, 0.5}) {
+    p.duration = duration;
+    const WorkloadTrace trace = make_trace(GetParam(), p);
+    ASSERT_EQ(trace.samples().size(), 2u) << "duration " << duration;
+    for (double users : trace.samples()) {
+      EXPECT_TRUE(std::isfinite(users));
+      EXPECT_GE(users, 0.0);
+      EXPECT_LE(users, p.max_users * 1.05);
+    }
+  }
 }
 
 TEST_P(AllTraceKinds, DeterministicForSameSeed) {
