@@ -227,6 +227,15 @@ std::vector<Case> golden_cases() {
                            "conscale", options));
                      }});
   }
+  // Uniform channels (LAN hop = client network): time windows on a tier cut.
+  cases.push_back({"tier_laned/chain/uniform", [params] {
+                     LanedRunOptions options;
+                     options.base = chain_options(params);
+                     options.tier_lanes = 2;
+                     options.lan_delay = 0.05;
+                     return render(run_scaling_laned(
+                         params, TraceKind::kBigSpike, "conscale", options));
+                   }});
 
   // The profiling experiments.
   cases.push_back({"profile/sweep/app", [params] {
@@ -286,6 +295,7 @@ const std::map<std::string, std::string>& golden_table() {
       {"profile/train_dcm", "9d28ad2a3325dd30"},
       {"tier_laned/chain/cmb", "ce0913f64baf6091"},
       {"tier_laned/chain/tw", "ce0913f64baf6091"},
+      {"tier_laned/chain/uniform", "19506210444aa275"},
       {"tier_laned/fanout/cmb", "6d9b35fcbcf1d9ac"},
       {"tier_laned/fanout/tw", "6d9b35fcbcf1d9ac"},
   };
