@@ -281,8 +281,10 @@ void BM_LaneSessionChurn(benchmark::State& state) {
   for (auto _ : state) {
     lanes::LaneEngine::Options options;
     options.lanes = 2;
-    options.lookahead = 0.05;
+    options.threads = 2;
     lanes::LaneEngine engine(options);
+    engine.declare_channel(1, 0, 0.05);  // shard -> sink (client net)
+    engine.declare_channel(0, 1, 0.05);  // sink -> shard (client net)
     BenchEchoSink sink(engine);
     BenchShard shard(engine, 1, sink, sessions, /*seed=*/29);
     engine.run(10.0);
@@ -324,19 +326,17 @@ class BenchFrontendTier final : public lanes::LaneActor {
 
 void BM_LaneTierChurn(benchmark::State& state) {
   // The tier-laned bench_scale hot path: skewed declared channels (50 ms
-  // client network vs 10 ms LAN hop) run under the null-message protocol,
-  // so every round pays the per-channel EOT fixed point and the anti-flood
-  // announce pass on top of the keyed timer churn. Like BM_LaneSessionChurn
-  // the per-event cost must stay near-flat in the session count
-  // (check_bench_ratios.py gates the ratio).
+  // client network vs 10 ms LAN hop, 5x) make the engine run null messages
+  // with a 5 ms anti-flood floor, so every round pays the per-channel EOT
+  // fixed point and the announce pass on top of the keyed timer churn.
+  // Like BM_LaneSessionChurn the per-event cost must stay near-flat in the
+  // session count (check_bench_ratios.py gates the ratio).
   const auto sessions = static_cast<std::size_t>(state.range(0));
   std::int64_t events = 0;
   for (auto _ : state) {
     lanes::LaneEngine::Options options;
     options.lanes = 3;
-    options.lookahead = 0.01;
-    options.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-    options.null_floor = 0.005;
+    options.threads = 3;
     lanes::LaneEngine engine(options);
     engine.declare_channel(2, 0, 0.05);  // shard -> frontend (client net)
     engine.declare_channel(0, 2, 0.05);  // frontend -> shard (client net)

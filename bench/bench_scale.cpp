@@ -6,12 +6,15 @@
 // chain (or the fan-out DAG with topology=dag), partitioned into `shards`
 // SessionShards. Two placements:
 //
-//   * client-edge (default): system on lane 0, shards on `lanes` worker
-//     lanes behind the client<->frontend channel;
+//   * client-edge (default): the system on cell 0, one cell per shard
+//     behind the client<->frontend channel, run by `lanes` worker threads;
 //   * tier-laned (tier_lanes=K): the system itself is cut — control cell,
 //     tier cells joined by `lan_delay` LAN hops, one cell per shard — and K
-//     worker threads execute the cells under the protocol the lookahead
-//     analysis picks (protocol=auto|tw|cmb overrides).
+//     worker threads execute the cells.
+//
+// Either way the engine derives its window and protocol from the declared
+// channel delays: time windows unless net_delay and lan_delay differ by
+// more than 4x, null messages then.
 //
 // With compare=1 (default) every cell also runs single-threaded — the
 // serial reference — and the bench checks the results are bit-identical
@@ -20,7 +23,7 @@
 // csv_dir/scale_summary.csv for tools/plot_results.py --lanes.
 //
 // Keys: sessions= think= net_delay= shards= topology=chain|dag compare=
-// frameworks= tier_lanes= lan_delay= protocol= plus the standard
+// frameworks= tier_lanes= lan_delay= plus the standard
 // work_scale/seed/duration/csv_dir/jobs/lanes (duration defaults to 120 s
 // here — the bench measures engine throughput, not a 12-minute control
 // trajectory). lanes=auto autotunes the shard count from the scenario.
@@ -28,6 +31,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -119,7 +123,7 @@ int main(int argc, char** argv) {
   BenchEnv env = BenchEnv::from_args(
       argc, argv,
       {"sessions", "think", "net_delay", "shards", "topology", "compare",
-       "frameworks", "tier_lanes", "lan_delay", "protocol"});
+       "frameworks", "tier_lanes", "lan_delay"});
   const Config config = Config::from_args(argc, argv);
   const double sessions = config.get_double("sessions", 1.2e6);
   const double think = config.get_double("think", 300.0);
@@ -130,7 +134,6 @@ int main(int argc, char** argv) {
   const double duration = config.get_double("duration", 120.0);
   const long long tier_lanes = config.get_int("tier_lanes", 0);
   const double lan_delay = config.get_double("lan_delay", 0.010);
-  const std::string protocol_text = config.get_string("protocol", "auto");
   const std::vector<ControllerRef> frameworks =
       frameworks_from(config, "conscale");
   if (topology != "chain" && topology != "dag") {
@@ -170,18 +173,10 @@ int main(int argc, char** argv) {
                        : (shards > 0 ? static_cast<std::size_t>(shards) : 1);
   options.net_delay = net_delay;
   options.lan_delay = lan_delay;
-  if (protocol_text == "tw") {
-    options.protocol = LanedRunOptions::ProtocolChoice::kTimeWindow;
-  } else if (protocol_text == "cmb") {
-    options.protocol = LanedRunOptions::ProtocolChoice::kNullMessage;
-  } else if (protocol_text != "auto") {
-    std::cerr << "protocol= must be auto, tw, or cmb\n";
-    return 1;
-  }
   if (tiered) options.tier_lanes = static_cast<std::size_t>(tier_lanes);
 
-  // Thread count of the measured cell: tier_lanes in tier-laned mode, the
-  // lane count otherwise (lanes=auto -> one lane per autotuned shard + 1).
+  // Thread count of the measured cell: tier_lanes in tier-laned mode, lanes
+  // otherwise (lanes=auto -> one thread per cell: autotuned shards + 1).
   // This bench defaults lanes to 4 — unlike the figure benches it exists to
   // measure the parallel engine, so `lanes=` absent must not mean serial.
   const std::size_t shard_plan =
@@ -201,11 +196,6 @@ int main(int argc, char** argv) {
             << shard_plan << " shards"
             << (options.shards == 0 ? " (auto)" : "") << ", " << knob << "="
             << measured_threads << ", " << duration << " s simulated\n";
-  {
-    const lanes::LookaheadAnalysis analysis =
-        analyze_lookahead(params, options);
-    std::cout << analysis.summary();
-  }
 
   bool all_identical = true;
   for (const ControllerRef& framework : frameworks) {
@@ -262,12 +252,12 @@ int main(int argc, char** argv) {
     GraphRunResult laned_graph, serial_graph;
     CellReport laned_cell, serial_cell;
     run_cell(measured_threads, laned_cell, &laned_chain, &laned_graph);
-    const std::string laned_label =
-        knob + "=" + std::to_string(measured_threads) +
-        (tiered ? " [" + lanes::to_string(laned_cell.info.protocol) + ", " +
-                      laned_cell.info.placement + "]"
-                : "");
-    print_cell(laned_label, laned_cell);
+    std::ostringstream laned_label;
+    laned_label << knob << "=" << measured_threads << " ["
+                << lanes::to_string(laned_cell.info.protocol) << ", window "
+                << laned_cell.info.lookahead << " s, "
+                << laned_cell.info.placement << "]";
+    print_cell(laned_label.str(), laned_cell);
     dump_cell(measured_threads, laned_chain, laned_graph);
     append_summary(env.csv_dir, topology, framework.name, mode,
                    measured_threads, laned_cell);

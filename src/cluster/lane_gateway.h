@@ -30,16 +30,6 @@
 
 namespace conscale {
 
-/// Deterministic shard->lane placement: the system owns lane 0 exclusively,
-/// session shards round-robin over the worker lanes 1..K-1. With a single
-/// lane everything shares lane 0 (the engine then runs windows inline with
-/// zero threads — the byte-identity baseline).
-inline std::size_t shard_lane(std::size_t shard_index,
-                              std::size_t lane_count) {
-  if (lane_count <= 1) return 0;
-  return 1 + shard_index % (lane_count - 1);
-}
-
 class LaneGateway final : public ShardGateway, public lanes::LaneActor {
  public:
   /// ClientPopulation's submit shape and observers: completions report
@@ -50,7 +40,9 @@ class LaneGateway final : public ShardGateway, public lanes::LaneActor {
   using RejectionHook = ClientPopulation::RejectionHook;
 
   struct Params {
-    /// Client<->frontend one-way network latency; must match the shards'.
+    /// Client<->frontend one-way network latency; must match the shards'
+    /// and be at least the declared gateway -> shard channel delay (the
+    /// engine checks every post).
     SimDuration net_delay = 0.05;
   };
 
@@ -67,11 +59,6 @@ class LaneGateway final : public ShardGateway, public lanes::LaneActor {
 
   void on_request(const RequestContext& ctx, SessionShard& from,
                   std::uint32_t user_slot) override;
-
-  /// The client<->frontend one-way latency this gateway models. The laned
-  /// runners validate it against the LookaheadAnalysis channel delay and
-  /// the shards' configured delay, so the three cannot silently diverge.
-  SimDuration net_delay() const { return params_.net_delay; }
 
  private:
   SubmitFn submit_;

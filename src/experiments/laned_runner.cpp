@@ -24,82 +24,44 @@ CellPlan plan_cells(const GraphScenario& scenario,
       cp.shards_autotuned
           ? autotune_shards(base.scaled_users(base.max_users), base.think_time)
           : options.shards;
-  if (options.tier_lanes == 0) {
-    cp.cells = std::max<std::size_t>(options.lanes, 1);
-    return cp;
+  // Control (with the whole system unless it is cut, one cell per node
+  // otherwise), then one cell per shard. The laned ServiceGraph checks
+  // lan_delay, the engine each channel's delay.
+  cp.tiered = options.tier_lanes > 0;
+  if (cp.tiered) {
+    const auto& nodes = scenario.graph.nodes;
+    cp.entry_cell = topology::node_lane(0);
+    cp.first_shard_cell = topology::node_lane(nodes.size());
+    cp.summary = "control +";
+    for (const topology::GraphNodeConfig& node : nodes) {
+      cp.summary += " [" + node.tier.name + "]";
+    }
+  } else {
+    cp.first_shard_cell = 1;
+    cp.summary = "system";
   }
-  if (!(options.lan_delay > 0.0)) {
-    throw std::invalid_argument(
-        "laned runner: tier_lanes needs lan_delay > 0");
-  }
-  // The graph's fixed layout (control, then one cell per node), then one
-  // cell per shard.
-  const auto& nodes = scenario.graph.nodes;
-  cp.tiered = true;
-  cp.entry_cell = topology::node_lane(0);
-  cp.first_shard_cell = topology::node_lane(nodes.size());
   cp.cells = cp.first_shard_cell + cp.shard_count;
-  cp.summary = "control +";
-  for (const topology::GraphNodeConfig& node : nodes) {
-    cp.summary += " [" + node.tier.name + "]";
-  }
   cp.summary += " + " + std::to_string(cp.shard_count) + " shard cell(s)";
   return cp;
 }
 
 std::unique_ptr<lanes::LaneEngine> make_lane_engine(
-    const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
-    const CellPlan& plan) {
+    const LanedRunOptions& options, const CellPlan& plan) {
   lanes::LaneEngine::Options eo;
   eo.lanes = plan.cells;
-  eo.lookahead = analysis.window();
-  if (!plan.tiered) {
-    // Client-edge layout: lanes == threads, time windows, no declared
-    // channels.
-    return std::make_unique<lanes::LaneEngine>(eo);
-  }
-  eo.threads = options.tier_lanes;
-  switch (options.protocol) {
-    case LanedRunOptions::ProtocolChoice::kTimeWindow:
-      eo.protocol = lanes::LaneEngine::Protocol::kTimeWindow;
-      break;
-    case LanedRunOptions::ProtocolChoice::kNullMessage:
-      eo.protocol = lanes::LaneEngine::Protocol::kNullMessage;
-      break;
-    case LanedRunOptions::ProtocolChoice::kAuto:
-      eo.protocol = analysis.recommended();
-      break;
-  }
-  // Anti-flood floor: half a window. Suppressing sub-floor EOT advances
-  // caps null traffic without affecting results (scheduling-only, see
-  // lane_engine.h) — the rescue pass re-announces when a lane would starve.
-  eo.null_floor = 0.5 * analysis.window();
-  eo.serialize_lane0 = true;
+  eo.threads = plan.tiered ? options.tier_lanes : options.lanes;
+  // A cut system's control cell reaches into the node cells directly.
+  eo.serialize_lane0 = plan.tiered;
   auto engine = std::make_unique<lanes::LaneEngine>(eo);
-  // The client network between the entry cell and every shard cell; the
-  // graph's channels and notifiers declare the LAN hops themselves.
+  // The client network between the entry cell and every shard cell; a
+  // tier-laned graph's channels and notifiers declare the LAN hops
+  // themselves.
   for (std::size_t j = 0; j < plan.shard_count; ++j) {
     const std::size_t cell = plan.first_shard_cell + j;
     engine->declare_channel(plan.entry_cell, cell, options.net_delay);
     engine->declare_channel(cell, plan.entry_cell, options.net_delay);
   }
   return engine;
-}
-
-/// The LookaheadAnalysis channel the gateway terminates must be the delay
-/// the gateway (and the shards) actually model — the engine's safety rests
-/// on it, so drift is a logic error, not a tuning knob.
-void validate_net_delay(const lanes::LookaheadAnalysis& analysis,
-                        const LaneGateway& gateway) {
-  for (const lanes::LookaheadSource& source : analysis.sources()) {
-    if (!source.is_channel || source.name != "client->frontend net") continue;
-    if (source.delay == gateway.net_delay()) return;
-    throw std::logic_error(
-        "laned runner: gateway net_delay diverged from the analyzed "
-        "client channel delay");
-  }
-  throw std::logic_error(
-      "laned runner: lookahead analysis lost the client channel");
 }
 
 /// Shard seeds derive from the same client seed the serial runs use
@@ -119,10 +81,8 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
     sp.think_time_mean = params.think_time;
     sp.seed = seeder.next();
     sp.net_delay = options.net_delay;
-    const std::size_t cell = plan.tiered ? plan.first_shard_cell + i
-                                         : shard_lane(i, engine.lane_count());
     shards.push_back(std::make_unique<SessionShard>(
-        engine, cell, i, shard_count, trace, mix, gateway,
+        engine, plan.first_shard_cell + i, i, shard_count, trace, mix, gateway,
         /*gateway_lane=*/plan.entry_cell, sp));
   }
   return shards;
@@ -136,30 +96,6 @@ std::size_t autotune_shards(double peak_sessions, double think_time_mean) {
   if (!(shards >= 1.0)) return 1;
   if (shards >= 64.0) return 64;
   return static_cast<std::size_t>(shards);
-}
-
-lanes::LookaheadAnalysis analyze_lookahead(const ScenarioParams& params,
-                                           const LanedRunOptions& options) {
-  lanes::LookaheadAnalysis analysis;
-  // The client<->frontend network, both directions — the only cross-lane
-  // delay of the client-edge layout, and the widest channel of the
-  // tier-laned one.
-  analysis.add_source("client->frontend net", options.net_delay, true);
-  analysis.add_source("frontend->client net", options.net_delay, true);
-  if (options.tier_lanes > 0) {
-    // Tier-laned: the LAN hop is a channel too. It is the minimum, so it
-    // bounds the window; the net/LAN skew is what flips the recommendation
-    // to null messages (per-channel bounds let the client edge run ahead of
-    // the tight tier ring — see lookahead.h).
-    analysis.add_source("tier->tier LAN hop", options.lan_delay, true);
-    analysis.add_source("vm-ready LAN hop", options.lan_delay, true);
-  }
-  // Documented slack that never crosses a lane boundary: the scaling loop
-  // stays local to the control lane.
-  analysis.add_source("vm prep delay", params.vm_prep_delay, false);
-  analysis.add_source("monitoring coarse period",
-                      options.base.monitoring.coarse_period, false);
-  return analysis;
 }
 
 ScalingRunResult run_scaling_laned(const ScenarioParams& params,

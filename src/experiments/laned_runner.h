@@ -1,30 +1,28 @@
 // Laned experiment runners: run_scaling / run_graph_scaling executed on the
 // lane-partitioned PDES engine (src/simcore/lanes/, DESIGN.md §6.6).
 //
-// Two placements share these entry points:
+// Every laned run has one cell layout, a pure function of the model config:
+// cell 0 hosts the control plane (warehouse, monitor, scaling framework,
+// fault injector), then — on a tier cut — graph node i gets cell 1 + i
+// (topology::node_lane), and finally each of the `shards` SessionShards
+// gets its own cell behind the client<->frontend network channel to a
+// LaneGateway on the entry cell. The two layouts differ only in the cut:
 //
-//  * Client-edge partitioning (tier_lanes == 0, the original layout): lane 0
-//    hosts the entire serving system — the topology::ServiceGraph,
-//    warehouse, monitor, scaling framework, fault injector — completely
-//    unchanged, so every registry controller runs unmodified. The closed-loop
-//    session population is what gets parallel: it is split into `shards`
-//    SessionShards placed round-robin on the worker lanes, talking to a
-//    LaneGateway on lane 0 across the client<->frontend network channel.
+//  * Client-edge (tier_lanes == 0): no cut. Cell 0 hosts the entire serving
+//    system unchanged, so every registry controller runs unmodified; the
+//    closed-loop session population is what runs in parallel.
 //
-//  * Tier-laned partitioning (tier_lanes > 0): the serving system itself is
-//    cut. Cell 0 carries only the control plane (warehouse, monitor coarse
-//    poll, scaling framework, fault injector); graph node i gets cell 1 + i
-//    (topology::node_lane), the cells joined by explicit LAN-hop channels
-//    (`lan_delay` per direction); each session shard gets its own cell
-//    behind the client network channel. The cell layout is a pure function
-//    of the model config, and `tier_lanes` sets ONLY the worker thread
-//    count — so tier_lanes=1 and tier_lanes=K are byte-identical under either
-//    synchronization protocol. The engine serializes instants where cell 0
-//    acts, which is what lets controllers keep calling scale_out() and
-//    scale_in(), and fault plans crash VMs, directly on remote tiers.
+//  * Tier-laned (tier_lanes > 0): the serving system itself is cut, the
+//    node cells joined by explicit LAN-hop channels (`lan_delay` per
+//    direction). The engine serializes instants where cell 0 acts, which is
+//    what lets controllers keep calling scale_out() and scale_in(), and
+//    fault plans crash VMs, directly on remote tiers.
 //
-// Determinism contract: `lanes` / `tier_lanes` control thread placement
-// only; results are pinned byte-identical across thread counts by
+// Every cross-cell edge is a declared engine channel, and the engine derives
+// its window and synchronization protocol from them (lane_engine.h).
+//
+// Determinism contract: `lanes` / `tier_lanes` set ONLY the worker thread
+// count; results are pinned byte-identical across thread counts by
 // tests/experiments/lane_determinism_test and the CI bench_scale smoke.
 // `shards`, by contrast, is a model parameter — changing it re-partitions
 // the session population and legitimately changes RNG consumption.
@@ -36,7 +34,6 @@
 #include "experiments/graph_runner.h"
 #include "experiments/runner.h"
 #include "simcore/lanes/lane_engine.h"
-#include "simcore/lanes/lookahead.h"
 
 namespace conscale {
 
@@ -46,8 +43,8 @@ struct LanedRunOptions {
   /// laned path (throws std::invalid_argument): session shards do not model
   /// Markov sessions.
   ScalingRunOptions base;
-  /// Event-loop partitions for the client-edge layout. 1 = serial reference
-  /// execution (zero threads, same window schedule). Results are
+  /// Worker threads for the client-edge layout. 1 = serial reference
+  /// execution (no worker thread, same round schedule). Results are
   /// independent of this value. Ignored when tier_lanes > 0.
   std::size_t lanes = 1;
   /// Session-population partitions. Fixed independently of the thread count
@@ -58,39 +55,31 @@ struct LanedRunOptions {
   /// Client<->frontend one-way network latency — the client channel delay.
   SimDuration net_delay = 0.05;
   /// Tier-laned mode switch and worker thread count: 0 keeps the
-  /// client-edge layout; K > 0 partitions the system into cells (control /
-  /// one per tier / shards) executed by K threads. The cell layout never
-  /// depends on K.
+  /// client-edge layout; K > 0 cuts the system into one cell per node,
+  /// executed by K threads. The cell layout never depends on K.
   std::size_t tier_lanes = 0;
   /// Inter-tier LAN hop (each direction) in tier-laned mode — every
-  /// tier->tier edge and the tier->control vm-ready signal crosses it, and
-  /// it bounds the lookahead window. Must be > 0 when tier_lanes > 0.
+  /// tier->tier edge and the tier->control vm-ready signal crosses it. Must
+  /// be > 0 when tier_lanes > 0. When it and net_delay differ by more than
+  /// 4x the engine runs null messages, time windows otherwise.
   SimDuration lan_delay = 0.010;
-  /// Synchronization protocol for tier-laned runs. kAuto defers to the
-  /// LookaheadAnalysis skew rule (uniform channels -> time windows, skewed
-  /// -> null messages). Ignored when tier_lanes == 0 (the client-edge
-  /// layout has uniform channels and always uses time windows).
-  enum class ProtocolChoice { kAuto, kTimeWindow, kNullMessage };
-  ProtocolChoice protocol = ProtocolChoice::kAuto;
 };
 
 /// Execution report of a laned run (not part of the determinism-compared
 /// result payload — wall-clock-free, but kept separate for clarity).
 struct LaneRunInfo {
   lanes::LaneEngineStats stats;
+  /// The window and protocol the engine derived from its channels.
   SimDuration lookahead = 0.0;
-  /// The protocol the engine actually ran (after any override).
-  lanes::LookaheadAnalysis::Protocol protocol =
-      lanes::LookaheadAnalysis::Protocol::kTimeWindow;
-  std::string lookahead_summary;
-  /// Engine partitions (cells in tier-laned mode).
+  lanes::Protocol protocol = lanes::Protocol::kTimeWindow;
+  /// Engine cells: control (+ one per node on a tier cut) + one per shard.
   std::size_t lanes = 0;
-  /// Worker threads executing them (== lanes in the client-edge layout).
+  /// Worker threads executing them.
   std::size_t threads = 0;
   std::size_t shards = 0;
   /// True when `shards == 0` selected the count via autotune_shards.
   bool shards_autotuned = false;
-  /// Human-readable cell map of a tier-laned run (empty otherwise).
+  /// Human-readable cell map.
   std::string placement;
   /// Sessions still alive across every shard when the run ended (the
   /// bench_scale "concurrent sessions" figure).
@@ -134,14 +123,5 @@ GraphRunResult run_graph_scaling_laned(const GraphScenario& scenario,
                                        const std::string& framework_ref,
                                        const LanedRunOptions& options = {},
                                        LaneRunInfo* info = nullptr);
-
-/// The lookahead analysis a laned run performs before constructing the
-/// engine, exposed for tests and bench_scale's banner. Client-edge layout:
-/// the client channel (both directions) bounds the window; VM prep delay
-/// and the monitoring coarse period are documented as non-channel slack.
-/// Tier-laned layout: the LAN hop joins as a channel (it then bounds the
-/// window), and the net/LAN skew drives the protocol recommendation.
-lanes::LookaheadAnalysis analyze_lookahead(const ScenarioParams& params,
-                                           const LanedRunOptions& options);
 
 }  // namespace conscale

@@ -39,13 +39,11 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   // hosts the control plane.
   const ScenarioParams& base = scenario.base;
   CellPlan plan;
-  lanes::LookaheadAnalysis analysis;
   std::unique_ptr<lanes::LaneEngine> engine;
   std::unique_ptr<Simulation> serial_sim;
   if (laned) {
     plan = plan_cells(scenario, *laned);
-    analysis = analyze_lookahead(base, *laned);
-    engine = make_lane_engine(analysis, *laned, plan);
+    engine = make_lane_engine(*laned, plan);
   } else {
     serial_sim = std::make_unique<Simulation>();
   }
@@ -104,7 +102,6 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
     gateway_params.net_delay = laned->net_delay;
     gateway = std::make_unique<LaneGateway>(*engine, plan.entry_cell, submit,
                                             gateway_params);
-    validate_net_delay(analysis, *gateway);
     gateway->set_completion_hook(on_completion);
     gateway->set_rejection_hook(on_rejection);
     shards = make_shards(*engine, base, trace, mix, *gateway, *laned, plan);
@@ -195,9 +192,8 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
     info->stats = engine->stats();
     info->lookahead = engine->lookahead();
     info->protocol = engine->protocol();
-    info->lookahead_summary = analysis.summary();
     info->lanes = engine->lane_count();
-    info->threads = plan.tiered ? laned->tier_lanes : engine->lane_count();
+    info->threads = engine->thread_count();
     info->shards = plan.shard_count;
     info->shards_autotuned = plan.shards_autotuned;
     info->placement = plan.summary;

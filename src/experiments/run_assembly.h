@@ -16,11 +16,9 @@
 
 namespace conscale {
 
-/// The cell map of one laned run. For the client-edge layout only `cells`
-/// and the shard fields are meaningful (the system on lane 0, shards
-/// round-robin via shard_lane). For the tier-laned layout: cell 0 = control
-/// plane, cell 1 + i = graph node i (topology::node_lane), then one cell per
-/// session shard.
+/// The cell map of one laned run: cell 0 = control plane (and the whole
+/// system in the client-edge layout), cell 1 + i = graph node i on a tier
+/// cut (topology::node_lane), then one cell per session shard.
 struct CellPlan {
   bool tiered = false;
   std::size_t cells = 1;
@@ -39,13 +37,7 @@ CellPlan plan_cells(const GraphScenario& scenario,
 /// The lane engine for `plan`, with the client channels between the entry
 /// cell and the shard cells declared (a tier-laned graph declares its own).
 std::unique_ptr<lanes::LaneEngine> make_lane_engine(
-    const lanes::LookaheadAnalysis& analysis, const LanedRunOptions& options,
-    const CellPlan& plan);
-
-/// Throws std::logic_error unless the gateway models the client channel
-/// delay the lookahead analysis assumed.
-void validate_net_delay(const lanes::LookaheadAnalysis& analysis,
-                        const LaneGateway& gateway);
+    const LanedRunOptions& options, const CellPlan& plan);
 
 /// The session shards of a laned run, placed on their cells and talking to
 /// `gateway` on the entry cell.

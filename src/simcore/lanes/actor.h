@@ -43,7 +43,7 @@ class LaneActor {
   }
 
   /// Cross-lane message: `callback` executes on `dest_lane` at now+delay.
-  /// `delay` must be at least the engine's lookahead window.
+  /// `delay` must be at least the declared lane() -> dest_lane channel's.
   void post(std::size_t dest_lane, SimDuration delay, EventCallback callback) {
     engine_.post(lane_, dest_lane, sim().now() + delay, stream_, next_seq_++,
                  std::move(callback));

@@ -13,6 +13,10 @@ namespace {
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
+/// Channel skew (widest / narrowest declared delay) above which per-channel
+/// null messages replace the global time window.
+constexpr double kNullMessageSkew = 4.0;
+
 /// Heap order for the pending-message min-heaps: earliest delivery first.
 /// Ties need no order here — delivery injects keyed events, and the
 /// destination queue orders equal times by (stream, seq) regardless of
@@ -23,27 +27,19 @@ bool later_delivery(const LaneMessage& a, const LaneMessage& b) {
 
 }  // namespace
 
+std::string to_string(Protocol protocol) {
+  return protocol == Protocol::kTimeWindow ? "time-window barrier"
+                                           : "null-message";
+}
+
 LaneEngine::LaneEngine(Options options)
-    : lookahead_(options.lookahead),
-      protocol_(options.protocol),
-      null_floor_(options.null_floor),
-      serialize_lane0_(options.serialize_lane0) {
+    : serialize_lane0_(options.serialize_lane0) {
   if (options.lanes == 0) options.lanes = 1;
-  if (!(lookahead_ > 0.0)) {
-    throw std::invalid_argument(
-        "LaneEngine: lookahead must be > 0 (conservative synchronization "
-        "needs a positive cross-lane delay floor)");
-  }
-  if (null_floor_ < 0.0) {
-    throw std::invalid_argument("LaneEngine: null_floor must be >= 0");
-  }
-  thread_count_ = options.threads == 0
-                      ? options.lanes
-                      : std::min(options.threads, options.lanes);
-  if (thread_count_ == 0) thread_count_ = 1;
+  thread_count_ =
+      std::max<std::size_t>(1, std::min(options.threads, options.lanes));
   lanes_.reserve(options.lanes);
   for (std::size_t i = 0; i < options.lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(i));
+    lanes_.push_back(std::make_unique<Lane>());
   }
   pending_.resize(options.lanes);
   channels_from_.resize(options.lanes);
@@ -90,40 +86,57 @@ void LaneEngine::declare_channel(std::size_t from, std::size_t to,
   fresh_eot_.resize(channels_.size(), -kInf);
 }
 
+SimDuration LaneEngine::lookahead() const {
+  SimDuration window = kInf;
+  for (const Channel& channel : channels_) {
+    window = std::min(window, channel.min_delay);
+  }
+  return window;
+}
+
+Protocol LaneEngine::protocol() const {
+  // Uniform channels: a global time window already runs every lane at its
+  // individual pairwise bound, so the simpler barrier wins. Strong skew is
+  // the only regime where per-pair null messages buy extra parallelism.
+  SimDuration widest = 0.0;
+  for (const Channel& channel : channels_) {
+    widest = std::max(widest, channel.min_delay);
+  }
+  return widest / lookahead() <= kNullMessageSkew ? Protocol::kTimeWindow
+                                                  : Protocol::kNullMessage;
+}
+
 void LaneEngine::post(std::size_t from, std::size_t dest,
                       SimTime deliver_time, std::uint64_t stream,
                       std::uint64_t seq, EventCallback fn) {
   if (dest >= lanes_.size()) {
     throw std::out_of_range("LaneEngine::post: no such destination lane");
   }
-  if (!channels_.empty()) {
-    const Channel* channel = nullptr;
-    for (const std::size_t index : channels_from_[from]) {
-      if (channels_[index].to == dest) {
-        channel = &channels_[index];
-        break;
-      }
+  const Channel* channel = nullptr;
+  for (const std::size_t index : channels_from_[from]) {
+    if (channels_[index].to == dest) {
+      channel = &channels_[index];
+      break;
     }
-    if (channel == nullptr) {
-      std::ostringstream what;
-      what << "LaneEngine::post: lane " << from << " -> " << dest
-           << " has no declared channel (stream " << stream << ", seq " << seq
-           << ") — every cross-lane edge must be declared once any is";
-      throw std::runtime_error(what.str());
-    }
-    // fl(now + d) is monotone in d, so a conforming post (delay >= declared
-    // minimum) always passes this check exactly — no epsilon needed.
-    const SimTime min_deliver =
-        lanes_[from]->sim().now() + channel->min_delay;
-    if (deliver_time < min_deliver) {
-      std::ostringstream what;
-      what << "LaneEngine::post: lane " << from << " -> " << dest
-           << " lookahead violation: message (stream " << stream << ", seq "
-           << seq << ") delivers at " << deliver_time
-           << " but the channel guarantees >= " << min_deliver
-           << " (declared min delay " << channel->min_delay << ")";
-      throw std::runtime_error(what.str());
-    }
+  }
+  if (channel == nullptr) {
+    std::ostringstream what;
+    what << "LaneEngine::post: lane " << from << " -> " << dest
+         << " has no declared channel (stream " << stream << ", seq " << seq
+         << ") — every cross-lane edge must be declared";
+    throw std::runtime_error(what.str());
+  }
+  // fl(now + d) is monotone in d, so a conforming post (delay >= declared
+  // minimum) always passes this check exactly — no epsilon needed.
+  const SimTime min_deliver = lanes_[from]->sim().now() + channel->min_delay;
+  if (deliver_time < min_deliver) {
+    std::ostringstream what;
+    what << "LaneEngine::post: lane " << from << " -> " << dest
+         << " lookahead violation: message (stream " << stream << ", seq "
+         << seq << ") delivers at " << deliver_time
+         << " but the channel guarantees >= " << min_deliver
+         << " (declared min delay " << channel->min_delay << ")";
+    throw std::runtime_error(what.str());
   }
   lanes_[from]->outbox_.push_back(
       LaneMessage{deliver_time, stream, seq, dest, std::move(fn)});
@@ -204,22 +217,10 @@ void LaneEngine::deliver_pending(std::size_t dest, SimTime bound) {
   }
 }
 
-void LaneEngine::collect_outboxes(SimTime check_bound) {
+void LaneEngine::collect_outboxes() {
+  // post() already held every message to its channel's delay.
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     for (LaneMessage& message : lane->outbox_) {
-      // With declared channels the post() path already validated per-channel
-      // lookahead; without them the global window is the only contract.
-      if (channels_.empty() && message.deliver_time < check_bound) {
-        std::ostringstream what;
-        what << "lane " << lane->index() << " lookahead violation: message "
-             << "(stream " << message.stream << ", seq " << message.seq
-             << ") delivers at " << message.deliver_time
-             << " inside the current window (bound " << check_bound
-             << ", lookahead " << lookahead_
-             << ") — a cross-lane channel carries less delay than the "
-                "engine's window";
-        throw std::runtime_error(what.str());
-      }
       ++stats_.messages;
       std::vector<LaneMessage>& heap = pending_[message.dest];
       heap.push_back(std::move(message));
@@ -242,7 +243,7 @@ void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
       lanes_[i]->sim().advance_to(t0);
       lanes_[i]->sim().run_before(bound);
     }
-    collect_outboxes(bound);
+    collect_outboxes();
     // A lane-0 event may have scheduled follow-ups at t0 on other lanes (or
     // vice versa through a zero-delay direct call); sweep until quiescent.
     bool again = false;
@@ -257,8 +258,8 @@ void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
 }
 
 void LaneEngine::compute_bounds(SimTime t_all, SimTime cap) {
-  if (protocol_ == Protocol::kTimeWindow || channels_.empty()) {
-    const SimTime bound = std::min(t_all + lookahead_, cap);
+  if (protocol_ == Protocol::kTimeWindow) {
+    const SimTime bound = std::min(t_all + window_, cap);
     for (std::size_t i = 0; i < lanes_.size(); ++i) bounds_[i] = bound;
     return;
   }
@@ -294,12 +295,13 @@ void LaneEngine::compute_bounds(SimTime t_all, SimTime cap) {
     }
     if (!changed) break;
   }
-  // Announce only advances of at least the anti-flood floor. Suppression
-  // can only *delay* a bound, never relax it, so it affects scheduling but
-  // not results.
+  // Announce only advances of at least the anti-flood floor, half a window.
+  // Suppression can only *delay* a bound, never relax it, so it affects
+  // scheduling but not results.
+  const SimDuration floor = 0.5 * window_;
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     if (fresh_eot_[c] > channels_[c].announced_eot) {
-      if (fresh_eot_[c] - channels_[c].announced_eot >= null_floor_) {
+      if (fresh_eot_[c] - channels_[c].announced_eot >= floor) {
         channels_[c].announced_eot = fresh_eot_[c];
         ++stats_.nulls_announced;
       } else {
@@ -335,11 +337,8 @@ void LaneEngine::compute_bounds(SimTime t_all, SimTime cap) {
 }
 
 void LaneEngine::run(SimTime duration) {
-  if (protocol_ == Protocol::kNullMessage && channels_.empty()) {
-    throw std::runtime_error(
-        "LaneEngine: the null-message protocol needs declared channels "
-        "(declare_channel) to derive per-pair bounds");
-  }
+  window_ = lookahead();
+  protocol_ = protocol();
   // Events scheduled at exactly `duration` must execute (run_until
   // semantics), so the final exclusive bound is the next double above it.
   end_bound_ =
@@ -348,7 +347,7 @@ void LaneEngine::run(SimTime duration) {
   start_workers();
   // Messages posted during model construction (before any round) enter the
   // routing heaps here; deliver_time >= 0 + channel delay, nothing is due.
-  collect_outboxes(0.0);
+  collect_outboxes();
   for (;;) {
     SimTime t_all = kInf;
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
@@ -409,7 +408,7 @@ void LaneEngine::run(SimTime duration) {
         }
       }
     }
-    collect_outboxes(std::min(t_all + lookahead_, cap));
+    collect_outboxes();
     ++stats_.windows;
   }
   stats_.events = 0;

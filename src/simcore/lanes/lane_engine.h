@@ -3,12 +3,16 @@
 // One run's event loop is partitioned into `lanes` — each lane owns a full
 // Simulation (its own event arena, queue and clock: the arena sharding) and
 // hosts a disjoint set of model components. Lanes interact only through
-// timestamped inter-lane messages carrying at least the channel's declared
-// lookahead of delay. The engine repeats conservative rounds under one of
-// two synchronization protocols:
+// timestamped messages, each travelling a declared channel (from -> to,
+// minimum delay) and carrying at least that channel's delay. The declared
+// channels are the engine's only copy of the model's cross-lane delays, and
+// it derives everything else from them: the window L (the minimum declared
+// delay), the protocol (null messages only when the widest channel exceeds
+// 4x the narrowest, time windows otherwise) and the anti-flood floor (L/2).
+// The engine repeats conservative rounds under that protocol:
 //
 //   time-window    1. t_all = earliest activity anywhere
-//                  2. bound = min(t_all + L, end) with L the global window
+//                  2. bound = min(t_all + L, end)
 //                  3. deliver messages due before the bound as keyed events
 //                  4. every lane with work below the bound runs in parallel
 //   null-message   per-channel bounds (Chandy–Misra–Bryant): every declared
@@ -26,12 +30,17 @@
 //                  the deadlock-avoidance argument (the floor delays bounds,
 //                  never results).
 //
+// Time windows are optimal when channel delays are near-uniform (a star of
+// equal-latency channels loses nothing to the global minimum); per-channel
+// null messages pay off only under strong skew, where distant lane pairs
+// can run far ahead of the tightest channel.
+//
 // Safety (both protocols): a message posted at send >= na with delay >= L
 // delivers at >= na + L >= every bound derived from na + L (floating-point
 // addition is monotone), so nothing a lane does inside a round can affect
 // any lane's same round — each lane's round execution is causally closed.
 //
-// Serialized control lane (tier-laned placements): when
+// Serialized control lane (tier-laned layouts): when
 // `options.serialize_lane0` is set, lane 0 hosts the control plane
 // (controllers, agents, monitor coarse tick, warehouse queries) whose events
 // *directly* read and mutate state owned by other lanes. The engine never
@@ -61,14 +70,19 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/time_units.h"
-#include "simcore/lanes/lookahead.h"
 #include "simcore/simulation.h"
 
 namespace conscale::lanes {
+
+/// The synchronization protocol the engine derives from its channels.
+enum class Protocol { kTimeWindow, kNullMessage };
+
+std::string to_string(Protocol protocol);
 
 /// A timestamped cross-lane interaction. `stream`/`seq` are the *origin*
 /// actor's canonical key; the destination lane schedules the callback as a
@@ -98,41 +112,25 @@ struct LaneEngineStats {
 /// rounds; the barrier's mutex orders the two.
 class Lane {
  public:
-  explicit Lane(std::size_t index) : index_(index) {}
+  Lane() = default;
   Lane(const Lane&) = delete;
   Lane& operator=(const Lane&) = delete;
 
   Simulation& sim() { return sim_; }
-  std::size_t index() const { return index_; }
 
  private:
   friend class LaneEngine;
-  std::size_t index_;
   Simulation sim_;
   std::vector<LaneMessage> outbox_;
 };
 
 class LaneEngine {
  public:
-  using Protocol = LookaheadAnalysis::Protocol;
-
   struct Options {
     std::size_t lanes = 1;
-    /// The global synchronization window for the time-window protocol (and
-    /// the delay floor for undeclared-channel models): no cross-lane message
-    /// may carry less than this much delay. Must be > 0 — zero lookahead
-    /// admits no conservative parallelism.
-    SimDuration lookahead = 0.0;
-    /// Worker-pool width. 0 means one thread per lane (the pre-placement
-    /// behavior). Lanes are a model parameter; threads are not — results
-    /// are identical for every value.
-    std::size_t threads = 0;
-    /// Synchronization protocol. kNullMessage requires declared channels.
-    Protocol protocol = Protocol::kTimeWindow;
-    /// CMB anti-flood floor: a channel re-announces its EOT only when it
-    /// advanced by at least this much (demanded announcements bypass the
-    /// floor). 0 disables suppression.
-    SimDuration null_floor = 0.0;
+    /// Worker-pool width, capped at `lanes`. Lanes are a model parameter;
+    /// threads are not — results are identical for every value.
+    std::size_t threads = 1;
     /// Serialize lane 0 (see header comment). Required whenever lane-0
     /// events directly touch state owned by other lanes.
     bool serialize_lane0 = false;
@@ -144,16 +142,22 @@ class LaneEngine {
   LaneEngine& operator=(const LaneEngine&) = delete;
 
   std::size_t lane_count() const { return lanes_.size(); }
+  std::size_t thread_count() const { return thread_count_; }
   Lane& lane(std::size_t index) { return *lanes_[index]; }
-  SimDuration lookahead() const { return lookahead_; }
-  Protocol protocol() const { return protocol_; }
+
+  /// The synchronization window: the minimum declared channel delay, or
+  /// +inf while no channel is declared (lanes that never exchange messages
+  /// need no barrier before the end of the run).
+  SimDuration lookahead() const;
+  /// Null messages when the widest declared channel delay is more than 4x
+  /// the narrowest, time windows otherwise.
+  Protocol protocol() const;
 
   /// Declares a directed cross-lane channel with a guaranteed minimum model
-  /// delay. Once any channel is declared, *every* post must travel a
-  /// declared channel and carry at least its delay — validated at post time
-  /// (throws std::runtime_error). Redeclaring a pair keeps the minimum.
-  /// Channels also feed the null-message protocol's per-pair bounds.
-  /// Call before run(); self-channels (from == to) are rejected.
+  /// delay. Every post must travel a declared channel and carry at least
+  /// its delay — validated at post time (throws std::runtime_error).
+  /// Redeclaring a pair keeps the minimum. Call before run(); self-channels
+  /// (from == to) and delays <= 0 are rejected.
   void declare_channel(std::size_t from, std::size_t to, SimDuration min_delay);
 
   /// Hands out the next globally-unique actor stream id (starts at 1; 0 is
@@ -162,17 +166,16 @@ class LaneEngine {
   std::uint64_t new_stream() { return next_stream_++; }
 
   /// Posts a message from `from` (which must be the lane currently
-  /// executing, or any lane between rounds). `deliver_time` must be at
-  /// least the channel's declared delay in the future (validated here when
-  /// channels are declared, at the next barrier otherwise). Prefer
-  /// LaneActor::post.
+  /// executing, or any lane between rounds) across the declared channel
+  /// from -> dest. `deliver_time` must be at least the channel's delay in
+  /// the future. Prefer LaneActor::post.
   void post(std::size_t from, std::size_t dest, SimTime deliver_time,
             std::uint64_t stream, std::uint64_t seq, EventCallback fn);
 
   /// Runs every lane to `duration` (inclusive, like Simulation::run_until)
   /// under the conservative round loop, then parks every lane clock at
-  /// `duration`. Throws std::runtime_error on a lookahead violation and
-  /// rethrows the first model exception raised on a worker lane.
+  /// `duration`. Rethrows the first model exception raised on a worker
+  /// lane.
   void run(SimTime duration);
 
   const LaneEngineStats& stats() const { return stats_; }
@@ -186,18 +189,17 @@ class LaneEngine {
   };
 
   void start_workers();
-  void run_round();
   void run_serial_instant(SimTime t0, SimTime bound);
   void compute_bounds(SimTime t_all, SimTime cap);
   void deliver_pending(std::size_t dest, SimTime bound);
-  void collect_outboxes(SimTime check_bound);
+  void collect_outboxes();
   void worker_loop();
   void drain_work_queue();
   SimTime next_activity(std::size_t lane_index);
 
-  SimDuration lookahead_;
-  Protocol protocol_;
-  SimDuration null_floor_;
+  // Derived from the channels when run() starts.
+  SimDuration window_ = 0.0;
+  Protocol protocol_ = Protocol::kTimeWindow;
   bool serialize_lane0_;
   std::size_t thread_count_;
   std::vector<std::unique_ptr<Lane>> lanes_;

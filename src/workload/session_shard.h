@@ -6,13 +6,14 @@
 // system crosses a lane boundary: requests travel to a ShardGateway on the
 // system lane with the client<->frontend network latency, and replies
 // travel back the same way. That latency is the model's natural lookahead,
-// which is what lets S shards run on K lanes in parallel (simcore/lanes/).
+// which is what lets S shard cells run on K threads in parallel
+// (simcore/lanes/).
 //
 // Determinism: the shard is a LaneActor — think timers and posts carry the
 // shard's canonical (stream, seq) keys, the RNG is shard-local, and the
 // shard's share of the trace depends only on (shard_index, shard_count).
-// Nothing observes the lane count, so lanes=1 and lanes=K replay the exact
-// same session histories.
+// Nothing observes the thread count, so lanes=1 and lanes=K replay the
+// exact same session histories.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,8 @@ class SessionShard final : public lanes::LaneActor {
     SimDuration adjust_period = 0.5;  ///< trace-tracking cadence
     std::uint64_t seed = 7;           ///< shard-local RNG seed
     /// Client<->frontend one-way network latency. Must be at least the
-    /// engine's lookahead window (the engine enforces it at every barrier).
+    /// declared shard -> gateway channel delay (the engine checks every
+    /// post).
     SimDuration net_delay = 0.05;
   };
 

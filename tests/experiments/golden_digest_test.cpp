@@ -203,30 +203,22 @@ std::vector<Case> golden_cases() {
                          make_fanout_scenario(params), TraceKind::kBigSpike,
                          "conscale", options));
                    }});
-  using Protocol = LanedRunOptions::ProtocolChoice;
-  for (const auto& [protocol, label] :
-       {std::pair{Protocol::kTimeWindow, "tw"},
-        std::pair{Protocol::kNullMessage, "cmb"}}) {
-    cases.push_back({std::string("tier_laned/chain/") + label,
-                     [params, protocol = protocol] {
-                       LanedRunOptions options;
-                       options.base = chain_options(params);
-                       options.tier_lanes = 2;
-                       options.protocol = protocol;
-                       return render(run_scaling_laned(
-                           params, TraceKind::kBigSpike, "conscale", options));
-                     }});
-    cases.push_back({std::string("tier_laned/fanout/") + label,
-                     [params, protocol = protocol] {
-                       LanedRunOptions options;
-                       options.base.duration = 60.0;
-                       options.tier_lanes = 2;
-                       options.protocol = protocol;
-                       return render(run_graph_scaling_laned(
-                           make_fanout_scenario(params), TraceKind::kBigSpike,
-                           "conscale", options));
-                     }});
-  }
+  // A 10 ms LAN hop against the 50 ms client network: null messages.
+  cases.push_back({"tier_laned/chain/cmb", [params] {
+                     LanedRunOptions options;
+                     options.base = chain_options(params);
+                     options.tier_lanes = 2;
+                     return render(run_scaling_laned(
+                         params, TraceKind::kBigSpike, "conscale", options));
+                   }});
+  cases.push_back({"tier_laned/fanout/cmb", [params] {
+                     LanedRunOptions options;
+                     options.base.duration = 60.0;
+                     options.tier_lanes = 2;
+                     return render(run_graph_scaling_laned(
+                         make_fanout_scenario(params), TraceKind::kBigSpike,
+                         "conscale", options));
+                   }});
   // Uniform channels (LAN hop = client network): time windows on a tier cut.
   cases.push_back({"tier_laned/chain/uniform", [params] {
                      LanedRunOptions options;
@@ -294,10 +286,8 @@ const std::map<std::string, std::string>& golden_table() {
       {"profile/sweep/db", "5f299af41c981446"},
       {"profile/train_dcm", "9d28ad2a3325dd30"},
       {"tier_laned/chain/cmb", "ce0913f64baf6091"},
-      {"tier_laned/chain/tw", "ce0913f64baf6091"},
       {"tier_laned/chain/uniform", "19506210444aa275"},
       {"tier_laned/fanout/cmb", "6d9b35fcbcf1d9ac"},
-      {"tier_laned/fanout/tw", "6d9b35fcbcf1d9ac"},
   };
   return table;
 }

@@ -1,5 +1,5 @@
 // Byte-identity contract of the laned runners (DESIGN.md §6.6): lanes is a
-// thread-placement knob, not a model parameter, so lanes=1 and lanes=4 must
+// thread count, not a model parameter, so lanes=1 and lanes=4 must
 // produce bit-identical results — equivalent in-memory payloads AND
 // byte-identical rendered CSV/JSON artifacts — for every registry
 // controller, on both the linear chain and the fan-out DAG. The runs fan
@@ -146,17 +146,25 @@ TEST(LaneDeterminism, GraphLanes4MatchesLanes1ForEveryController) {
 
 // ---- tier-laned placements (ISSUE 10) -------------------------------------
 
+/// The two LAN hops the tier-laned sweeps cover: 10 ms against the 50 ms
+/// client network (5x skew: null messages) and 50 ms (uniform: time
+/// windows).
+constexpr SimDuration kLanDelays[] = {0.010, 0.05};
+
+std::string protocol_label(SimDuration lan_delay) {
+  return lan_delay == 0.05 ? " (time-window)" : " (null-message)";
+}
+
 LanedRunOptions tier_laned_options(const ScenarioParams& params,
                                    std::size_t tier_lanes,
-                                   LanedRunOptions::ProtocolChoice protocol) {
+                                   SimDuration lan_delay = 0.010) {
   LanedRunOptions options;
   options.base.duration = 60.0;
   FrameworkConfig config = make_framework_config(params);
   config.dcm_profile = train_dcm_profile_analytical(params);
   options.base.framework_config = config;
   options.tier_lanes = tier_lanes;
-  options.lan_delay = 0.010;
-  options.protocol = protocol;
+  options.lan_delay = lan_delay;
   return options;
 }
 
@@ -164,29 +172,24 @@ TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothProtocols) {
   const ScenarioParams params = quick_params();
   struct Cell {
     std::string framework;
-    LanedRunOptions::ProtocolChoice protocol;
+    SimDuration lan_delay;
     std::size_t threads;
   };
   std::vector<Cell> cells;
   for (const std::string& framework : kAllControllers) {
-    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
-                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
-      cells.push_back({framework, protocol, 1});
-      cells.push_back({framework, protocol, 4});
+    for (const SimDuration lan_delay : kLanDelays) {
+      cells.push_back({framework, lan_delay, 1});
+      cells.push_back({framework, lan_delay, 4});
     }
   }
   const auto results = parallel_map<ScalingRunResult>(
       cells.size(), 4, [&](std::size_t i) {
         return run_scaling_laned(
             params, TraceKind::kBigSpike, cells[i].framework,
-            tier_laned_options(params, cells[i].threads, cells[i].protocol));
+            tier_laned_options(params, cells[i].threads, cells[i].lan_delay));
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework + (cells[i].protocol ==
-                                               LanedRunOptions::
-                                                   ProtocolChoice::kTimeWindow
-                                           ? " (time-window)"
-                                           : " (null-message)"));
+    SCOPED_TRACE(cells[i].framework + protocol_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(results_equivalent(results[i], results[i + 1], &diff))
         << diff;
@@ -201,15 +204,14 @@ TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
   const GraphScenario scenario = make_fanout_scenario(quick_params());
   struct Cell {
     std::string framework;
-    LanedRunOptions::ProtocolChoice protocol;
+    SimDuration lan_delay;
     std::size_t threads;
   };
   std::vector<Cell> cells;
   for (const std::string& framework : kAllControllers) {
-    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
-                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
-      cells.push_back({framework, protocol, 1});
-      cells.push_back({framework, protocol, 4});
+    for (const SimDuration lan_delay : kLanDelays) {
+      cells.push_back({framework, lan_delay, 1});
+      cells.push_back({framework, lan_delay, 4});
     }
   }
   const auto results = parallel_map<GraphRunResult>(
@@ -217,12 +219,12 @@ TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
         LanedRunOptions options;
         options.base.duration = 60.0;
         options.tier_lanes = cells[i].threads;
-        options.protocol = cells[i].protocol;
+        options.lan_delay = cells[i].lan_delay;
         return run_graph_scaling_laned(scenario, TraceKind::kBigSpike,
                                        cells[i].framework, options);
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework);
+    SCOPED_TRACE(cells[i].framework + protocol_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(
         graph_results_equivalent(results[i], results[i + 1], &diff))
@@ -236,14 +238,13 @@ TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
 
 TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
   const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 4, LanedRunOptions::ProtocolChoice::kAuto);
+  LanedRunOptions options = tier_laned_options(params, 4);
   LaneRunInfo info;
   const ScalingRunResult result = run_scaling_laned(
       params, TraceKind::kBigSpike, "conscale", options, &info);
   EXPECT_GT(result.requests_completed, 0u);
-  // net/LAN skew = 0.05/0.010 = 5x > 4x: the analysis must pick CMB.
-  EXPECT_EQ(info.protocol, lanes::LookaheadAnalysis::Protocol::kNullMessage);
+  // net/LAN skew = 0.05/0.010 = 5x > 4x: the engine must pick CMB.
+  EXPECT_EQ(info.protocol, lanes::Protocol::kNullMessage);
   EXPECT_DOUBLE_EQ(info.lookahead, options.lan_delay);
   EXPECT_EQ(info.threads, 4u);
   // control + one cell per tier + one per shard.
@@ -260,8 +261,7 @@ TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
   const GraphRunResult graph = run_graph_scaling_laned(
       fanout, TraceKind::kBigSpike, "conscale", options, &graph_info);
   EXPECT_GT(graph.run.requests_completed, 0u);
-  EXPECT_EQ(graph_info.protocol,
-            lanes::LookaheadAnalysis::Protocol::kNullMessage);
+  EXPECT_EQ(graph_info.protocol, lanes::Protocol::kNullMessage);
   ASSERT_EQ(fanout.graph.nodes.size(), 4u);
   EXPECT_EQ(graph_info.lanes, 1u + 4u + graph_info.shards);
   for (const auto& node : fanout.graph.nodes) {
@@ -280,21 +280,20 @@ TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {
   const GraphScenario fanout = make_fanout_scenario(params);
   struct Cell {
     bool graph;
-    LanedRunOptions::ProtocolChoice protocol;
+    SimDuration lan_delay;
     std::size_t threads;
   };
   std::vector<Cell> cells;
   for (const bool graph : {false, true}) {
-    for (const auto protocol : {LanedRunOptions::ProtocolChoice::kTimeWindow,
-                                LanedRunOptions::ProtocolChoice::kNullMessage}) {
-      cells.push_back({graph, protocol, 1});
-      cells.push_back({graph, protocol, 4});
+    for (const SimDuration lan_delay : kLanDelays) {
+      cells.push_back({graph, lan_delay, 1});
+      cells.push_back({graph, lan_delay, 4});
     }
   }
   const auto results = parallel_map<GraphRunResult>(
       cells.size(), 4, [&](std::size_t i) {
         LanedRunOptions options =
-            tier_laned_options(params, cells[i].threads, cells[i].protocol);
+            tier_laned_options(params, cells[i].threads, cells[i].lan_delay);
         options.base.faults = FaultPlan::parse(
             "crash t=20 tier=app vm=0 restart=10; "
             "cpu t=15 dur=20 tier=db vm=all factor=0.5; "
@@ -310,7 +309,8 @@ TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {
         return chain;
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(std::to_string(i) + (cells[i].graph ? " fanout" : " chain"));
+    SCOPED_TRACE(std::to_string(i) + (cells[i].graph ? " fanout" : " chain") +
+                 protocol_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(graph_results_equivalent(results[i], results[i + 1], &diff))
         << diff;
@@ -330,17 +330,26 @@ TEST(TierLaneDeterminism, LanDelayIsAModelParameter) {
   // response times (two hops per tier edge, round trip), not just reshape
   // the schedule.
   const ScenarioParams params = quick_params();
-  LanedRunOptions near = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
+  LanedRunOptions near = tier_laned_options(params, 2);
   LanedRunOptions far = near;
   far.lan_delay = 0.050;
-  const ScalingRunResult near_run =
-      run_scaling_laned(params, TraceKind::kBigSpike, "ec2", near);
-  const ScalingRunResult far_run =
-      run_scaling_laned(params, TraceKind::kBigSpike, "ec2", far);
+  LaneRunInfo near_info;
+  LaneRunInfo far_info;
+  const ScalingRunResult near_run = run_scaling_laned(
+      params, TraceKind::kBigSpike, "ec2", near, &near_info);
+  const ScalingRunResult far_run = run_scaling_laned(
+      params, TraceKind::kBigSpike, "ec2", far, &far_info);
   // Two extra LAN hops of 40 ms each way on every app+db leg: the mean
   // must rise by a clearly-visible margin.
   EXPECT_GT(far_run.mean_rt_ms, near_run.mean_rt_ms + 50.0);
+  // The engine derives its window and protocol from the hops it is given:
+  // 5x skew against the client network runs null messages, uniform
+  // channels run time windows.
+  EXPECT_EQ(near_info.protocol, lanes::Protocol::kNullMessage);
+  EXPECT_DOUBLE_EQ(near_info.lookahead, 0.010);
+  EXPECT_EQ(far_info.protocol, lanes::Protocol::kTimeWindow);
+  EXPECT_DOUBLE_EQ(far_info.lookahead, 0.050);
+  EXPECT_EQ(far_info.stats.nulls_announced, 0u);
 }
 
 TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
@@ -355,8 +364,7 @@ TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
 
 TEST(AutotuneShards, ShardsZeroSelectsThePlan) {
   const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(
-      params, 2, LanedRunOptions::ProtocolChoice::kAuto);
+  LanedRunOptions options = tier_laned_options(params, 2);
   options.shards = 0;
   LaneRunInfo info;
   const ScalingRunResult result = run_scaling_laned(
@@ -384,9 +392,15 @@ TEST(LaneDeterminism, RepeatLanedRunIsBitIdentical) {
   EXPECT_EQ(first_info.stats.messages, second_info.stats.messages);
   EXPECT_EQ(first_info.stats.events, second_info.stats.events);
   EXPECT_GT(first_info.stats.windows, 0u);
-  EXPECT_EQ(first_info.protocol,
-            lanes::LookaheadAnalysis::Protocol::kTimeWindow);
+  EXPECT_EQ(first_info.protocol, lanes::Protocol::kTimeWindow);
   EXPECT_DOUBLE_EQ(first_info.lookahead, options.net_delay);
+  // The client-edge layout: the system's cell plus one cell per shard, run
+  // by `lanes` worker threads.
+  EXPECT_EQ(first_info.lanes, 1u + first_info.shards);
+  EXPECT_EQ(first_info.threads, options.lanes);
+  EXPECT_EQ(first_info.placement,
+            "system + " + std::to_string(first_info.shards) +
+                " shard cell(s)");
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Kernel-level tests of the lane-partitioned PDES engine: canonical keyed
 // ordering, windowed execution primitives, cross-lane messaging, the
-// lookahead-violation guard, and the lookahead analysis itself. The
-// system-level byte-identity contract (lanes=1 vs lanes=K over full
-// experiment runs) lives in tests/experiments/lane_determinism_test.cpp.
+// declared-channel guard, and the window and protocol the engine derives
+// from its channels. The system-level byte-identity contract (1 vs K
+// threads over full experiment runs) lives in
+// tests/experiments/lane_determinism_test.cpp.
 #include "simcore/lanes/lane_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,14 +15,13 @@
 #include <vector>
 
 #include "simcore/lanes/actor.h"
-#include "simcore/lanes/lookahead.h"
 
 namespace conscale {
 namespace {
 
 using lanes::LaneActor;
 using lanes::LaneEngine;
-using lanes::LookaheadAnalysis;
+using lanes::Protocol;
 
 // ---- keyed scheduling on the plain Simulation -----------------------------
 
@@ -91,13 +91,24 @@ class PingPonger final : public LaneActor {
   std::vector<std::string> trace_;
 };
 
-std::vector<std::string> ping_pong_trace(std::size_t lanes, char which) {
+/// Two lanes, by default one thread each.
+LaneEngine::Options two_lanes(std::size_t threads = 2) {
   LaneEngine::Options options;
-  options.lanes = lanes;
-  options.lookahead = 0.05;
-  LaneEngine engine(options);
+  options.lanes = 2;
+  options.threads = threads;
+  return options;
+}
+
+void declare_both_ways(LaneEngine& engine, SimDuration delay) {
+  engine.declare_channel(0, 1, delay);
+  engine.declare_channel(1, 0, delay);
+}
+
+std::vector<std::string> ping_pong_trace(std::size_t threads, char which) {
+  LaneEngine engine(two_lanes(threads));
+  declare_both_ways(engine, 0.05);
   PingPonger a(engine, 0, 'a', 0.05);
-  PingPonger b(engine, lanes - 1, 'b', 0.05);
+  PingPonger b(engine, 1, 'b', 0.05);
   a.set_peer(&b);
   b.set_peer(&a);
   a.kick();
@@ -107,20 +118,18 @@ std::vector<std::string> ping_pong_trace(std::size_t lanes, char which) {
   return which == 'a' ? a.trace() : b.trace();
 }
 
-TEST(LaneEngine, PingPongIsIdenticalAcrossLaneCounts) {
-  // Same actors, same streams, different placement: one lane (inline, zero
-  // threads) versus two (worker thread). The observable traces must match
-  // element for element — the core of the lanes=1 ≡ lanes=K contract.
+TEST(LaneEngine, PingPongIsIdenticalAcrossThreadCounts) {
+  // Same actors, same lanes, different pool width: inline on the
+  // coordinator versus a worker thread. The observable traces must match
+  // element for element — the core of the 1-thread ≡ K-thread contract.
   EXPECT_EQ(ping_pong_trace(1, 'a'), ping_pong_trace(2, 'a'));
   EXPECT_EQ(ping_pong_trace(1, 'b'), ping_pong_trace(2, 'b'));
   EXPECT_FALSE(ping_pong_trace(1, 'a').empty());
 }
 
 TEST(LaneEngine, ConstructionTimePostsAreDelivered) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  LaneEngine engine(options);
+  LaneEngine engine(two_lanes());
+  declare_both_ways(engine, 0.05);
   PingPonger a(engine, 0, 'a', 0.05);
   PingPonger b(engine, 1, 'b', 0.05);
   a.set_peer(&b);
@@ -130,33 +139,25 @@ TEST(LaneEngine, ConstructionTimePostsAreDelivered) {
   EXPECT_FALSE(b.trace().empty());
 }
 
-TEST(LaneEngine, RejectsNonPositiveLookahead) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.0;
-  EXPECT_THROW(LaneEngine{options}, std::invalid_argument);
+TEST(LaneEngine, DeclareChannelRejectsNonPositiveDelayAndSelfChannels) {
+  // Zero lookahead admits no conservative parallelism.
+  LaneEngine engine(two_lanes());
+  EXPECT_THROW(engine.declare_channel(0, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW(engine.declare_channel(0, 1, -0.01), std::invalid_argument);
+  EXPECT_THROW(engine.declare_channel(0, 0, 0.05), std::invalid_argument);
+  EXPECT_THROW(engine.declare_channel(0, 2, 0.05), std::out_of_range);
 }
 
-/// An actor that (incorrectly) posts with less delay than the engine's
-/// lookahead window — the conservative-synchronization guard must refuse.
+/// An actor that (incorrectly) posts with less delay than its channel
+/// declares — the conservative-synchronization guard must refuse.
 class Violator final : public LaneActor {
  public:
   Violator(LaneEngine& engine, std::size_t lane)
       : LaneActor(engine, lane) {}
-  void kick() {
-    schedule_at(0.1, [this] { post(lane() ^ 1, 0.001, [] {}); });
+  void kick(SimDuration delay = 0.001) {
+    schedule_at(0.1, [this, delay] { post(lane() ^ 1, delay, [] {}); });
   }
 };
-
-TEST(LaneEngine, DetectsLookaheadViolation) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  LaneEngine engine(options);
-  Violator bad(engine, 0);
-  bad.kick();
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
-}
 
 // ---- null-message protocol ------------------------------------------------
 
@@ -196,21 +197,21 @@ struct RingResult {
   lanes::LaneEngineStats stats;
 };
 
-/// Three-lane ring with skewed channel delays (the CMB-payoff regime),
-/// run under the requested protocol / thread count / anti-flood floor.
-RingResult run_ring(LaneEngine::Protocol protocol, std::size_t threads,
-                    SimDuration null_floor) {
+/// Three-lane ring with skewed hop delays (the CMB-payoff regime). The
+/// channels declare either each hop's true delay (20x skew: null messages)
+/// or the narrowest hop for all three (uniform: time windows); the hops
+/// post their true delays either way, so both runs execute one model.
+RingResult run_ring(bool uniform, std::size_t threads) {
   const std::vector<SimDuration> delays = {0.01, 0.05, 0.2};
   LaneEngine::Options options;
   options.lanes = 3;
-  options.lookahead = 0.01;
   options.threads = threads;
-  options.protocol = protocol;
-  options.null_floor = null_floor;
   LaneEngine engine(options);
   for (std::size_t i = 0; i < 3; ++i) {
-    engine.declare_channel(i, (i + 1) % 3, delays[i]);
+    engine.declare_channel(i, (i + 1) % 3, uniform ? delays[0] : delays[i]);
   }
+  EXPECT_EQ(engine.protocol(),
+            uniform ? Protocol::kTimeWindow : Protocol::kNullMessage);
   std::vector<std::unique_ptr<RingHopper>> hoppers;
   for (std::size_t i = 0; i < 3; ++i) {
     hoppers.push_back(std::make_unique<RingHopper>(engine, i, delays[i]));
@@ -229,10 +230,8 @@ RingResult run_ring(LaneEngine::Protocol protocol, std::size_t threads,
 TEST(NullMessageProtocol, RingCycleCompletesAndMatchesSingleThread) {
   // Deadlock-freedom on a dependency cycle: the threaded CMB run must
   // terminate with the exact event history of the single-threaded one.
-  const RingResult threaded =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/3, 0.0);
-  const RingResult serial =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/1, 0.0);
+  const RingResult threaded = run_ring(/*uniform=*/false, /*threads=*/3);
+  const RingResult serial = run_ring(/*uniform=*/false, /*threads=*/1);
   EXPECT_EQ(threaded.traces, serial.traces);
   EXPECT_FALSE(threaded.traces[0].empty());
   EXPECT_FALSE(threaded.traces[2].empty());
@@ -242,11 +241,11 @@ TEST(NullMessageProtocol, RingCycleCompletesAndMatchesSingleThread) {
 TEST(NullMessageProtocol, MatchesTimeWindowResults) {
   // The protocols schedule differently but execute the same model: the
   // event histories must agree (each is separately thread-count-invariant).
-  const RingResult cmb =
-      run_ring(LaneEngine::Protocol::kNullMessage, /*threads=*/3, 0.0);
-  const RingResult tw =
-      run_ring(LaneEngine::Protocol::kTimeWindow, /*threads=*/3, 0.0);
+  const RingResult cmb = run_ring(/*uniform=*/false, /*threads=*/3);
+  const RingResult tw = run_ring(/*uniform=*/true, /*threads=*/3);
   EXPECT_EQ(cmb.traces, tw.traces);
+  EXPECT_GT(cmb.stats.nulls_announced, 0u);
+  EXPECT_EQ(tw.stats.nulls_announced, 0u);
 }
 
 /// Self-rescheduling local timer chain: lane-local events only, counted.
@@ -267,72 +266,65 @@ struct TickChain {
   }
 };
 
-/// Busy pair (lanes 0<->1, thin mutual channels, dense local chains) plus a
-/// slow observer (lane 2) fed by a fat channel from lane 1. The observer is
-/// never starved — its bound sits at the fat channel's horizon — so the
-/// floor's suppressed announcements on 1->2 are never rescued and must show
-/// up in the counters; the busy pair's mutual announcements get rescued on
-/// demand either way.
+/// Busy pair (lanes 1<->2, thin mutual channels, dense local chains) plus a
+/// slow observer (lane 3) fed by a fat channel from lane 2, behind a
+/// serialized control lane 0 whose off-grid instants cap rounds short of
+/// the window — as a tier cut's control cell does. The channels declare
+/// either their true delays (250x skew: null messages, floor 0.01) or the
+/// thin delay for all three (uniform: time windows). The observer is never
+/// starved — its bound sits at the fat channel's horizon — so the null
+/// run's sub-floor announcements on 2->3 are never rescued and must show
+/// up in the counters.
 struct FloorResult {
   int ticks[3] = {0, 0, 0};
   lanes::LaneEngineStats stats;
 };
 
-FloorResult run_floor_topology(SimDuration null_floor) {
+FloorResult run_floor_topology(bool uniform) {
   LaneEngine::Options options;
-  options.lanes = 3;
-  options.lookahead = 0.01;
-  options.threads = 3;
-  options.protocol = LaneEngine::Protocol::kNullMessage;
-  options.null_floor = null_floor;
+  options.lanes = 4;
+  options.threads = 4;
+  options.serialize_lane0 = true;
   LaneEngine engine(options);
-  engine.declare_channel(0, 1, 0.02);
-  engine.declare_channel(1, 0, 0.02);
-  engine.declare_channel(1, 2, 5.0);
-  TickChain fast0{engine.lane(0).sim(), 0.01, 3.0};
-  TickChain fast1{engine.lane(1).sim(), 0.01, 3.0};
-  TickChain slow2{engine.lane(2).sim(), 1.0, 3.0};
-  fast0.start();
+  engine.declare_channel(1, 2, 0.02);
+  engine.declare_channel(2, 1, 0.02);
+  engine.declare_channel(2, 3, uniform ? 0.02 : 5.0);
+  EXPECT_EQ(engine.protocol(),
+            uniform ? Protocol::kTimeWindow : Protocol::kNullMessage);
+  TickChain control{engine.lane(0).sim(), 0.245, 3.0};
+  TickChain fast1{engine.lane(1).sim(), 0.001, 3.0};
+  TickChain fast2{engine.lane(2).sim(), 0.001, 3.0};
+  TickChain slow3{engine.lane(3).sim(), 1.0, 3.0};
+  control.start();
   fast1.start();
-  slow2.start();
+  fast2.start();
+  slow3.start();
   engine.run(3.0);
   FloorResult result;
-  result.ticks[0] = fast0.ticks;
-  result.ticks[1] = fast1.ticks;
-  result.ticks[2] = slow2.ticks;
+  result.ticks[0] = fast1.ticks;
+  result.ticks[1] = fast2.ticks;
+  result.ticks[2] = slow3.ticks;
   result.stats = engine.stats();
   return result;
 }
 
 TEST(NullMessageProtocol, AntiFloodFloorSuppressesNullsWithoutChangingResults) {
-  const FloorResult free_run = run_floor_topology(/*null_floor=*/0.0);
-  const FloorResult floored = run_floor_topology(/*null_floor=*/1.0);
+  const FloorResult tw = run_floor_topology(/*uniform=*/true);
+  const FloorResult cmb = run_floor_topology(/*uniform=*/false);
   // The floor swallows sub-threshold EOT advances (the rescue pass keeps
   // starved lanes alive), so it may only change scheduling — never results.
-  EXPECT_EQ(free_run.ticks[0], floored.ticks[0]);
-  EXPECT_EQ(free_run.ticks[1], floored.ticks[1]);
-  EXPECT_EQ(free_run.ticks[2], floored.ticks[2]);
-  EXPECT_GT(free_run.ticks[0], 100);
-  EXPECT_EQ(free_run.ticks[2], 4);
-  EXPECT_GT(floored.stats.nulls_suppressed, 0u);
-  EXPECT_LT(floored.stats.nulls_announced, free_run.stats.nulls_announced);
-}
-
-TEST(NullMessageProtocol, RequiresDeclaredChannels) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  options.protocol = LaneEngine::Protocol::kNullMessage;
-  LaneEngine engine(options);
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
+  EXPECT_EQ(tw.ticks[0], cmb.ticks[0]);
+  EXPECT_EQ(tw.ticks[1], cmb.ticks[1]);
+  EXPECT_EQ(tw.ticks[2], cmb.ticks[2]);
+  EXPECT_GT(cmb.ticks[0], 100);
+  EXPECT_EQ(cmb.ticks[2], 4);
+  EXPECT_GT(cmb.stats.nulls_suppressed, 0u);
+  EXPECT_EQ(tw.stats.nulls_announced + tw.stats.nulls_suppressed, 0u);
 }
 
 TEST(LaneEngine, RejectsPostOutsideDeclaredChannels) {
-  // Once any channel is declared, every cross-lane post must travel one.
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.05;
-  LaneEngine engine(options);
+  // Every post must travel a declared channel.
+  LaneEngine engine(two_lanes());
   engine.declare_channel(0, 1, 0.05);
   PingPonger a(engine, 0, 'a', 0.05);
   PingPonger b(engine, 1, 'b', 0.05);
@@ -344,23 +336,33 @@ TEST(LaneEngine, RejectsPostOutsideDeclaredChannels) {
 }
 
 TEST(LaneEngine, RejectsPostBelowChannelDelay) {
-  LaneEngine::Options options;
-  options.lanes = 2;
-  options.lookahead = 0.01;
-  LaneEngine engine(options);
-  engine.declare_channel(0, 1, 0.2);  // channel promises 0.2 of lookahead
-  Violator bad(engine, 0);            // ...but posts with 0.001
-  bad.kick();
-  EXPECT_THROW(engine.run(1.0), std::runtime_error);
+  // The post is checked against its own channel: below the window...
+  {
+    LaneEngine engine(two_lanes());
+    declare_both_ways(engine, 0.05);
+    Violator bad(engine, 0);  // posts with 0.001
+    bad.kick();
+    EXPECT_THROW(engine.run(1.0), std::runtime_error);
+  }
+  // ...and below a channel wider than the window.
+  {
+    LaneEngine engine(two_lanes());
+    engine.declare_channel(0, 1, 0.2);
+    engine.declare_channel(1, 0, 0.01);
+    Violator bad(engine, 0);  // posts 0 -> 1 with 0.01
+    bad.kick(0.01);
+    EXPECT_THROW(engine.run(1.0), std::runtime_error);
+  }
 }
 
 TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   // Only lane 0 has events: every round has a single active lane and must
-  // take the inline fast path (the DAG-regression fix ISSUE 10 targets).
+  // take the inline fast path instead of a barrier round-trip.
   LaneEngine::Options options;
   options.lanes = 3;
-  options.lookahead = 0.05;
+  options.threads = 3;
   LaneEngine engine(options);
+  engine.declare_channel(0, 1, 0.05);
   Simulation& sim = engine.lane(0).sim();
   int ran = 0;
   for (int i = 0; i < 5; ++i) {
@@ -368,51 +370,72 @@ TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   }
   engine.run(1.0);
   EXPECT_EQ(ran, 5);
-  EXPECT_GT(engine.stats().solo_rounds, 0u);
+  EXPECT_EQ(engine.stats().solo_rounds, 5u);
+  EXPECT_EQ(engine.stats().windows, 5u);
 }
 
-// ---- lookahead analysis ---------------------------------------------------
+// ---- the window and protocol derived from the channels --------------------
 
-TEST(LookaheadAnalysis, WindowIsMinPositiveChannelDelay) {
-  LookaheadAnalysis analysis;
-  analysis.add_source("up", 0.05, true);
-  analysis.add_source("down", 0.08, true);
-  analysis.add_source("vm prep", 15.0, false);  // slack, not a channel
-  EXPECT_DOUBLE_EQ(analysis.window(), 0.05);
-  EXPECT_DOUBLE_EQ(analysis.channel_skew(), 0.08 / 0.05);
-  EXPECT_EQ(analysis.recommended(), LookaheadAnalysis::Protocol::kTimeWindow);
+TEST(LaneEngine, WindowIsMinDeclaredDelay) {
+  LaneEngine engine(two_lanes());
+  engine.declare_channel(0, 1, 0.06);
+  engine.declare_channel(1, 0, 0.08);
+  engine.declare_channel(0, 1, 0.05);  // redeclaring keeps the minimum
+  engine.declare_channel(0, 1, 0.07);
+  EXPECT_DOUBLE_EQ(engine.lookahead(), 0.05);
+  EXPECT_EQ(engine.protocol(), Protocol::kTimeWindow);
 }
 
-TEST(LookaheadAnalysis, SkewedChannelsRecommendNullMessages) {
-  LookaheadAnalysis analysis;
-  analysis.add_source("fast", 0.01, true);
-  analysis.add_source("slow", 0.5, true);
-  EXPECT_EQ(analysis.recommended(), LookaheadAnalysis::Protocol::kNullMessage);
-  EXPECT_EQ(analysis.recommended(/*skew_threshold=*/100.0),
-            LookaheadAnalysis::Protocol::kTimeWindow);
+TEST(LaneEngine, SkewedChannelsRunNullMessages) {
+  LaneEngine engine(two_lanes());
+  engine.declare_channel(0, 1, 0.01);
+  engine.declare_channel(1, 0, 0.5);
+  EXPECT_DOUBLE_EQ(engine.lookahead(), 0.01);
+  EXPECT_EQ(engine.protocol(), Protocol::kNullMessage);
 }
 
-TEST(LookaheadAnalysis, ProtocolBoundaryIsExactlyFourTimesSkew) {
+/// Lane-local tick chains on both lanes of a two-lane engine whose channels
+/// carry `fast` and `slow`; returns the engine's counters after 1 s.
+lanes::LaneEngineStats run_skewed_pair(SimDuration fast, SimDuration slow,
+                                       Protocol expected) {
+  LaneEngine engine(two_lanes());
+  engine.declare_channel(0, 1, fast);
+  engine.declare_channel(1, 0, slow);
+  EXPECT_EQ(engine.protocol(), expected);
+  TickChain ticks0{engine.lane(0).sim(), 0.1, 1.0};
+  TickChain ticks1{engine.lane(1).sim(), 0.1, 1.0};
+  ticks0.start();
+  ticks1.start();
+  engine.run(1.0);
+  EXPECT_EQ(ticks0.ticks, 11);
+  EXPECT_EQ(ticks1.ticks, 11);
+  return engine.stats();
+}
+
+TEST(LaneEngine, ProtocolBoundaryIsExactlyFourTimesSkew) {
   // The switch point is skew > 4: exactly 4x stays on time windows, the
-  // next representable ratio flips to null messages.
-  LookaheadAnalysis at_threshold;
-  at_threshold.add_source("fast", 1.0, true);
-  at_threshold.add_source("slow", 4.0, true);
-  EXPECT_DOUBLE_EQ(at_threshold.channel_skew(), 4.0);
-  EXPECT_EQ(at_threshold.recommended(),
-            LookaheadAnalysis::Protocol::kTimeWindow);
-
-  LookaheadAnalysis above;
-  above.add_source("fast", 1.0, true);
-  above.add_source("slow", std::nextafter(4.0, 5.0), true);
-  EXPECT_EQ(above.recommended(), LookaheadAnalysis::Protocol::kNullMessage);
+  // next representable ratio runs null messages.
+  EXPECT_EQ(run_skewed_pair(1.0, 4.0, Protocol::kTimeWindow).nulls_announced,
+            0u);
+  EXPECT_GT(run_skewed_pair(1.0, std::nextafter(4.0, 5.0),
+                            Protocol::kNullMessage)
+                .nulls_announced,
+            0u);
 }
 
-TEST(LookaheadAnalysis, NoChannelsMeansNoWindow) {
-  LookaheadAnalysis analysis;
-  analysis.add_source("vm prep", 15.0, false);
-  EXPECT_DOUBLE_EQ(analysis.window(), 0.0);
-  EXPECT_FALSE(analysis.summary().empty());
+TEST(LaneEngine, NoChannelsMeansNoWindow) {
+  // Lanes that never exchange messages need no barrier: one round runs
+  // every lane to the end.
+  LaneEngine engine(two_lanes());
+  EXPECT_TRUE(std::isinf(engine.lookahead()));
+  EXPECT_EQ(engine.protocol(), Protocol::kTimeWindow);
+  TickChain ticks0{engine.lane(0).sim(), 0.1, 1.0};
+  TickChain ticks1{engine.lane(1).sim(), 0.1, 1.0};
+  ticks0.start();
+  ticks1.start();
+  engine.run(1.0);
+  EXPECT_EQ(ticks0.ticks + ticks1.ticks, 22);
+  EXPECT_EQ(engine.stats().windows, 1u);
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ struct LanedGraphFixture : ::testing::Test {
   static lanes::LaneEngine::Options engine_options(std::size_t lanes) {
     lanes::LaneEngine::Options options;
     options.lanes = lanes;
-    options.lookahead = 0.01;
+    options.threads = lanes;
     return options;
   }
 
@@ -171,13 +171,12 @@ TEST_F(LanedGraphFixture, HostsNodeIOnLaneOnePlusI) {
   }
 }
 
-TEST_F(LanedGraphFixture, ServesOnNullMessagesWithNoChannelsDeclaredByCaller) {
-  // The null-message protocol needs declared channels; the graph's channels
-  // and notifiers declare their own, so the caller declares none. A holds
-  // 1 s then calls B, B holds 2 s: submitted at t = 1, the request is back
-  // at 1 + 1 + 0.01 + 2 + 0.01.
+TEST_F(LanedGraphFixture, ServesWithNoChannelsDeclaredByCaller) {
+  // Every post must travel a declared channel; the graph's channels and
+  // notifiers declare their own, so the caller declares none. A holds 1 s
+  // then calls B, B holds 2 s: submitted at t = 1, the request is back at
+  // 1 + 1 + 0.01 + 2 + 0.01.
   lanes::LaneEngine::Options options = engine_options(3);
-  options.protocol = lanes::LaneEngine::Protocol::kNullMessage;
   options.serialize_lane0 = true;
   lanes::LaneEngine engine(options);
   ServiceGraph graph(engine, config, 0.01);
@@ -194,6 +193,7 @@ TEST_F(LanedGraphFixture, ServesOnNullMessagesWithNoChannelsDeclaredByCaller) {
                    done_at = entry.now();
                  });
   });
+  EXPECT_DOUBLE_EQ(engine.lookahead(), 0.01);  // the graph's LAN hops
   engine.run(10.0);
   EXPECT_NEAR(done_at, 4.02, 1e-9);
   EXPECT_EQ(ready, 2u);  // both bootstrap VMs crossed to the control lane
