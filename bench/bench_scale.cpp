@@ -12,10 +12,6 @@
 //     tier cells joined by `lan_delay` LAN hops, one cell per shard — and K
 //     worker threads execute the cells.
 //
-// Either way the engine derives its window and protocol from the declared
-// channel delays: time windows unless net_delay and lan_delay differ by
-// more than 4x, null messages then.
-//
 // With compare=1 (default) every cell also runs single-threaded — the
 // serial reference — and the bench checks the results are bit-identical
 // before reporting the wall-clock ratio: parallelism that changes a single
@@ -77,9 +73,7 @@ void print_cell(const std::string& label, const CellReport& cell) {
             << " ns/event), " << info.stats.windows << " windows, "
             << info.stats.messages << " messages\n"
             << "      rounds: serial " << info.stats.serial_rounds
-            << ", solo " << info.stats.solo_rounds << "; nulls: announced "
-            << info.stats.nulls_announced << ", suppressed "
-            << info.stats.nulls_suppressed << "\n"
+            << ", solo " << info.stats.solo_rounds << "\n"
             << "      sessions active " << info.active_sessions
             << ", issued " << cell.issued << ", completed " << cell.completed
             << ", p95 " << std::setprecision(1) << cell.p95_ms << " ms\n";
@@ -253,8 +247,7 @@ int main(int argc, char** argv) {
     CellReport laned_cell, serial_cell;
     run_cell(measured_threads, laned_cell, &laned_chain, &laned_graph);
     std::ostringstream laned_label;
-    laned_label << knob << "=" << measured_threads << " ["
-                << lanes::to_string(laned_cell.info.protocol) << ", window "
+    laned_label << knob << "=" << measured_threads << " [window "
                 << laned_cell.info.lookahead << " s, "
                 << laned_cell.info.placement << "]";
     print_cell(laned_label.str(), laned_cell);

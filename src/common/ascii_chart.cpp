@@ -20,7 +20,7 @@ struct Bounds {
   bool valid = false;
 };
 
-Bounds compute_bounds(const std::vector<Series>& series) {
+Bounds data_bounds(const std::vector<Series>& series) {
   Bounds b;
   for (const auto& s : series) {
     const std::size_t n = std::min(s.x.size(), s.y.size());
@@ -130,7 +130,7 @@ Bounds apply_option_bounds(Bounds bounds, const ChartOptions& options) {
 
 std::string render_lines(const std::vector<Series>& series,
                          const ChartOptions& options) {
-  Bounds bounds = compute_bounds(series);
+  Bounds bounds = data_bounds(series);
   if (!bounds.valid) return "(no data)\n";
   bounds = apply_option_bounds(bounds, options);
 
@@ -166,7 +166,7 @@ std::string render_lines(const std::vector<Series>& series,
 }
 
 std::string render_scatter(const Series& points, const ChartOptions& options) {
-  Bounds bounds = compute_bounds({points});
+  Bounds bounds = data_bounds({points});
   if (!bounds.valid) return "(no data)\n";
   bounds = apply_option_bounds(bounds, options);
 

@@ -18,8 +18,8 @@
 //    what lets controllers keep calling scale_out() and scale_in(), and
 //    fault plans crash VMs, directly on remote tiers.
 //
-// Every cross-cell edge is a declared engine channel, and the engine derives
-// its window and synchronization protocol from them (lane_engine.h).
+// Every cross-cell edge is a declared engine channel, and the engine's
+// time window is the narrowest of them (lane_engine.h).
 //
 // Determinism contract: `lanes` / `tier_lanes` set ONLY the worker thread
 // count; results are pinned byte-identical across thread counts by
@@ -60,8 +60,8 @@ struct LanedRunOptions {
   std::size_t tier_lanes = 0;
   /// Inter-tier LAN hop (each direction) in tier-laned mode — every
   /// tier->tier edge and the tier->control vm-ready signal crosses it. Must
-  /// be > 0 when tier_lanes > 0. When it and net_delay differ by more than
-  /// 4x the engine runs null messages, time windows otherwise.
+  /// be > 0 when tier_lanes > 0. It is model latency, so tier-cut results
+  /// depend on it; the engine's window is min(lan_delay, net_delay).
   SimDuration lan_delay = 0.010;
 };
 
@@ -69,8 +69,9 @@ struct LanedRunOptions {
 /// result payload — wall-clock-free, but kept separate for clarity).
 struct LaneRunInfo {
   lanes::LaneEngineStats stats;
-  /// The window and protocol the engine derived from its channels.
+  /// The window the engine derived from its channels.
   SimDuration lookahead = 0.0;
+  /// Kept for benchmark/driver.cpp only; the next benchmark PR deletes it.
   lanes::Protocol protocol = lanes::Protocol::kTimeWindow;
   /// Engine cells: control (+ one per node on a tier cut) + one per shard.
   std::size_t lanes = 0;

@@ -191,7 +191,6 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   if (engine && info) {
     info->stats = engine->stats();
     info->lookahead = engine->lookahead();
-    info->protocol = engine->protocol();
     info->lanes = engine->lane_count();
     info->threads = engine->thread_count();
     info->shards = plan.shard_count;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include "simcore/lanes/lane_engine.h"
@@ -22,8 +23,12 @@ namespace conscale::lanes {
 
 class LaneActor {
  public:
+  /// Throws std::out_of_range when `lane` is not one of the engine's lanes
+  /// (before a stream id is taken, so the allocation order is unchanged).
   LaneActor(LaneEngine& engine, std::size_t lane)
-      : engine_(engine), lane_(lane), stream_(engine.new_stream()) {}
+      : engine_(engine),
+        lane_(checked_lane(engine, lane)),
+        stream_(engine.new_stream()) {}
 
   std::size_t lane() const { return lane_; }
   std::uint64_t stream() const { return stream_; }
@@ -50,6 +55,14 @@ class LaneActor {
   }
 
  private:
+  static std::size_t checked_lane(const LaneEngine& engine,
+                                  std::size_t lane) {
+    if (lane >= engine.lane_count()) {
+      throw std::out_of_range("LaneActor: no such lane");
+    }
+    return lane;
+  }
+
   LaneEngine& engine_;
   std::size_t lane_;
   std::uint64_t stream_;

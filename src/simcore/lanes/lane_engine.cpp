@@ -13,10 +13,6 @@ namespace {
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
-/// Channel skew (widest / narrowest declared delay) above which per-channel
-/// null messages replace the global time window.
-constexpr double kNullMessageSkew = 4.0;
-
 /// Heap order for the pending-message min-heaps: earliest delivery first.
 /// Ties need no order here — delivery injects keyed events, and the
 /// destination queue orders equal times by (stream, seq) regardless of
@@ -27,10 +23,7 @@ bool later_delivery(const LaneMessage& a, const LaneMessage& b) {
 
 }  // namespace
 
-std::string to_string(Protocol protocol) {
-  return protocol == Protocol::kTimeWindow ? "time-window barrier"
-                                           : "null-message";
-}
+std::string to_string(Protocol /*protocol*/) { return "time-window barrier"; }
 
 LaneEngine::LaneEngine(Options options)
     : serialize_lane0_(options.serialize_lane0) {
@@ -43,9 +36,7 @@ LaneEngine::LaneEngine(Options options)
   }
   pending_.resize(options.lanes);
   channels_from_.resize(options.lanes);
-  channels_to_.resize(options.lanes);
   activity_.resize(options.lanes, kInf);
-  bounds_.resize(options.lanes, 0.0);
   worker_errors_.resize(options.lanes);
 }
 
@@ -80,10 +71,8 @@ void LaneEngine::declare_channel(std::size_t from, std::size_t to,
     }
   }
   const std::size_t index = channels_.size();
-  channels_.push_back(Channel{from, to, min_delay, -kInf});
+  channels_.push_back(Channel{from, to, min_delay});
   channels_from_[from].push_back(index);
-  channels_to_[to].push_back(index);
-  fresh_eot_.resize(channels_.size(), -kInf);
 }
 
 SimDuration LaneEngine::lookahead() const {
@@ -94,23 +83,11 @@ SimDuration LaneEngine::lookahead() const {
   return window;
 }
 
-Protocol LaneEngine::protocol() const {
-  // Uniform channels: a global time window already runs every lane at its
-  // individual pairwise bound, so the simpler barrier wins. Strong skew is
-  // the only regime where per-pair null messages buy extra parallelism.
-  SimDuration widest = 0.0;
-  for (const Channel& channel : channels_) {
-    widest = std::max(widest, channel.min_delay);
-  }
-  return widest / lookahead() <= kNullMessageSkew ? Protocol::kTimeWindow
-                                                  : Protocol::kNullMessage;
-}
-
 void LaneEngine::post(std::size_t from, std::size_t dest,
                       SimTime deliver_time, std::uint64_t stream,
                       std::uint64_t seq, EventCallback fn) {
-  if (dest >= lanes_.size()) {
-    throw std::out_of_range("LaneEngine::post: no such destination lane");
+  if (from >= lanes_.size() || dest >= lanes_.size()) {
+    throw std::out_of_range("LaneEngine::post: no such lane");
   }
   const Channel* channel = nullptr;
   for (const std::size_t index : channels_from_[from]) {
@@ -173,16 +150,15 @@ void LaneEngine::worker_loop() {
 
 void LaneEngine::drain_work_queue() {
   // Work-pulling: each participating thread (workers + the coordinator)
-  // claims the next (lane, bound) pair. Which thread runs a lane is
-  // unobservable — lanes are causally closed within a round.
+  // claims the next lane. Which thread runs a lane is unobservable — lanes
+  // are causally closed within a round.
   for (;;) {
     const std::size_t index =
         work_cursor_.fetch_add(1, std::memory_order_relaxed);
     if (index >= round_work_.size()) return;
-    const std::size_t lane_index = round_work_[index].first;
-    const SimTime bound = round_work_[index].second;
+    const std::size_t lane_index = round_work_[index];
     try {
-      lanes_[lane_index]->sim().run_before(bound);
+      lanes_[lane_index]->sim().run_before(round_bound_);
     } catch (...) {
       worker_errors_[lane_index] = std::current_exception();
     }
@@ -234,9 +210,8 @@ void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
   // Drain every lane through the instant on the coordinator thread, lane 0
   // first. Clocks are normalized to t0 so control-plane code that directly
   // calls into another lane's components (scale-out, warehouse queries)
-  // observes the same `now` a single-threaded run would — and the same one
-  // under either protocol, since the instant set {t0} is round-structure
-  // independent.
+  // observes the same `now` a single-threaded run would — whatever the
+  // round structure, since the instant set {t0} does not depend on it.
   for (;;) {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       deliver_pending(i, bound);
@@ -257,93 +232,11 @@ void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
   }
 }
 
-void LaneEngine::compute_bounds(SimTime t_all, SimTime cap) {
-  if (protocol_ == Protocol::kTimeWindow) {
-    const SimTime bound = std::min(t_all + window_, cap);
-    for (std::size_t i = 0; i < lanes_.size(); ++i) bounds_[i] = bound;
-    return;
-  }
-  // Null-message protocol (CMB). Pass 1: refresh each channel's earliest
-  // output time. A channel's source can act at its own next event OR at the
-  // arrival of a message another lane could still send it, so the sound EOT
-  // is the fixed point
-  //
-  //   eot[c] = min(activity[src(c)], min over channels c' into src(c) of
-  //                eot[c']) + delay[c]
-  //
-  // iterated downward from +inf. The result is the minimum over simple
-  // paths ending in c of (path-source activity + total path delay): cycles
-  // only add positive delay, so the iteration is stable after at most one
-  // sweep per lane. Crucially this value never *decreases* across rounds —
-  // a lane woken by a message inherits the (activity + delay) budget of its
-  // waker, which the previous round's paths already included — so the
-  // monotone announcement layer below stays sound even for lanes that were
-  // idle (EOT +inf) and later receive work.
-  for (std::size_t c = 0; c < channels_.size(); ++c) fresh_eot_[c] = kInf;
-  for (std::size_t sweep = 0; sweep < lanes_.size(); ++sweep) {
-    bool changed = false;
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-      SimTime horizon = activity_[channels_[c].from];
-      for (const std::size_t in : channels_to_[channels_[c].from]) {
-        horizon = std::min(horizon, fresh_eot_[in]);
-      }
-      const SimTime value = horizon + channels_[c].min_delay;
-      if (value < fresh_eot_[c]) {
-        fresh_eot_[c] = value;
-        changed = true;
-      }
-    }
-    if (!changed) break;
-  }
-  // Announce only advances of at least the anti-flood floor, half a window.
-  // Suppression can only *delay* a bound, never relax it, so it affects
-  // scheduling but not results.
-  const SimDuration floor = 0.5 * window_;
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    if (fresh_eot_[c] > channels_[c].announced_eot) {
-      if (fresh_eot_[c] - channels_[c].announced_eot >= floor) {
-        channels_[c].announced_eot = fresh_eot_[c];
-        ++stats_.nulls_announced;
-      } else {
-        ++stats_.nulls_suppressed;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    SimTime bound = cap;
-    for (const std::size_t c : channels_to_[i]) {
-      bound = std::min(bound, channels_[c].announced_eot);
-    }
-    bounds_[i] = bound;
-  }
-  // Pass 2: demand-driven announcements. A lane with work remaining but a
-  // bound at or below its next activity is starved by suppressed nulls;
-  // force-publish its in-channels' fresh EOTs. The global-minimum lane
-  // always ends up with bound >= t_all + min in-channel delay > t_all, so
-  // every round strictly advances the global clock — deadlock-free.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    if (activity_[i] >= cap || bounds_[i] > activity_[i]) continue;
-    SimTime bound = cap;
-    for (const std::size_t c : channels_to_[i]) {
-      if (fresh_eot_[c] > channels_[c].announced_eot) {
-        channels_[c].announced_eot = fresh_eot_[c];
-        ++stats_.nulls_announced;
-        --stats_.nulls_suppressed;
-      }
-      bound = std::min(bound, channels_[c].announced_eot);
-    }
-    bounds_[i] = bound;
-  }
-}
-
 void LaneEngine::run(SimTime duration) {
-  window_ = lookahead();
-  protocol_ = protocol();
+  const SimDuration window = lookahead();
   // Events scheduled at exactly `duration` must execute (run_until
   // semantics), so the final exclusive bound is the next double above it.
-  end_bound_ =
-      std::nextafter(duration, std::numeric_limits<SimTime>::infinity());
-  for (Channel& channel : channels_) channel.announced_eot = -kInf;
+  const SimTime end_bound = std::nextafter(duration, kInf);
   start_workers();
   // Messages posted during model construction (before any round) enter the
   // routing heaps here; deliver_time >= 0 + channel delay, nothing is due.
@@ -354,39 +247,36 @@ void LaneEngine::run(SimTime duration) {
       activity_[i] = next_activity(i);
       t_all = std::min(t_all, activity_[i]);
     }
-    if (t_all >= end_bound_) break;
+    if (t_all >= end_bound) break;
     const SimTime t0 = serialize_lane0_ ? activity_[0] : kInf;
     if (t0 <= t_all) {
-      const SimTime bound = std::min(
-          std::nextafter(t0, std::numeric_limits<SimTime>::infinity()),
-          end_bound_);
-      run_serial_instant(t0, bound);
+      run_serial_instant(t0, std::min(std::nextafter(t0, kInf), end_bound));
       ++stats_.windows;
       ++stats_.serial_rounds;
       continue;
     }
-    const SimTime cap = std::min(end_bound_, t0);
-    compute_bounds(t_all, cap);
+    const SimTime bound = std::min({t_all + window, t0, end_bound});
+    if (!(bound > t_all)) {
+      // t_all + window rounded back to t_all: no lane could advance.
+      std::ostringstream what;
+      what << "LaneEngine: window " << window
+           << " is below the clock resolution at t=" << t_all;
+      throw std::runtime_error(what.str());
+    }
     round_work_.clear();
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (activity_[i] < bounds_[i]) {
-        round_work_.emplace_back(i, bounds_[i]);
-        deliver_pending(i, bounds_[i]);
+      if (activity_[i] < bound) {
+        round_work_.push_back(i);
+        deliver_pending(i, bound);
       }
     }
-    if (round_work_.empty()) {
-      // compute_bounds guarantees the global-minimum lane is runnable;
-      // reaching here means the protocol state is corrupt.
-      throw std::runtime_error(
-          "LaneEngine: no lane runnable below its bound — synchronization "
-          "state is inconsistent");
-    }
+    round_bound_ = bound;
     if (round_work_.size() == 1 || workers_.empty()) {
       // Solo fast path: a round with one active lane (or a single-threaded
       // pool) needs no barrier round-trip — run inline on the coordinator.
       if (round_work_.size() == 1) ++stats_.solo_rounds;
-      for (const std::pair<std::size_t, SimTime>& work : round_work_) {
-        lanes_[work.first]->sim().run_before(work.second);
+      for (const std::size_t lane_index : round_work_) {
+        lanes_[lane_index]->sim().run_before(bound);
       }
     } else {
       {

@@ -6,39 +6,25 @@
 // timestamped messages, each travelling a declared channel (from -> to,
 // minimum delay) and carrying at least that channel's delay. The declared
 // channels are the engine's only copy of the model's cross-lane delays, and
-// it derives everything else from them: the window L (the minimum declared
-// delay), the protocol (null messages only when the widest channel exceeds
-// 4x the narrowest, time windows otherwise) and the anti-flood floor (L/2).
-// The engine repeats conservative rounds under that protocol:
+// the window L is the minimum declared delay. The engine repeats
+// time-window rounds:
 //
-//   time-window    1. t_all = earliest activity anywhere
-//                  2. bound = min(t_all + L, end)
-//                  3. deliver messages due before the bound as keyed events
-//                  4. every lane with work below the bound runs in parallel
-//   null-message   per-channel bounds (Chandy–Misra–Bryant): every declared
-//                  channel (j -> i, delay L_c) announces an earliest-output
-//                  time. The sound EOT is conditional on j's own inputs —
-//                  the fixed point eot[c] = min(na_j, min in-channel eots of
-//                  j) + L_c (na_j = lane j's earliest activity), i.e. the
-//                  minimum over message paths ending in c of path-source
-//                  activity plus total path delay. Lane i may run to the min
-//                  announced EOT over its in-channels. Announcements are
-//                  demand-driven with an anti-flood floor: a fresh EOT is
-//                  published only when it advances the previous announcement
-//                  by at least the floor, or when a starved lane (bound <=
-//                  na, work remaining) demands it. See DESIGN.md §6.6 for
-//                  the deadlock-avoidance argument (the floor delays bounds,
-//                  never results).
+//   1. t_all = earliest activity anywhere (next event or due message)
+//   2. bound = min(t_all + L, t0, end)  (t0: the control lane, see below)
+//   3. deliver messages due before the bound as keyed events
+//   4. every lane with work below the bound runs to it in parallel
+//   5. the barrier collects the messages the round posted
 //
-// Time windows are optimal when channel delays are near-uniform (a star of
-// equal-latency channels loses nothing to the global minimum); per-channel
-// null messages pay off only under strong skew, where distant lane pairs
-// can run far ahead of the tightest channel.
+// Every round is a global barrier, so the narrowest channel sets the round
+// count whatever the wider channels carry. Per-channel bounds (Chandy–
+// Misra–Bryant null messages) would only let idle lanes run ahead inside a
+// round; on the tier cut they saved no measurable time (EXPERIMENTS.md), so
+// the time window is the engine's only protocol.
 //
-// Safety (both protocols): a message posted at send >= na with delay >= L
-// delivers at >= na + L >= every bound derived from na + L (floating-point
-// addition is monotone), so nothing a lane does inside a round can affect
-// any lane's same round — each lane's round execution is causally closed.
+// Safety: a message posted at send >= t_all with delay >= L delivers at
+// >= t_all + L >= bound (floating-point addition is monotone), so nothing a
+// lane does inside a round can affect any lane's same round — each lane's
+// round execution is causally closed.
 //
 // Serialized control lane (tier-laned layouts): when
 // `options.serialize_lane0` is set, lane 0 hosts the control plane
@@ -59,9 +45,9 @@
 // execute in (time, stream, seq) order regardless of which round delivered
 // them; across Simulations, same-time events belong to non-interacting
 // components except at serial instants, which run in fixed lane order on one
-// thread. Round structure — window sizes, protocol, solo fast paths — can
-// change *when* an event runs but never its key order, so results are
-// invariant to both the thread count and the synchronization protocol.
+// thread. Round structure — window sizes, solo fast paths — can change
+// *when* an event runs but never its key order, so results are invariant to
+// the thread count.
 #pragma once
 
 #include <atomic>
@@ -79,9 +65,10 @@
 
 namespace conscale::lanes {
 
-/// The synchronization protocol the engine derives from its channels.
-enum class Protocol { kTimeWindow, kNullMessage };
+/// Kept for benchmark/driver.cpp only; the next benchmark PR deletes it.
+enum class Protocol { kTimeWindow };
 
+/// Kept for benchmark/driver.cpp only; the next benchmark PR deletes it.
 std::string to_string(Protocol protocol);
 
 /// A timestamped cross-lane interaction. `stream`/`seq` are the *origin*
@@ -102,8 +89,10 @@ struct LaneEngineStats {
   std::uint64_t events = 0;        ///< events executed, summed over lanes
   std::uint64_t serial_rounds = 0; ///< control-lane serial instants
   std::uint64_t solo_rounds = 0;   ///< rounds with <=1 active lane (no barrier)
-  std::uint64_t nulls_announced = 0;   ///< CMB: channel EOT announcements
-  std::uint64_t nulls_suppressed = 0;  ///< CMB: announcements under the floor
+  /// Always 0; kept for benchmark/driver.cpp, the next benchmark PR deletes it.
+  std::uint64_t nulls_announced = 0;
+  /// Always 0; kept for benchmark/driver.cpp, the next benchmark PR deletes it.
+  std::uint64_t nulls_suppressed = 0;
 };
 
 /// One partition of the run: a self-contained Simulation plus the outbox
@@ -149,9 +138,6 @@ class LaneEngine {
   /// +inf while no channel is declared (lanes that never exchange messages
   /// need no barrier before the end of the run).
   SimDuration lookahead() const;
-  /// Null messages when the widest declared channel delay is more than 4x
-  /// the narrowest, time windows otherwise.
-  Protocol protocol() const;
 
   /// Declares a directed cross-lane channel with a guaranteed minimum model
   /// delay. Every post must travel a declared channel and carry at least
@@ -168,7 +154,8 @@ class LaneEngine {
   /// Posts a message from `from` (which must be the lane currently
   /// executing, or any lane between rounds) across the declared channel
   /// from -> dest. `deliver_time` must be at least the channel's delay in
-  /// the future. Prefer LaneActor::post.
+  /// the future. Throws std::out_of_range for a lane index that does not
+  /// exist. Prefer LaneActor::post.
   void post(std::size_t from, std::size_t dest, SimTime deliver_time,
             std::uint64_t stream, std::uint64_t seq, EventCallback fn);
 
@@ -185,21 +172,16 @@ class LaneEngine {
     std::size_t from = 0;
     std::size_t to = 0;
     SimDuration min_delay = 0.0;
-    SimTime announced_eot = 0.0;  // initialized to -inf before run()
   };
 
   void start_workers();
   void run_serial_instant(SimTime t0, SimTime bound);
-  void compute_bounds(SimTime t_all, SimTime cap);
   void deliver_pending(std::size_t dest, SimTime bound);
   void collect_outboxes();
   void worker_loop();
   void drain_work_queue();
   SimTime next_activity(std::size_t lane_index);
 
-  // Derived from the channels when run() starts.
-  SimDuration window_ = 0.0;
-  Protocol protocol_ = Protocol::kTimeWindow;
   bool serialize_lane0_;
   std::size_t thread_count_;
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -208,14 +190,10 @@ class LaneEngine {
   /// messages. Only the coordinator touches them, always between rounds.
   std::vector<std::vector<LaneMessage>> pending_;
   std::vector<Channel> channels_;
-  /// Channel indices by endpoint, for post validation and CMB bounds.
+  /// Channel indices by source lane, for post validation.
   std::vector<std::vector<std::size_t>> channels_from_;
-  std::vector<std::vector<std::size_t>> channels_to_;
-  /// Scratch, reused every round (sized lanes / channels once).
+  /// Each lane's earliest activity; scratch reused every round.
   std::vector<SimTime> activity_;
-  std::vector<SimTime> bounds_;
-  std::vector<SimTime> fresh_eot_;
-  SimTime end_bound_ = 0.0;
   LaneEngineStats stats_;
 
   // --- worker pool (work-pulling; the coordinator pulls too) ---
@@ -223,10 +201,11 @@ class LaneEngine {
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t round_generation_ = 0;
-  /// (lane, bound) pairs for the current parallel round; written by the
-  /// coordinator under the mutex before the generation bump, read by
-  /// workers after observing it.
-  std::vector<std::pair<std::size_t, SimTime>> round_work_;
+  /// The current parallel round: the lanes with work and the bound they all
+  /// run to. Written by the coordinator before it bumps the generation
+  /// under the mutex, read by workers after they observe the bump.
+  std::vector<std::size_t> round_work_;
+  SimTime round_bound_ = 0.0;
   std::atomic<std::size_t> work_cursor_{0};
   std::size_t workers_running_ = 0;
   bool shutdown_ = false;

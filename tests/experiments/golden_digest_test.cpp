@@ -203,15 +203,15 @@ std::vector<Case> golden_cases() {
                          make_fanout_scenario(params), TraceKind::kBigSpike,
                          "conscale", options));
                    }});
-  // A 10 ms LAN hop against the 50 ms client network: null messages.
-  cases.push_back({"tier_laned/chain/cmb", [params] {
+  // The default 10 ms LAN hop against the 50 ms client network.
+  cases.push_back({"tier_laned/chain/lan10ms", [params] {
                      LanedRunOptions options;
                      options.base = chain_options(params);
                      options.tier_lanes = 2;
                      return render(run_scaling_laned(
                          params, TraceKind::kBigSpike, "conscale", options));
                    }});
-  cases.push_back({"tier_laned/fanout/cmb", [params] {
+  cases.push_back({"tier_laned/fanout/lan10ms", [params] {
                      LanedRunOptions options;
                      options.base.duration = 60.0;
                      options.tier_lanes = 2;
@@ -219,7 +219,7 @@ std::vector<Case> golden_cases() {
                          make_fanout_scenario(params), TraceKind::kBigSpike,
                          "conscale", options));
                    }});
-  // Uniform channels (LAN hop = client network): time windows on a tier cut.
+  // Uniform channels (LAN hop = client network).
   cases.push_back({"tier_laned/chain/uniform", [params] {
                      LanedRunOptions options;
                      options.base = chain_options(params);
@@ -285,9 +285,9 @@ const std::map<std::string, std::string>& golden_table() {
       {"profile/sweep/app", "bd6355c30fc51a85"},
       {"profile/sweep/db", "5f299af41c981446"},
       {"profile/train_dcm", "9d28ad2a3325dd30"},
-      {"tier_laned/chain/cmb", "ce0913f64baf6091"},
+      {"tier_laned/chain/lan10ms", "ce0913f64baf6091"},
       {"tier_laned/chain/uniform", "19506210444aa275"},
-      {"tier_laned/fanout/cmb", "6d9b35fcbcf1d9ac"},
+      {"tier_laned/fanout/lan10ms", "6d9b35fcbcf1d9ac"},
   };
   return table;
 }

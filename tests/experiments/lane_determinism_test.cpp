@@ -146,13 +146,12 @@ TEST(LaneDeterminism, GraphLanes4MatchesLanes1ForEveryController) {
 
 // ---- tier-laned placements (ISSUE 10) -------------------------------------
 
-/// The two LAN hops the tier-laned sweeps cover: 10 ms against the 50 ms
-/// client network (5x skew: null messages) and 50 ms (uniform: time
-/// windows).
+/// The two LAN hops the tier-laned sweeps cover: 10 ms (the default, a 5x
+/// skew against the 50 ms client network) and 50 ms (uniform channels).
 constexpr SimDuration kLanDelays[] = {0.010, 0.05};
 
-std::string protocol_label(SimDuration lan_delay) {
-  return lan_delay == 0.05 ? " (time-window)" : " (null-message)";
+std::string lan_delay_label(SimDuration lan_delay) {
+  return lan_delay == 0.05 ? " (lan_delay 50 ms)" : " (lan_delay 10 ms)";
 }
 
 LanedRunOptions tier_laned_options(const ScenarioParams& params,
@@ -168,7 +167,7 @@ LanedRunOptions tier_laned_options(const ScenarioParams& params,
   return options;
 }
 
-TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothProtocols) {
+TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothLanDelays) {
   const ScenarioParams params = quick_params();
   struct Cell {
     std::string framework;
@@ -189,7 +188,7 @@ TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothProtocols) {
             tier_laned_options(params, cells[i].threads, cells[i].lan_delay));
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework + protocol_label(cells[i].lan_delay));
+    SCOPED_TRACE(cells[i].framework + lan_delay_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(results_equivalent(results[i], results[i + 1], &diff))
         << diff;
@@ -200,7 +199,7 @@ TEST(TierLaneDeterminism, ChainThreads4MatchesThreads1BothProtocols) {
   }
 }
 
-TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
+TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothLanDelays) {
   const GraphScenario scenario = make_fanout_scenario(quick_params());
   struct Cell {
     std::string framework;
@@ -224,7 +223,7 @@ TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
                                        cells[i].framework, options);
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
-    SCOPED_TRACE(cells[i].framework + protocol_label(cells[i].lan_delay));
+    SCOPED_TRACE(cells[i].framework + lan_delay_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(
         graph_results_equivalent(results[i], results[i + 1], &diff))
@@ -236,22 +235,20 @@ TEST(TierLaneDeterminism, GraphThreads4MatchesThreads1BothProtocols) {
   }
 }
 
-TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
+TEST(TierLaneDeterminism, TierLanedRunReportsPlan) {
   const ScenarioParams params = quick_params();
   LanedRunOptions options = tier_laned_options(params, 4);
   LaneRunInfo info;
   const ScalingRunResult result = run_scaling_laned(
       params, TraceKind::kBigSpike, "conscale", options, &info);
   EXPECT_GT(result.requests_completed, 0u);
-  // net/LAN skew = 0.05/0.010 = 5x > 4x: the engine must pick CMB.
-  EXPECT_EQ(info.protocol, lanes::Protocol::kNullMessage);
+  // The 10 ms LAN hop is the narrowest channel, so it is the window.
   EXPECT_DOUBLE_EQ(info.lookahead, options.lan_delay);
   EXPECT_EQ(info.threads, 4u);
   // control + one cell per tier + one per shard.
   EXPECT_EQ(info.lanes, 1u + 3u + info.shards);
   EXPECT_FALSE(info.placement.empty());
   EXPECT_GT(info.stats.serial_rounds, 0u);
-  EXPECT_GT(info.stats.nulls_announced, 0u);
 
   // The fan-out graph: control + one cell per node + one per shard, and the
   // placement names every node.
@@ -261,7 +258,6 @@ TEST(TierLaneDeterminism, TierLanedRunReportsPlanAndPicksNullMessages) {
   const GraphRunResult graph = run_graph_scaling_laned(
       fanout, TraceKind::kBigSpike, "conscale", options, &graph_info);
   EXPECT_GT(graph.run.requests_completed, 0u);
-  EXPECT_EQ(graph_info.protocol, lanes::Protocol::kNullMessage);
   ASSERT_EQ(fanout.graph.nodes.size(), 4u);
   EXPECT_EQ(graph_info.lanes, 1u + 4u + graph_info.shards);
   for (const auto& node : fanout.graph.nodes) {
@@ -275,7 +271,7 @@ TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {
   // The injector lives on the control cell, so it acts only at serialized
   // control instants — the guarantee controllers rely on to mutate remote
   // tiers. A crash/cpu/boot/drop plan on the cut chain and fan-out DAG must
-  // reproduce byte for byte at 1 and 4 threads under both protocols.
+  // reproduce byte for byte at 1 and 4 threads at both LAN delays.
   const ScenarioParams params = quick_params();
   const GraphScenario fanout = make_fanout_scenario(params);
   struct Cell {
@@ -310,7 +306,7 @@ TEST(TierLaneDeterminism, FaultPlansComposeWithTierLanes) {
       });
   for (std::size_t i = 0; i < cells.size(); i += 2) {
     SCOPED_TRACE(std::to_string(i) + (cells[i].graph ? " fanout" : " chain") +
-                 protocol_label(cells[i].lan_delay));
+                 lan_delay_label(cells[i].lan_delay));
     std::string diff;
     EXPECT_TRUE(graph_results_equivalent(results[i], results[i + 1], &diff))
         << diff;
@@ -342,14 +338,9 @@ TEST(TierLaneDeterminism, LanDelayIsAModelParameter) {
   // Two extra LAN hops of 40 ms each way on every app+db leg: the mean
   // must rise by a clearly-visible margin.
   EXPECT_GT(far_run.mean_rt_ms, near_run.mean_rt_ms + 50.0);
-  // The engine derives its window and protocol from the hops it is given:
-  // 5x skew against the client network runs null messages, uniform
-  // channels run time windows.
-  EXPECT_EQ(near_info.protocol, lanes::Protocol::kNullMessage);
+  // The engine's window is the narrowest hop it is given.
   EXPECT_DOUBLE_EQ(near_info.lookahead, 0.010);
-  EXPECT_EQ(far_info.protocol, lanes::Protocol::kTimeWindow);
   EXPECT_DOUBLE_EQ(far_info.lookahead, 0.050);
-  EXPECT_EQ(far_info.stats.nulls_announced, 0u);
 }
 
 TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
@@ -392,7 +383,6 @@ TEST(LaneDeterminism, RepeatLanedRunIsBitIdentical) {
   EXPECT_EQ(first_info.stats.messages, second_info.stats.messages);
   EXPECT_EQ(first_info.stats.events, second_info.stats.events);
   EXPECT_GT(first_info.stats.windows, 0u);
-  EXPECT_EQ(first_info.protocol, lanes::Protocol::kTimeWindow);
   EXPECT_DOUBLE_EQ(first_info.lookahead, options.net_delay);
   // The client-edge layout: the system's cell plus one cell per shard, run
   // by `lanes` worker threads.

@@ -1,9 +1,9 @@
 // Kernel-level tests of the lane-partitioned PDES engine: canonical keyed
 // ordering, windowed execution primitives, cross-lane messaging, the
-// declared-channel guard, and the window and protocol the engine derives
-// from its channels. The system-level byte-identity contract (1 vs K
-// threads over full experiment runs) lives in
-// tests/experiments/lane_determinism_test.cpp.
+// declared-channel and lane-index guards, the serialized control lane, and
+// the window the engine derives from its channels. The system-level
+// byte-identity contract (1 vs K threads over full experiment runs) lives
+// in tests/experiments/lane_determinism_test.cpp.
 #include "simcore/lanes/lane_engine.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@ namespace {
 
 using lanes::LaneActor;
 using lanes::LaneEngine;
-using lanes::Protocol;
 
 // ---- keyed scheduling on the plain Simulation -----------------------------
 
@@ -159,14 +158,13 @@ class Violator final : public LaneActor {
   }
 };
 
-// ---- null-message protocol ------------------------------------------------
+// ---- dependency cycles and the serialized control lane --------------------
 
-/// Ring forwarder for the CMB tests: lane i forwards a token to the next
-/// lane across its declared channel, recording every arrival instant. The
-/// ring is the canonical conservative-PDES deadlock shape — every lane
-/// waits on its predecessor — so completing at all exercises the
-/// deadlock-freedom argument (fresh per-round EOTs strictly above the
-/// global minimum, see lane_engine.h).
+/// Ring forwarder: lane i forwards a token to the next lane across its
+/// declared channel, recording every arrival instant. The ring is the
+/// canonical conservative-PDES deadlock shape — every lane waits on its
+/// predecessor — so completing at all shows every round advances the
+/// global clock (bound > t_all, see lane_engine.h).
 class RingHopper final : public LaneActor {
  public:
   RingHopper(LaneEngine& engine, std::size_t lane, SimDuration delay)
@@ -192,26 +190,18 @@ class RingHopper final : public LaneActor {
   std::vector<double> trace_;
 };
 
-struct RingResult {
-  std::vector<std::vector<double>> traces;
-  lanes::LaneEngineStats stats;
-};
-
-/// Three-lane ring with skewed hop delays (the CMB-payoff regime). The
-/// channels declare either each hop's true delay (20x skew: null messages)
-/// or the narrowest hop for all three (uniform: time windows); the hops
-/// post their true delays either way, so both runs execute one model.
-RingResult run_ring(bool uniform, std::size_t threads) {
+/// Three-lane ring whose channels declare each hop's true delay (20x skew);
+/// the window is the narrowest hop. Returns every lane's arrival trace.
+std::vector<std::vector<double>> run_ring(std::size_t threads) {
   const std::vector<SimDuration> delays = {0.01, 0.05, 0.2};
   LaneEngine::Options options;
   options.lanes = 3;
   options.threads = threads;
   LaneEngine engine(options);
   for (std::size_t i = 0; i < 3; ++i) {
-    engine.declare_channel(i, (i + 1) % 3, uniform ? delays[0] : delays[i]);
+    engine.declare_channel(i, (i + 1) % 3, delays[i]);
   }
-  EXPECT_EQ(engine.protocol(),
-            uniform ? Protocol::kTimeWindow : Protocol::kNullMessage);
+  EXPECT_DOUBLE_EQ(engine.lookahead(), 0.01);
   std::vector<std::unique_ptr<RingHopper>> hoppers;
   for (std::size_t i = 0; i < 3; ++i) {
     hoppers.push_back(std::make_unique<RingHopper>(engine, i, delays[i]));
@@ -221,31 +211,19 @@ RingResult run_ring(bool uniform, std::size_t threads) {
   }
   hoppers[0]->kick();
   engine.run(4.0);
-  RingResult result;
-  for (const auto& hopper : hoppers) result.traces.push_back(hopper->trace());
-  result.stats = engine.stats();
-  return result;
+  std::vector<std::vector<double>> traces;
+  for (const auto& hopper : hoppers) traces.push_back(hopper->trace());
+  return traces;
 }
 
-TEST(NullMessageProtocol, RingCycleCompletesAndMatchesSingleThread) {
-  // Deadlock-freedom on a dependency cycle: the threaded CMB run must
+TEST(LaneEngine, RingCycleOnSkewedChannelsMatchesSingleThread) {
+  // Deadlock-freedom on a dependency cycle: the threaded run must
   // terminate with the exact event history of the single-threaded one.
-  const RingResult threaded = run_ring(/*uniform=*/false, /*threads=*/3);
-  const RingResult serial = run_ring(/*uniform=*/false, /*threads=*/1);
-  EXPECT_EQ(threaded.traces, serial.traces);
-  EXPECT_FALSE(threaded.traces[0].empty());
-  EXPECT_FALSE(threaded.traces[2].empty());
-  EXPECT_GT(threaded.stats.nulls_announced, 0u);
-}
-
-TEST(NullMessageProtocol, MatchesTimeWindowResults) {
-  // The protocols schedule differently but execute the same model: the
-  // event histories must agree (each is separately thread-count-invariant).
-  const RingResult cmb = run_ring(/*uniform=*/false, /*threads=*/3);
-  const RingResult tw = run_ring(/*uniform=*/true, /*threads=*/3);
-  EXPECT_EQ(cmb.traces, tw.traces);
-  EXPECT_GT(cmb.stats.nulls_announced, 0u);
-  EXPECT_EQ(tw.stats.nulls_announced, 0u);
+  const auto threaded = run_ring(/*threads=*/3);
+  const auto serial = run_ring(/*threads=*/1);
+  EXPECT_EQ(threaded, serial);
+  EXPECT_FALSE(threaded[0].empty());
+  EXPECT_FALSE(threaded[2].empty());
 }
 
 /// Self-rescheduling local timer chain: lane-local events only, counted.
@@ -267,30 +245,23 @@ struct TickChain {
 };
 
 /// Busy pair (lanes 1<->2, thin mutual channels, dense local chains) plus a
-/// slow observer (lane 3) fed by a fat channel from lane 2, behind a
+/// slow observer (lane 3) behind a fat channel from lane 2, and a
 /// serialized control lane 0 whose off-grid instants cap rounds short of
-/// the window — as a tier cut's control cell does. The channels declare
-/// either their true delays (250x skew: null messages, floor 0.01) or the
-/// thin delay for all three (uniform: time windows). The observer is never
-/// starved — its bound sits at the fat channel's horizon — so the null
-/// run's sub-floor announcements on 2->3 are never rescued and must show
-/// up in the counters.
-struct FloorResult {
+/// the window — as a tier cut's control cell does.
+struct ControlLaneResult {
   int ticks[3] = {0, 0, 0};
   lanes::LaneEngineStats stats;
 };
 
-FloorResult run_floor_topology(bool uniform) {
+ControlLaneResult run_control_lane_topology(std::size_t threads) {
   LaneEngine::Options options;
   options.lanes = 4;
-  options.threads = 4;
+  options.threads = threads;
   options.serialize_lane0 = true;
   LaneEngine engine(options);
   engine.declare_channel(1, 2, 0.02);
   engine.declare_channel(2, 1, 0.02);
-  engine.declare_channel(2, 3, uniform ? 0.02 : 5.0);
-  EXPECT_EQ(engine.protocol(),
-            uniform ? Protocol::kTimeWindow : Protocol::kNullMessage);
+  engine.declare_channel(2, 3, 5.0);
   TickChain control{engine.lane(0).sim(), 0.245, 3.0};
   TickChain fast1{engine.lane(1).sim(), 0.001, 3.0};
   TickChain fast2{engine.lane(2).sim(), 0.001, 3.0};
@@ -300,7 +271,7 @@ FloorResult run_floor_topology(bool uniform) {
   fast2.start();
   slow3.start();
   engine.run(3.0);
-  FloorResult result;
+  ControlLaneResult result;
   result.ticks[0] = fast1.ticks;
   result.ticks[1] = fast2.ticks;
   result.ticks[2] = slow3.ticks;
@@ -308,18 +279,17 @@ FloorResult run_floor_topology(bool uniform) {
   return result;
 }
 
-TEST(NullMessageProtocol, AntiFloodFloorSuppressesNullsWithoutChangingResults) {
-  const FloorResult tw = run_floor_topology(/*uniform=*/true);
-  const FloorResult cmb = run_floor_topology(/*uniform=*/false);
-  // The floor swallows sub-threshold EOT advances (the rescue pass keeps
-  // starved lanes alive), so it may only change scheduling — never results.
-  EXPECT_EQ(tw.ticks[0], cmb.ticks[0]);
-  EXPECT_EQ(tw.ticks[1], cmb.ticks[1]);
-  EXPECT_EQ(tw.ticks[2], cmb.ticks[2]);
-  EXPECT_GT(cmb.ticks[0], 100);
-  EXPECT_EQ(cmb.ticks[2], 4);
-  EXPECT_GT(cmb.stats.nulls_suppressed, 0u);
-  EXPECT_EQ(tw.stats.nulls_announced + tw.stats.nulls_suppressed, 0u);
+TEST(LaneEngine, SerializedControlLaneMatchesSingleThread) {
+  // Serial instants interleave with parallel rounds; the thread count may
+  // change neither.
+  const ControlLaneResult threaded = run_control_lane_topology(4);
+  const ControlLaneResult serial = run_control_lane_topology(1);
+  EXPECT_EQ(threaded.ticks[0], serial.ticks[0]);
+  EXPECT_EQ(threaded.ticks[1], serial.ticks[1]);
+  EXPECT_EQ(threaded.ticks[2], serial.ticks[2]);
+  EXPECT_GT(threaded.ticks[0], 100);
+  EXPECT_EQ(threaded.ticks[2], 4);
+  EXPECT_GT(threaded.stats.serial_rounds, 0u);
 }
 
 TEST(LaneEngine, RejectsPostOutsideDeclaredChannels) {
@@ -355,6 +325,20 @@ TEST(LaneEngine, RejectsPostBelowChannelDelay) {
   }
 }
 
+TEST(LaneEngine, PostRejectsOutOfRangeLanes) {
+  LaneEngine engine(two_lanes());
+  declare_both_ways(engine, 0.05);
+  EXPECT_THROW(engine.post(2, 0, 1.0, 1, 0, [] {}), std::out_of_range);
+  EXPECT_THROW(engine.post(0, 2, 1.0, 1, 0, [] {}), std::out_of_range);
+}
+
+TEST(LaneEngine, ActorRejectsOutOfRangeLane) {
+  LaneEngine engine(two_lanes());
+  EXPECT_THROW(Violator bad(engine, 2), std::out_of_range);
+  // The refused actor took no stream id.
+  EXPECT_EQ(engine.new_stream(), 1u);
+}
+
 TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   // Only lane 0 has events: every round has a single active lane and must
   // take the inline fast path instead of a barrier round-trip.
@@ -374,7 +358,7 @@ TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   EXPECT_EQ(engine.stats().windows, 5u);
 }
 
-// ---- the window and protocol derived from the channels --------------------
+// ---- the window derived from the channels ---------------------------------
 
 TEST(LaneEngine, WindowIsMinDeclaredDelay) {
   LaneEngine engine(two_lanes());
@@ -383,44 +367,11 @@ TEST(LaneEngine, WindowIsMinDeclaredDelay) {
   engine.declare_channel(0, 1, 0.05);  // redeclaring keeps the minimum
   engine.declare_channel(0, 1, 0.07);
   EXPECT_DOUBLE_EQ(engine.lookahead(), 0.05);
-  EXPECT_EQ(engine.protocol(), Protocol::kTimeWindow);
-}
-
-TEST(LaneEngine, SkewedChannelsRunNullMessages) {
-  LaneEngine engine(two_lanes());
-  engine.declare_channel(0, 1, 0.01);
-  engine.declare_channel(1, 0, 0.5);
-  EXPECT_DOUBLE_EQ(engine.lookahead(), 0.01);
-  EXPECT_EQ(engine.protocol(), Protocol::kNullMessage);
-}
-
-/// Lane-local tick chains on both lanes of a two-lane engine whose channels
-/// carry `fast` and `slow`; returns the engine's counters after 1 s.
-lanes::LaneEngineStats run_skewed_pair(SimDuration fast, SimDuration slow,
-                                       Protocol expected) {
-  LaneEngine engine(two_lanes());
-  engine.declare_channel(0, 1, fast);
-  engine.declare_channel(1, 0, slow);
-  EXPECT_EQ(engine.protocol(), expected);
-  TickChain ticks0{engine.lane(0).sim(), 0.1, 1.0};
-  TickChain ticks1{engine.lane(1).sim(), 0.1, 1.0};
-  ticks0.start();
-  ticks1.start();
-  engine.run(1.0);
-  EXPECT_EQ(ticks0.ticks, 11);
-  EXPECT_EQ(ticks1.ticks, 11);
-  return engine.stats();
-}
-
-TEST(LaneEngine, ProtocolBoundaryIsExactlyFourTimesSkew) {
-  // The switch point is skew > 4: exactly 4x stays on time windows, the
-  // next representable ratio runs null messages.
-  EXPECT_EQ(run_skewed_pair(1.0, 4.0, Protocol::kTimeWindow).nulls_announced,
-            0u);
-  EXPECT_GT(run_skewed_pair(1.0, std::nextafter(4.0, 5.0),
-                            Protocol::kNullMessage)
-                .nulls_announced,
-            0u);
+  // Skew does not matter: the narrowest channel is the window.
+  LaneEngine skewed(two_lanes());
+  skewed.declare_channel(0, 1, 0.01);
+  skewed.declare_channel(1, 0, 0.5);
+  EXPECT_DOUBLE_EQ(skewed.lookahead(), 0.01);
 }
 
 TEST(LaneEngine, NoChannelsMeansNoWindow) {
@@ -428,7 +379,6 @@ TEST(LaneEngine, NoChannelsMeansNoWindow) {
   // every lane to the end.
   LaneEngine engine(two_lanes());
   EXPECT_TRUE(std::isinf(engine.lookahead()));
-  EXPECT_EQ(engine.protocol(), Protocol::kTimeWindow);
   TickChain ticks0{engine.lane(0).sim(), 0.1, 1.0};
   TickChain ticks1{engine.lane(1).sim(), 0.1, 1.0};
   ticks0.start();

@@ -33,10 +33,9 @@ GATES = [
     # heap log factor (~1.3x in theory, a few x with cache effects), never a
     # linear one — an O(n) scan per event would sit at 16x minimum.
     ("BM_LaneSessionChurn/4096", "BM_LaneSessionChurn/65536", 5.0),
-    # Same bound for the tier-laned variant: the null-message protocol's
-    # per-round EOT fixed point is O(channels) per round, independent of the
-    # session count, so its per-event cost must stay as flat as the
-    # time-window path's.
+    # Same bound for the tier-laned variant: its narrower LAN-hop window
+    # adds rounds, and a round's cost is O(lanes), independent of the
+    # session count, so its per-event cost must stay as flat.
     ("BM_LaneTierChurn/4096", "BM_LaneTierChurn/65536", 5.0),
 ]
 
