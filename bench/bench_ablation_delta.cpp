@@ -10,7 +10,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Ablation — plateau tolerance δ in the SCT estimator",
          "Expectation: Q_lower falls and Q_upper rises monotonically in δ.");
@@ -48,4 +48,7 @@ int main(int argc, char** argv) {
     std::cout << buf;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -14,7 +14,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Ablation — monitoring interval for the SCT metrics (paper: 50 ms)",
          "Expectation: estimates stay accurate in a band around 50 ms and "
@@ -67,4 +67,7 @@ int main(int argc, char** argv) {
   paper_note("§III-B: 50 ms balances per-window sample mass against "
              "concurrency smearing for sub-millisecond service demands.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

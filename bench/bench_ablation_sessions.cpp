@@ -11,7 +11,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Ablation — i.i.d. request draws vs Markov sessions",
          "Expectation: comparable control quality; sessions shift the class "
@@ -43,4 +43,7 @@ int main(int argc, char** argv) {
     std::cout << buf;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -97,7 +97,7 @@ Outcome run_case(const BenchEnv& env, bool adapt_soft,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Ablation — vertical scaling without vs with soft adaptation",
          "Fig 7(a)/(d): 2x cores doubles MySQL's optimal concurrency; a "
@@ -162,4 +162,7 @@ int main(int argc, char** argv) {
                 "%+.0f%%\n", gain);
   std::cout << buf;
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

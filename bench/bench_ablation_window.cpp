@@ -9,7 +9,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Ablation — SCT estimation window (paper: 3 minutes)",
          "Expectation: a broad sweet spot around 1-3 min; very short windows "
@@ -41,4 +41,7 @@ int main(int argc, char** argv) {
     std::cout << buf;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

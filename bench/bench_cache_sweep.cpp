@@ -49,7 +49,7 @@ std::vector<double> parse_ratios(const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
     print_controller_list(std::cout);
     return 0;
@@ -182,4 +182,7 @@ int main(int argc, char** argv) {
              "between nodes mid-run — the fast-concurrency-adapting claim "
              "under a migrating critical resource.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

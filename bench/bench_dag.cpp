@@ -31,7 +31,7 @@ std::string fmt(double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
     print_controller_list(std::cout);
     return 0;
@@ -128,4 +128,7 @@ int main(int argc, char** argv) {
              "this grid extends Table I to a DAG topology (per-node SCT "
              "wiring in experiments/graph_scenario.cpp).");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -10,7 +10,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 1 — EC2-AutoScaling response-time fluctuation",
          "Paper: spikes to ~2000+ ms while VMs ramp 3 -> ~8 over 720 s.");
@@ -30,4 +30,7 @@ int main(int argc, char** argv) {
              " ms.");
   env.maybe_dump("fig01_ec2", result);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -48,7 +48,7 @@ void run_panel(const BenchEnv& env, const std::string& title, int cores,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 3 — Tomcat throughput/RT vs controlled concurrency",
          "Paper: optimum at ~10 (1-core), ~20 (2-core), ~15 (2-core, bigger "
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
   run_panel(env, "Fig 3(c): Tomcat 2-core, enlarged dataset", 2, 1.6,
             "Fig 3(c): peak moves back to concurrency 15 at lower TPmax.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

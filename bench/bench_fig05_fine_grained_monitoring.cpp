@@ -10,7 +10,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 5 — 50 ms monitoring of MySQL after a Tomcat scale-out",
          "Paper: concurrency/TP/RT all fluctuate hard once the second Tomcat "
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
   paper_note("Fig 5: MySQL concurrency swings from near-0 to ~80 within the "
              "same 20 s; throughput and RT fluctuate correspondingly.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -7,7 +7,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 6 — MySQL TP-vs-Q and RT-vs-Q scatter (12 min, 50 ms)",
          "Paper: ascending / stable / descending states; rational range "
@@ -46,4 +46,7 @@ int main(int argc, char** argv) {
   }
   env.maybe_dump("fig06_scatter", result);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

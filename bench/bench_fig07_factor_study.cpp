@@ -34,7 +34,7 @@ int run_panel(const BenchEnv& env, const std::string& title,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 7 — factor study: what moves the optimal concurrency",
          "Paper: (a)->(d) Q_lower 10->20 with 2x cores; (b)->(e) 20->15 with "
@@ -78,4 +78,7 @@ int main(int argc, char** argv) {
   std::cout << "\n  horizontal scaling: per-server Q_lower " << g << " -> "
             << h << "  (paper: unchanged)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

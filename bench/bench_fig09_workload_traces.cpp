@@ -7,7 +7,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 9 — the six bursty workload traces",
          "Paper: large variations / quickly varying / slowly varying / big "
@@ -41,4 +41,7 @@ int main(int argc, char** argv) {
   });
   for (const std::string& panel : panels) std::cout << panel;
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -8,7 +8,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 10 — EC2-AutoScaling vs ConScale, Large Variation trace",
          "Paper: EC2 spikes (periods 62-95 s, 244-285 s, 545-570 s) with "
@@ -54,4 +54,7 @@ int main(int argc, char** argv) {
   env.maybe_dump("fig10_ec2", ec2);
   env.maybe_dump("fig10_conscale", con);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -12,7 +12,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Figure 11 — DCM (offline profile) vs ConScale (online SCT)",
          "Paper: DCM spikes at 85-90 s because its trained Tomcat setting "
@@ -78,4 +78,7 @@ int main(int argc, char** argv) {
   env.maybe_dump("fig11_dcm", dcm);
   env.maybe_dump("fig11_conscale", con);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -64,7 +64,7 @@ Point run_at(const ScenarioParams& base, double rate, SimDuration duration,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv);
   banner("Capacity curve — open-loop latency vs offered load (1/2/1)",
          "Expectation: flat latency until the knee, then the hockey stick; "
@@ -92,4 +92,7 @@ int main(int argc, char** argv) {
     std::cout << buf;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -54,7 +54,7 @@ std::vector<std::pair<std::string, std::string>> fault_scenarios(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(argc, argv, {"traces", "frameworks"});
   const Config config = Config::from_args(argc, argv);
   const long trace_limit = config.get_int("traces", 6);
@@ -182,4 +182,7 @@ int main(int argc, char** argv) {
   paper_note("No paper counterpart: resilience grid extends Table I with "
              "deterministic fault injection (see DESIGN.md §7).");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -107,7 +107,7 @@ void append_summary(const std::string& csv_dir, const std::string& topology,
 }  // namespace
 }  // namespace conscale
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace conscale;
   using bench::frameworks_from;
   if (bench::list_controllers_requested(argc, argv)) {
@@ -288,4 +288,7 @@ int main(int argc, char** argv) {
       "No paper counterpart — scalability infrastructure for the simulator "
       "itself; determinism contract per DESIGN.md §8/§6.6.");
   return all_identical ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

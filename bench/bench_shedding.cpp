@@ -38,7 +38,7 @@ std::string fmt(double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
     print_controller_list(std::cout);
     return 0;
@@ -178,4 +178,7 @@ int main(int argc, char** argv) {
              "bench adds the regime where capacity cannot arrive in time "
              "and load must be shed to keep the served tail bounded.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -19,7 +19,7 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Extra key: frameworks= (controller-registry references; unknown names
   // abort with the registered list). Default reproduces the paper's table.
   BenchEnv env = BenchEnv::from_args(argc, argv, {"frameworks"});
@@ -84,4 +84,7 @@ int main(int argc, char** argv) {
   paper_note("Table I: paper worst-case p99 — EC2 3981 ms vs ConScale "
              "479 ms.");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

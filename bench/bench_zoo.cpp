@@ -30,7 +30,7 @@ std::string format_seconds(double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
     print_controller_list(std::cout);
     return 0;
@@ -144,4 +144,7 @@ int main(int argc, char** argv) {
   paper_note("Table I covers ec2/dcm/conscale only; the zoo rows are new "
              "baselines (see DESIGN.md, controller plug-in architecture).");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

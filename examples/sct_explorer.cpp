@@ -25,7 +25,7 @@
 
 using namespace conscale;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
 
   ScenarioParams params = ScenarioParams::paper_default();
@@ -67,4 +67,7 @@ int main(int argc, char** argv) {
     std::cout << "  raw samples written to " << csv << "\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << '\n';
+  return 1;
 }

@@ -19,50 +19,18 @@ std::string to_string(LbPolicy policy) {
 LoadBalancer::LoadBalancer(std::string name, LbPolicy policy)
     : name_(std::move(name)), policy_(policy) {}
 
-std::size_t LoadBalancer::slot_of(const Server* server) const {
-  // Linear scan over the append-only registry: a tier holds at most a
-  // handful of VMs, and scan order is registration order — fully
-  // deterministic, no address ever compared.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].server == server) return i;
-  }
-  return kNoSlot;
-}
-
-std::size_t LoadBalancer::ensure_slot(Server* server) {
-  const std::size_t existing = slot_of(server);
-  if (existing != kNoSlot) return existing;
-  slots_.push_back(BackendSlot{server, 0});
-  return slots_.size() - 1;
-}
-
 void LoadBalancer::add_backend(Server* server) {
   ever_had_backend_ = true;
   if (std::find(backends_.begin(), backends_.end(), server) !=
       backends_.end()) {
     return;
   }
-  const std::size_t slot = ensure_slot(server);
   backends_.push_back(server);
-  backend_slots_.push_back(slot);
   flush_surge_queue();
 }
 
 void LoadBalancer::remove_backend(Server* server) {
-  for (std::size_t i = backends_.size(); i-- > 0;) {
-    if (backends_[i] == server) {
-      backends_.erase(backends_.begin() + static_cast<std::ptrdiff_t>(i));
-      backend_slots_.erase(backend_slots_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-    }
-  }
-  // The slot (and its outstanding count) stays until its connections drain;
-  // dispatch completions still decrement it.
-}
-
-std::size_t LoadBalancer::outstanding(const Server* server) const {
-  const std::size_t slot = slot_of(server);
-  return slot == kNoSlot ? 0 : slots_[slot].outstanding;
+  std::erase(backends_, server);
 }
 
 Server* LoadBalancer::choose_backend() {
@@ -75,10 +43,10 @@ Server* LoadBalancer::choose_backend() {
       Server* best = nullptr;
       std::size_t best_count = std::numeric_limits<std::size_t>::max();
       // Scan order makes ties deterministic (first added wins).
-      for (std::size_t i = 0; i < backends_.size(); ++i) {
-        const std::size_t count = slots_[backend_slots_[i]].outstanding;
+      for (Server* server : backends_) {
+        const std::size_t count = server->in_flight();
         if (count < best_count) {
-          best = backends_[i];
+          best = server;
           best_count = count;
         }
       }
@@ -99,13 +67,8 @@ void LoadBalancer::dispatch(const RequestContext& ctx, Completion done) {
     return;
   }
   Server* target = choose_backend();
-  const std::size_t slot = slot_of(target);
-  ++slots_[slot].outstanding;
   ++dispatched_;
-  target->handle(ctx, [this, slot, done = std::move(done)] {
-    if (slots_[slot].outstanding > 0) --slots_[slot].outstanding;
-    done();
-  });
+  target->handle(ctx, std::move(done));
 }
 
 void LoadBalancer::flush_surge_queue() {

@@ -39,7 +39,6 @@ class LoadBalancer {
   void set_policy(LbPolicy policy) { policy_ = policy; }
   LbPolicy policy() const { return policy_; }
   std::size_t backend_count() const { return backends_.size(); }
-  std::size_t outstanding(const Server* server) const;
   std::uint64_t total_dispatched() const { return dispatched_; }
   /// Requests parked because every backend is down.
   std::size_t surge_queued() const { return waiting_.size(); }
@@ -51,28 +50,16 @@ class LoadBalancer {
     Completion done;
   };
 
-  /// One entry per server ever registered, in registration order — the slot
-  /// index is the server's stable identity inside this LB. Keying the
-  /// outstanding-connection counters by slot (not by Server*) removes the
-  /// only address-dependent container this class ever had: no allocation
-  /// order can influence tie-breaks or iteration (detlint: pointer-key).
-  struct BackendSlot {
-    Server* server;
-    std::size_t outstanding = 0;
-  };
-
-  std::size_t slot_of(const Server* server) const;
-  std::size_t ensure_slot(Server* server);
   Server* choose_backend();
   void flush_surge_queue();
 
-  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
   std::string name_;
   LbPolicy policy_;
-  std::vector<BackendSlot> slots_;      ///< append-only registry
-  std::vector<Server*> backends_;       ///< currently dispatchable
-  std::vector<std::size_t> backend_slots_;  ///< slot of backends_[k]
+  /// Currently dispatchable, in registration order. Least-connections reads
+  /// each server's own in_flight(): a server receives work only from its
+  /// tier's LB, so that count is this LB's open connections to it, and the
+  /// LB keeps no per-server container (DESIGN.md §8, invariant 3).
+  std::vector<Server*> backends_;
   std::deque<Parked> waiting_;
   std::size_t rr_index_ = 0;
   std::uint64_t dispatched_ = 0;

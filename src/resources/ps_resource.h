@@ -18,8 +18,8 @@
 // job submitted when the clock reads V_s with demand w completes when
 // V reaches V_s + w; that *finish tag* is immutable, so jobs live in a
 // min-heap keyed on (finish tag, id). Advancing to now is O(1) (bump V),
-// a completion pops in O(log n), and abort just drops the job from the id
-// map — its heap entry is stale and gets skipped lazily. A busy period at
+// a completion pops in O(log n), and abort just frees the job's slot — its
+// heap entry is stale and gets skipped lazily. A busy period at
 // concurrency n therefore costs O(log n) per event instead of the O(n)
 // full-scan of the per-job-decrement formulation (kept as a test-only
 // reference in tests/resources/reference_ps_resource.h).
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,10 +71,11 @@ class ProcessorSharingResource {
   int cores() const { return cores_; }
   double speed() const { return speed_; }
   const ContentionModel& contention() const { return contention_; }
-  std::size_t active_jobs() const { return jobs_.size(); }
+  std::size_t active_jobs() const { return active_; }
 
   /// Remaining demand of an active job (finish tag minus the virtual clock),
   /// clamped at 0; -1 if the job already completed or was aborted.
+  /// abort() and remaining() scan the slots: both are off the hot path.
   double remaining(JobId id) const;
 
   /// Cumulative busy-core-seconds (integrated min(n, cores), *not* reduced
@@ -87,16 +87,22 @@ class ProcessorSharingResource {
   double work_done() const;
 
  private:
+  /// One active job, in a slot recycled through a free list so a warm
+  /// resource allocates nothing per job.
   struct Job {
     double finish_tag = 0.0;  ///< virtual clock value at which the job ends
     double submit_v = 0.0;    ///< virtual clock value at submission
+    JobId id = 0;             ///< 0 while the slot is free
+    std::uint32_t next_free = 0;
     CompletionCallback on_complete;
   };
   /// Heap entries outlive aborted jobs (lazy deletion); an entry is live iff
-  /// its id is still in jobs_ — ids are never reused, so that test suffices.
+  /// its slot still holds its id — ids are never reused, so that test
+  /// suffices.
   struct HeapEntry {
     double finish_tag = 0.0;
     JobId id = 0;
+    std::uint32_t slot = 0;
   };
 
   double per_job_rate() const;
@@ -106,16 +112,19 @@ class ProcessorSharingResource {
   void heap_push(HeapEntry entry);
   void heap_pop();
   void prune_stale_heap_top();
+  std::uint32_t find_slot(JobId id) const;
+  void release_slot(std::uint32_t slot);
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   Simulation& sim_;
   int cores_;
   double speed_;
   ContentionModel contention_;
 
-  // Determinism audit (DESIGN.md §8): accessed only by key (find/emplace/
-  // erase/size/clear); completion order is decided by the finish-tag heap
-  // below, with ties broken by JobId — hash order never surfaces.
-  std::unordered_map<JobId, Job> jobs_;
+  std::vector<Job> jobs_;  ///< slots, live and free
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t active_ = 0;       ///< live slots
   std::vector<HeapEntry> heap_;  ///< min-heap on (finish_tag, id)
   JobId next_id_ = 1;
   SimTime last_update_ = 0.0;

@@ -126,11 +126,45 @@ class Server {
   void add_hooks(Hooks hooks) { hooks_.push_back(std::move(hooks)); }
 
  private:
-  struct Visit;
-  void start_processing(const std::shared_ptr<Visit>& visit);
-  void run_downstream_calls(const std::shared_ptr<Visit>& visit);
-  void finish(const std::shared_ptr<Visit>& visit);
-  void register_visit(const std::shared_ptr<Visit>& visit);
+  /// Address of a visit in visits_. Continuations capture [this, ref]: 16
+  /// trivially copyable bytes, which std::function stores without a heap
+  /// allocation. A ref whose generation no longer matches its slot is stale
+  /// (the visit departed or fail() errored it) and its continuation no-ops.
+  struct VisitRef {
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+  /// One request's stay in this server, in a slab slot recycled through a
+  /// free list (the simcore EventArena idiom).
+  struct Visit {
+    RequestContext ctx;
+    Completion done;
+    SimTime arrival = 0.0;
+    const PhaseDemand* demand = nullptr;
+    std::uint64_t arrival_seq = 0;  ///< fail() errors visits in this order
+    int calls_remaining = 0;
+    bool admitted = false;  ///< holds a worker thread
+    /// Odd while the slot holds a live visit, even while it is free; bumped
+    /// on allocation and on release.
+    std::uint32_t generation = 0;
+    std::uint32_t next_free = 0;
+  };
+
+  /// The live visit `ref` addresses, or nullptr when `ref` is stale. The
+  /// pointer dies with the next call that can re-enter handle() (a
+  /// completion, a downstream call, a token grant): the slab may grow.
+  Visit* live(VisitRef ref);
+  void release_visit(std::uint32_t slot);
+
+  // One member function per phase of the pipeline above.
+  void start_processing(VisitRef ref);
+  void after_cpu(VisitRef ref);
+  void after_disk(VisitRef ref);
+  void after_delay(VisitRef ref);
+  void run_downstream_calls(VisitRef ref);
+  void finish(VisitRef ref);
+
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   Simulation& sim_;
   Params params_;
@@ -141,9 +175,11 @@ class Server {
   std::unique_ptr<TokenPool> downstream_pool_;
   DownstreamFn downstream_;
   std::vector<Hooks> hooks_;
-  /// Weak registry of in-flight visits so fail() can error them; compacted
-  /// lazily in register_visit (entries expire when a request departs).
-  std::vector<std::weak_ptr<Visit>> live_visits_;
+  /// Every visit between arrival and departure; sized by the peak in-flight
+  /// count, so a warm server allocates nothing per request.
+  std::vector<Visit> visits_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::uint64_t next_arrival_seq_ = 0;
   std::size_t in_flight_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t aborted_ = 0;

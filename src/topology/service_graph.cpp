@@ -1,6 +1,7 @@
 #include "topology/service_graph.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -100,6 +101,14 @@ namespace {
 
 constexpr std::size_t kNoChannel = static_cast<std::size_t>(-1);
 
+/// The first stage at or after `stage` that makes calls; route.size() if
+/// none is left.
+std::size_t next_stage(const std::vector<RouteStage>& route,
+                       std::size_t stage) {
+  while (stage < route.size() && route[stage].calls.empty()) ++stage;
+  return stage;
+}
+
 /// Checks the engine and the hop before any lane is touched, and returns
 /// the entry node's sim (the admission clock).
 Simulation& entry_sim(lanes::LaneEngine& engine,
@@ -145,6 +154,7 @@ void ServiceGraph::build(lanes::LaneEngine* engine, SimDuration lan_delay) {
   validate(config_);
   const std::size_t n = config_.nodes.size();
   cache_stats_.resize(n);
+  route_slabs_.resize(n);
   cache_rngs_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     // Fixed per-node stream derivation so cache draws replay byte-identically
@@ -233,43 +243,53 @@ void ServiceGraph::run_route(std::size_t node_index, const RequestContext& ctx,
                              std::size_t stage_index,
                              Server::Completion done) {
   const auto& route = config_.nodes[node_index].route;
-  while (stage_index < route.size() &&
-         route[stage_index].calls.empty()) {
-    ++stage_index;
-  }
+  stage_index = next_stage(route, stage_index);
   if (stage_index >= route.size()) {
     done();
     return;
   }
   const RouteStage& stage = route[stage_index];
-  Server::Completion next;
-  if (stage_index + 1 >= route.size()) {
-    next = std::move(done);
-  } else {
-    next = [this, node_index, ctx, stage_index,
-            done = std::move(done)]() mutable {
-      run_route(node_index, ctx, stage_index + 1, std::move(done));
-    };
-  }
-  if (stage.calls.size() == 1) {
-    // Sequential call: no join bookkeeping — a chain's downstream dispatch
-    // verbatim.
-    dispatch_call(node_index, stage.calls[0].node, ctx, std::move(next));
+  if (stage.calls.size() == 1 &&
+      next_stage(route, stage_index + 1) == route.size()) {
+    // The route's last call — a chain's only one — replies straight to
+    // `done`: no route state.
+    dispatch_call(node_index, stage.calls[0].node, ctx, std::move(done));
     return;
   }
-  // Parallel fan-out with join-on-all: the last reply continues the route.
-  struct JoinState {
-    std::size_t remaining;
-    Server::Completion next;
-  };
-  auto join = std::make_shared<JoinState>();
-  join->remaining = stage.calls.size();
-  join->next = std::move(next);
-  for (const GraphCall& call : stage.calls) {
-    dispatch_call(node_index, call.node, ctx, [join] {
-      if (--join->remaining == 0) join->next();
-    });
+  // A fan-out, or a call with stages after it: the route waits in a slot of
+  // the node's slab until every reply of the stage is in (join-on-all).
+  RouteSlab& slab = route_slabs_[node_index];
+  std::uint32_t slot = slab.free_head;
+  if (slot != kNoSlot) {
+    slab.free_head = slab.states[slot].next_free;
+  } else {
+    slot = static_cast<std::uint32_t>(slab.states.size());
+    slab.states.emplace_back();
   }
+  RouteState& state = slab.states[slot];
+  state.ctx = ctx;
+  state.done = std::move(done);
+  state.stage = stage_index;
+  state.remaining = stage.calls.size();
+  // No reference into the slab survives this point: a reply may arrive
+  // synchronously (a cache hit), finish the route and reuse the slot.
+  const RouteRef ref{static_cast<std::uint32_t>(node_index), slot};
+  for (const GraphCall& call : stage.calls) {
+    dispatch_call(node_index, call.node, ctx, [this, ref] { join(ref); });
+  }
+}
+
+void ServiceGraph::join(RouteRef ref) {
+  RouteSlab& slab = route_slabs_[ref.node];
+  RouteState& state = slab.states[ref.slot];
+  assert(state.remaining > 0);
+  if (--state.remaining > 0) return;
+  const RequestContext ctx = state.ctx;
+  const std::size_t next = state.stage + 1;
+  Server::Completion done = std::move(state.done);
+  state.next_free = slab.free_head;
+  slab.free_head = ref.slot;
+  run_route(ref.node, ctx, next, std::move(done));
 }
 
 bool ServiceGraph::admit() {

@@ -20,9 +20,9 @@
 // Node index == tier index: every scaling framework, estimator, monitor, and
 // fault plan takes the graph directly and addresses its nodes as tiers. The
 // paper's n-tier chain is the linear graph where node i makes one call into
-// node i+1 (ScenarioParams::system_config); a single-call stage dispatches
-// with no join bookkeeping, so the chain pays only the routing closure per
-// call.
+// node i+1 (ScenarioParams::system_config); a route's last call, when it is
+// alone in its stage, replies straight to the serving thread with no route
+// state, so the chain's request path keeps none.
 #pragma once
 
 #include <cstdint>
@@ -187,10 +187,37 @@ class ServiceGraph final {
     SimTime admitted_at;
   };
 
+  /// Address of one in-flight route: its node and its slot in that node's
+  /// RouteSlab. A call's reply captures [this, ref], 16 trivially copyable
+  /// bytes that std::function stores without a heap allocation.
+  struct RouteRef {
+    std::uint32_t node;
+    std::uint32_t slot;
+  };
+  /// One request between the stages of a node's route: the stage it is in,
+  /// the replies that stage still waits for, and where the route replies.
+  struct RouteState {
+    RequestContext ctx;
+    Server::Completion done;
+    std::size_t stage = 0;
+    std::size_t remaining = 0;
+    std::uint32_t next_free = 0;
+  };
+  /// A node's route states, recycled through a free list. One slab per node,
+  /// so on a tier cut only the node's own lane touches it.
+  struct RouteSlab {
+    std::vector<RouteState> states;
+    std::uint32_t free_head = kNoSlot;
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   void validate(const ServiceGraphConfig& config) const;
   void build(lanes::LaneEngine* engine, SimDuration lan_delay);
+  /// Runs `node`'s route from `stage` on; `done` fires after the last reply.
   void run_route(std::size_t node, const RequestContext& ctx,
                  std::size_t stage, Server::Completion done);
+  /// One reply to the stage `ref` waits in; the last one moves the route on.
+  void join(RouteRef ref);
   /// Routes one call into node `to`: straight into its load balancer when
   /// serial, across the (from -> to) edge's TierChannel when laned.
   void dispatch_call(std::size_t from, std::size_t to,
@@ -203,6 +230,7 @@ class ServiceGraph final {
   ServiceGraphConfig config_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
   std::vector<Simulation*> node_sims_;
+  std::vector<RouteSlab> route_slabs_;  ///< per node
   /// Laned graphs only (empty when serial): one channel per distinct route
   /// edge, and the dense (from * n + to) -> channel index, npos for absent
   /// edges.

@@ -63,10 +63,10 @@ TEST_F(LbFixture, LeastConnectionsPrefersIdle) {
   Server* b = add_server("b");
   lb.add_backend(a);
   lb.add_backend(b);
-  // Four requests: leastconn alternates because outstanding counts grow.
+  // Four requests: leastconn alternates because in-flight counts grow.
   for (int i = 0; i < 4; ++i) lb.dispatch(ctx(), [] {});
-  EXPECT_EQ(lb.outstanding(a), 2u);
-  EXPECT_EQ(lb.outstanding(b), 2u);
+  EXPECT_EQ(a->in_flight(), 2u);
+  EXPECT_EQ(b->in_flight(), 2u);
 }
 
 TEST_F(LbFixture, LeastConnectionsRebalancesAfterCompletion) {
@@ -77,11 +77,11 @@ TEST_F(LbFixture, LeastConnectionsRebalancesAfterCompletion) {
   lb.dispatch(ctx(), [] {});
   Server* b = add_server("b");
   lb.add_backend(b);
-  // New server has 0 outstanding: next dispatches go there first.
+  // New server has 0 in flight: next dispatches go there first.
   lb.dispatch(ctx(), [] {});
   lb.dispatch(ctx(), [] {});
-  EXPECT_EQ(lb.outstanding(a), 2u);
-  EXPECT_EQ(lb.outstanding(b), 2u);
+  EXPECT_EQ(a->in_flight(), 2u);
+  EXPECT_EQ(b->in_flight(), 2u);
 }
 
 TEST_F(LbFixture, OutstandingDecrementsOnCompletion) {
@@ -90,10 +90,10 @@ TEST_F(LbFixture, OutstandingDecrementsOnCompletion) {
   lb.add_backend(a);
   int done = 0;
   lb.dispatch(ctx(), [&] { ++done; });
-  EXPECT_EQ(lb.outstanding(a), 1u);
+  EXPECT_EQ(a->in_flight(), 1u);
   sim.run_all();
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(lb.outstanding(a), 0u);
+  EXPECT_EQ(a->in_flight(), 0u);
 }
 
 TEST_F(LbFixture, RemovedBackendGetsNoNewWork) {
@@ -119,7 +119,7 @@ TEST_F(LbFixture, InFlightCompletionAfterRemovalStillAccounted) {
   lb.remove_backend(a);
   sim.run_all();
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(lb.outstanding(a), 0u);
+  EXPECT_EQ(a->in_flight(), 0u);
 }
 
 TEST_F(LbFixture, DuplicateAddIsIgnored) {

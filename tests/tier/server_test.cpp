@@ -1,5 +1,6 @@
 #include "tier/server.h"
 #include "common/stats.h"
+#include <deque>
 #include <vector>
 #include <functional>
 #include <algorithm>
@@ -172,6 +173,54 @@ TEST(Server, ConnectionPoolGatesDownstreamConcurrency) {
   sim.run_all();
   EXPECT_EQ(max_concurrent, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 3.0);  // 6 calls through 2 connections
+}
+
+// A reply that comes back after fail() errored its request belongs to a
+// visit that no longer exists. The next request reuses the errored visit's
+// slot and the only connection; the late reply must neither release that
+// connection nor advance the new request.
+TEST(Server, LateReplyAfterFailTouchesNeitherTokenNorReusedSlot) {
+  Simulation sim;
+  Server::Params p = base_params();
+  p.downstream_pool_size = 1;
+  Server server(sim, p);
+  PhaseDemand d;
+  d.downstream_calls = 1;  // no cpu_post: an advanced request departs at once
+  const RequestClass cls = make_class(d);
+  // Downstream replies in call order; a deque, so a reply that triggers a
+  // new downstream call cannot move the one running.
+  std::deque<Server::Completion> held;
+  server.set_downstream(
+      [&](const RequestContext&, Server::Completion reply) {
+        held.push_back(std::move(reply));
+      });
+  int a_done = 0, b_done = 0, c_done = 0;
+  server.handle(make_ctx(cls, 1), [&] { ++a_done; });
+  ASSERT_EQ(held.size(), 1u);  // A is downstream on the only connection
+  EXPECT_EQ(server.fail(), 1u);
+  EXPECT_EQ(a_done, 1);  // errored at once
+
+  server.handle(make_ctx(cls, 2), [&] { ++b_done; });
+  ASSERT_EQ(held.size(), 2u);  // B took A's slot and the reset pool's token
+  server.handle(make_ctx(cls, 3), [&] { ++c_done; });
+  EXPECT_EQ(held.size(), 2u);  // C waits for B's connection
+
+  held[0]();  // A's late reply
+  sim.run_all();
+  EXPECT_EQ(held.size(), 2u);  // the token was not released: C still waits
+  EXPECT_EQ(b_done, 0);        // and B did not advance
+  EXPECT_EQ(server.in_flight(), 2u);
+
+  held[1]();  // B's own reply completes B and hands the connection to C
+  sim.run_all();
+  EXPECT_EQ(b_done, 1);
+  ASSERT_EQ(held.size(), 3u);
+  held[2]();
+  sim.run_all();
+  EXPECT_EQ(c_done, 1);
+  EXPECT_EQ(a_done, 1);
+  EXPECT_EQ(server.completed_requests(), 2u);
+  EXPECT_EQ(server.in_flight(), 0u);
 }
 
 TEST(Server, ThreadPoolResizeTakesEffect) {
