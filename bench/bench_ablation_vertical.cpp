@@ -66,14 +66,13 @@ Outcome run_case(const BenchEnv& env, bool adapt_soft,
       cp);
   LogHistogram after_rts;
   const SimTime scale_at = duration / 2.0;
-  clients.set_completion_hook(
-      [&](SimTime, double rt, const RequestClass&) {
-        if (sim.now() >= scale_at) after_rts.add(rt);
-      });
+  clients.set_completion_hook([&](double rt) {
+    if (sim.now() >= scale_at) after_rts.add(rt);
+  });
 
   std::uint64_t completed_before = 0;
   sim.schedule_at(scale_at, [&] {
-    completed_before = clients.requests_completed();
+    completed_before = clients.stats().completed;
     hw.scale_vertical(kDbTier, 2);
     if (adapt_soft) {
       SoftAdaptTargets targets;
@@ -88,7 +87,7 @@ Outcome run_case(const BenchEnv& env, bool adapt_soft,
   Outcome outcome;
   outcome.tp_before =
       static_cast<double>(completed_before) / scale_at;
-  outcome.tp_after = static_cast<double>(clients.requests_completed() -
+  outcome.tp_after = static_cast<double>(clients.stats().completed -
                                          completed_before) /
                      (duration - scale_at);
   outcome.p99_after_ms = to_ms(after_rts.percentile(99.0));

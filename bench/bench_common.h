@@ -34,14 +34,6 @@ struct BenchEnv {
   /// Worker threads for multi-run fan-out; 0 = one per hardware thread,
   /// 1 = fully serial.
   std::size_t jobs = 0;
-  /// Event-loop partitions for benches that run on the lane engine
-  /// (experiments/laned_runner.h). 1 = serial reference execution; results
-  /// are byte-identical for every value (DESIGN.md §6.6).
-  std::size_t lanes = 1;
-  /// True when the command line said `lanes=auto`: the bench should let the
-  /// laned runner autotune the shard count (LanedRunOptions::shards = 0)
-  /// and derive its lane count from the chosen plan.
-  bool lanes_auto = false;
   /// Optional fault schedule (faults= inline text, or faults=@file); empty
   /// for the standard fault-free benches. Applied to every scaling run
   /// (run_all / scaling_options); profiling and scatter benches have no
@@ -54,9 +46,8 @@ struct BenchEnv {
   static BenchEnv from_args(int argc, char** argv,
                             const std::vector<std::string>& extra_keys = {}) {
     const Config config = Config::from_args(argc, argv);
-    std::vector<std::string> known = {"work_scale", "seed",  "duration",
-                                      "csv_dir",    "jobs", "faults",
-                                      "lanes"};
+    std::vector<std::string> known = {"work_scale", "seed", "duration",
+                                      "csv_dir",    "jobs", "faults"};
     known.insert(known.end(), extra_keys.begin(), extra_keys.end());
     config.require_known_keys(known);
     BenchEnv env;
@@ -67,15 +58,6 @@ struct BenchEnv {
     env.csv_dir = config.get_string("csv_dir", "");
     const long long jobs = config.get_int("jobs", 0);
     env.jobs = jobs > 0 ? static_cast<std::size_t>(jobs) : 0;
-    // `lanes` accepts "auto" (shard/lane plan from the model parameters),
-    // so it must be read as a string before any numeric parse.
-    const std::string lanes_text = config.get_string("lanes", "1");
-    if (lanes_text == "auto") {
-      env.lanes_auto = true;
-    } else {
-      const long long lanes = config.get_int("lanes", 1);
-      env.lanes = lanes > 0 ? static_cast<std::size_t>(lanes) : 1;
-    }
     const std::string faults = config.get_string("faults", "");
     if (!faults.empty()) {
       if (faults.front() == '@') {

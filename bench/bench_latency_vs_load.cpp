@@ -44,21 +44,18 @@ Point run_at(const ScenarioParams& base, double rate, SimDuration duration,
   const WorkloadTrace rate_trace = make_constant_trace(rate, duration + 1.0);
   OpenLoopGenerator gen(
       sim, rate_trace, mix,
-      [&system](const RequestContext& ctx, std::function<void()> done) {
-        // The chain never sheds: every outcome is a response.
-        system.submit(ctx, [done = std::move(done)](RequestOutcome) {
-          done();
-        });
+      [&system](const RequestContext& ctx,
+                std::function<void(RequestOutcome)> done) {
+        system.submit(ctx, std::move(done));
       },
       {});
   sim.run_until(duration);
 
   Point point;
   point.offered = rate;
-  point.achieved =
-      static_cast<double>(gen.requests_completed()) / duration;
-  point.p50_ms = to_ms(gen.response_times().percentile(50.0));
-  point.p99_ms = to_ms(gen.response_times().percentile(99.0));
+  point.achieved = static_cast<double>(gen.stats().completed) / duration;
+  point.p50_ms = to_ms(gen.stats().response_times.percentile(50.0));
+  point.p99_ms = to_ms(gen.stats().response_times.percentile(99.0));
   return point;
 }
 

@@ -19,9 +19,9 @@
 // csv_dir/scale_summary.csv for tools/plot_results.py --lanes.
 //
 // Keys: sessions= think= net_delay= shards= topology=chain|dag compare=
-// frameworks= tier_lanes= lan_delay= plus the standard
-// work_scale/seed/duration/csv_dir/jobs/lanes (duration defaults to 120 s
-// here — the bench measures engine throughput, not a 12-minute control
+// frameworks= lanes= tier_lanes= lan_delay= plus the standard
+// work_scale/seed/duration/csv_dir/jobs (duration defaults to 120 s here —
+// the bench measures engine throughput, not a 12-minute control
 // trajectory). lanes=auto autotunes the shard count from the scenario.
 #include <chrono>  // detlint: allow(banned-api) wall-clock cost of the engine itself; never feeds model time
 #include <fstream>
@@ -117,7 +117,7 @@ int main(int argc, char** argv) try {
   BenchEnv env = BenchEnv::from_args(
       argc, argv,
       {"sessions", "think", "net_delay", "shards", "topology", "compare",
-       "frameworks", "tier_lanes", "lan_delay"});
+       "frameworks", "lanes", "tier_lanes", "lan_delay"});
   const Config config = Config::from_args(argc, argv);
   const double sessions = config.get_double("sessions", 1.2e6);
   const double think = config.get_double("think", 300.0);
@@ -126,6 +126,14 @@ int main(int argc, char** argv) try {
   const std::string topology = config.get_string("topology", "chain");
   const bool compare = config.get_int("compare", 1) != 0;
   const double duration = config.get_double("duration", 120.0);
+  // `lanes` is the client-edge worker-thread count. It defaults to 4: this
+  // bench exists to measure the parallel engine, so `lanes=` absent must
+  // not mean serial. `lanes=auto` autotunes the shard count and runs one
+  // thread per cell; it is read as a string before any numeric parse.
+  const bool lanes_auto = config.get_string("lanes", "") == "auto";
+  const long long lanes = lanes_auto ? 1 : config.get_int("lanes", 4);
+  const std::size_t edge_lanes =
+      lanes > 0 ? static_cast<std::size_t>(lanes) : 1;
   const long long tier_lanes = config.get_int("tier_lanes", 0);
   const double lan_delay = config.get_double("lan_delay", 0.010);
   const std::vector<ControllerRef> frameworks =
@@ -162,7 +170,7 @@ int main(int argc, char** argv) try {
   options.base.duration = duration;
   options.base.faults = env.faults;
   // lanes=auto (or shards=0) lets the runner autotune the shard plan.
-  options.shards = env.lanes_auto
+  options.shards = lanes_auto
                        ? 0
                        : (shards > 0 ? static_cast<std::size_t>(shards) : 1);
   options.net_delay = net_delay;
@@ -171,16 +179,12 @@ int main(int argc, char** argv) try {
 
   // Thread count of the measured cell: tier_lanes in tier-laned mode, lanes
   // otherwise (lanes=auto -> one thread per cell: autotuned shards + 1).
-  // This bench defaults lanes to 4 — unlike the figure benches it exists to
-  // measure the parallel engine, so `lanes=` absent must not mean serial.
   const std::size_t shard_plan =
       options.shards > 0 ? options.shards
                          : autotune_shards(sessions, think);
-  const std::size_t edge_lanes =
-      config.get_string("lanes", "").empty() ? 4 : env.lanes;
   const std::size_t measured_threads =
       tiered ? static_cast<std::size_t>(tier_lanes)
-             : (env.lanes_auto ? shard_plan + 1 : edge_lanes);
+             : (lanes_auto ? shard_plan + 1 : edge_lanes);
   const std::string mode = tiered ? "tier-laned" : "client-edge";
   const std::string knob = tiered ? "tier_lanes" : "lanes";
 

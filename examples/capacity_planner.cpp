@@ -65,9 +65,9 @@ PlanResult evaluate(const ScenarioParams& base, std::size_t app_vms,
   sim.run_until(duration);
 
   PlanResult result;
-  result.p99_ms = to_ms(clients.response_times().percentile(99.0));
+  result.p99_ms = to_ms(clients.stats().response_times.percentile(99.0));
   result.throughput =
-      static_cast<double>(clients.requests_completed()) / duration;
+      static_cast<double>(clients.stats().completed) / duration;
   return result;
 }
 

@@ -44,9 +44,7 @@ int main() {
       },
       client_params);
   clients.set_completion_hook(
-      [&monitor](SimTime issued, double rt, const RequestClass&) {
-        monitor.on_client_completion(issued, rt);
-      });
+      [&monitor](double rt) { monitor.on_client_completion(rt); });
 
   // 5. The online Optimal Concurrency Estimator (SCT model, §III).
   ConcurrencyEstimatorService estimator(sim, system, warehouse,
@@ -56,9 +54,9 @@ int main() {
   sim.run_until(300.0);
 
   // 7. Report.
-  std::cout << "Ran " << clients.requests_completed() << " requests in "
+  std::cout << "Ran " << clients.stats().completed << " requests in "
             << sim.now() << " simulated seconds\n";
-  const LogHistogram& rts = clients.response_times();
+  const LogHistogram& rts = clients.stats().response_times;
   std::cout << "End-to-end RT: mean=" << to_ms(rts.mean())
             << " ms, p95=" << to_ms(rts.percentile(95.0))
             << " ms, p99=" << to_ms(rts.percentile(99.0)) << " ms\n";

@@ -1,20 +1,9 @@
 #include "experiments/run_assembly.h"
 
-#include "metrics/shard_stats.h"
 #include "workload/client.h"
 #include "workload/session_population.h"
 
 namespace conscale {
-
-namespace {
-
-template <class Population>
-ClientStats population_stats(const Population& population) {
-  return {population.response_times(), population.requests_issued(),
-          population.requests_completed(), population.requests_rejected()};
-}
-
-}  // namespace
 
 WorkloadTrace make_run_trace(const ScenarioParams& base, TraceKind kind,
                              SimDuration duration) {
@@ -85,13 +74,10 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
                           std::function<void(RequestOutcome)> done) {
     system.submit(request, std::move(done));
   };
-  auto on_completion = [&monitor](SimTime issued, double rt,
-                                  const RequestClass&) {
-    monitor.on_client_completion(issued, rt);
+  auto on_completion = [&monitor](double rt) {
+    monitor.on_client_completion(rt);
   };
-  auto on_rejection = [&monitor](SimTime at) {
-    monitor.on_client_rejection(at);
-  };
+  auto on_rejection = [&monitor] { monitor.on_client_rejection(); };
   std::unique_ptr<LaneGateway> gateway;
   std::vector<std::unique_ptr<SessionShard>> shards;
   std::unique_ptr<SessionModel> session_model;
@@ -157,9 +143,12 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   if (auto* estimator = framework.estimator_service()) {
     run.sct_history = estimator->history();
   }
-  const ClientStats stats = clients    ? population_stats(*clients)
-                            : sessions ? population_stats(*sessions)
-                                       : merge_shard_stats(shards);
+  // One of the three workloads ran; make_shards filled `shards` in
+  // shard-index order, so their merge is independent of the thread count.
+  ClientStats stats;
+  if (clients) stats.merge(clients->stats());
+  if (sessions) stats.merge(sessions->stats());
+  for (const auto& shard : shards) stats.merge(shard->stats());
   const LogHistogram& rts = stats.response_times;
   run.mean_rt_ms = to_ms(rts.mean());
   run.p50_ms = to_ms(rts.percentile(50.0));
@@ -167,9 +156,9 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   run.p99_ms = to_ms(rts.percentile(99.0));
   run.max_rt_ms = to_ms(rts.max_recorded());
   run.sla_500ms = rts.fraction_below(0.5);
-  run.requests_issued = stats.requests_issued;
-  run.requests_completed = stats.requests_completed;
-  run.requests_rejected = stats.requests_rejected;
+  run.requests_issued = stats.issued;
+  run.requests_completed = stats.completed;
+  run.requests_rejected = stats.rejected;
   run.hook_underflows = monitor.hook_underflows();
   if (injector) {
     run.fault_stats = injector->stats();

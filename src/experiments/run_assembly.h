@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/lane_gateway.h"
 #include "experiments/laned_runner.h"
 #include "workload/session_shard.h"
 

@@ -42,13 +42,13 @@ std::uint64_t MonitoringAgent::hook_underflows() const {
   return total;
 }
 
-void MonitoringAgent::on_client_completion(SimTime, double rt) {
+void MonitoringAgent::on_client_completion(double rt) {
   ++window_completions_;
   window_rt_sum_ += rt;
   window_rt_max_ = std::max(window_rt_max_, rt);
 }
 
-void MonitoringAgent::on_client_rejection(SimTime) {
+void MonitoringAgent::on_client_rejection() {
   ++window_rejections_;
 }
 

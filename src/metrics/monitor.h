@@ -41,10 +41,10 @@ class MonitoringAgent {
                   const RunContext* context = nullptr);
 
   /// Wire this to the client population's completion hook.
-  void on_client_completion(SimTime issued, double rt);
+  void on_client_completion(double rt);
   /// Wire this to the client population's rejection hook (admission
   /// control); folds shed requests into the per-second system samples.
-  void on_client_rejection(SimTime rejected_at);
+  void on_client_rejection();
 
   const Params& params() const { return params_; }
 

@@ -98,18 +98,9 @@ void Simulation::run_all() {
 }
 
 PeriodicTask::PeriodicTask(Simulation& sim, SimDuration period,
-                           std::function<void(SimTime)> callback,
-                           bool fire_immediately)
+                           std::function<void(SimTime)> callback)
     : sim_(sim), period_(period), callback_(std::move(callback)) {
-  if (fire_immediately) {
-    next_ = sim_.schedule_after(0.0, [this] {
-      if (!running_) return;
-      callback_(sim_.now());
-      if (running_) arm();
-    });
-  } else {
-    arm();
-  }
+  arm();
 }
 
 void PeriodicTask::arm() {

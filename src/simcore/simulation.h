@@ -111,10 +111,9 @@ class Simulation {
 class PeriodicTask {
  public:
   /// `callback` receives the firing time. The first firing is at
-  /// `start + period` unless `fire_immediately` is set.
+  /// `start + period`.
   PeriodicTask(Simulation& sim, SimDuration period,
-               std::function<void(SimTime)> callback,
-               bool fire_immediately = false);
+               std::function<void(SimTime)> callback);
   ~PeriodicTask() { stop(); }
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;

@@ -45,10 +45,14 @@ void OpenLoopGenerator::arrival() {
     ctx.id = next_request_id_++;
     ctx.request_class = &mix_.pick(rng_);
     ctx.issued_at = now;
-    ++issued_;
-    submit_(ctx, [this, ctx] {
-      ++completed_;
-      rt_histogram_.add(sim_.now() - ctx.issued_at);
+    ++stats_.issued;
+    submit_(ctx, [this, issued_at = now](RequestOutcome outcome) {
+      if (outcome == RequestOutcome::kRejected) {
+        ++stats_.rejected;
+        return;
+      }
+      ++stats_.completed;
+      stats_.response_times.add(sim_.now() - issued_at);
     });
   }
   schedule_next();

@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "simcore/simulation.h"
 #include "workload/mix.h"
+#include "workload/population.h"
 #include "workload/request.h"
 #include "workload/trace.h"
 
@@ -24,16 +22,15 @@ namespace conscale {
 
 class OpenLoopGenerator {
  public:
-  using SubmitFn = std::function<void(const RequestContext&,
-                                      std::function<void()> on_response)>;
-
   struct Params {
     std::uint64_t seed = 7;
   };
 
   /// `rate_trace` is interpreted as offered load in requests/second over
   /// time (reuse WorkloadTrace; "users" axis = req/s here). Arrivals start
-  /// immediately and stop at the end of the trace.
+  /// immediately and stop at the end of the trace. A shed request counts as
+  /// issued and rejected and records no response time, as in the closed
+  /// loops.
   OpenLoopGenerator(Simulation& sim, const WorkloadTrace& rate_trace,
                     const RequestMix& mix, SubmitFn submit, Params params);
   ~OpenLoopGenerator();
@@ -42,10 +39,7 @@ class OpenLoopGenerator {
 
   void stop();
 
-  std::uint64_t requests_issued() const { return issued_; }
-  std::uint64_t requests_completed() const { return completed_; }
-  std::uint64_t in_flight() const { return issued_ - completed_; }
-  const LogHistogram& response_times() const { return rt_histogram_; }
+  const ClientStats& stats() const { return stats_; }
 
  private:
   void schedule_next();
@@ -60,9 +54,7 @@ class OpenLoopGenerator {
   bool running_ = true;
   EventHandle next_;
   std::uint64_t next_request_id_ = 1;
-  std::uint64_t issued_ = 0;
-  std::uint64_t completed_ = 0;
-  LogHistogram rt_histogram_;
+  ClientStats stats_;
 };
 
 }  // namespace conscale

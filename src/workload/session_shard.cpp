@@ -1,118 +1,84 @@
 #include "workload/session_shard.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace conscale {
 
 SessionShard::SessionShard(lanes::LaneEngine& engine, std::size_t lane,
                            std::size_t shard_index, std::size_t shard_count,
                            const WorkloadTrace& trace, const RequestMix& mix,
-                           ShardGateway& gateway, std::size_t gateway_lane,
+                           LaneGateway& gateway, std::size_t gateway_lane,
                            Params params)
-    : LaneActor(engine, lane), shard_index_(shard_index),
-      shard_count_(std::max<std::size_t>(shard_count, 1)), trace_(trace),
-      mix_(mix), gateway_(gateway), gateway_lane_(gateway_lane),
-      params_(params), rng_(params.seed) {
-  adjust_population(sim().now());
-  arm_adjust();
+    : LaneActor(engine, lane), shard_index_(shard_index), mix_(mix),
+      gateway_(gateway), gateway_lane_(gateway_lane), params_(params),
+      rng_(params.seed), core_(trace, shard_index, shard_count) {
+  track(sim().now());
+  arm_tracking();
 }
 
 // Keyed periodic tracking loop (PeriodicTask would draw plain-event
 // sequence numbers, which are not partition-independent).
-void SessionShard::arm_adjust() {
-  schedule_after(params_.adjust_period, [this] {
-    adjust_population(sim().now());
-    arm_adjust();
+void SessionShard::arm_tracking() {
+  schedule_after(kTrackingPeriod, [this] {
+    track(sim().now());
+    arm_tracking();
   });
 }
 
-std::uint64_t SessionShard::share_of(std::uint64_t total) const {
-  const auto s = static_cast<std::uint64_t>(shard_count_);
-  const auto i = static_cast<std::uint64_t>(shard_index_);
-  return total * (i + 1) / s - total * i / s;
-}
-
-void SessionShard::adjust_population(SimTime now) {
-  const auto total = static_cast<std::uint64_t>(
-      std::llround(std::max(trace_.users_at(now), 0.0)));
-  const std::size_t target = static_cast<std::size_t>(share_of(total));
-  const std::size_t active = active_users();
-  const std::size_t alive = active - std::min(retire_pending_, active);
-  if (target > alive) {
-    const std::size_t to_spawn = target - alive;
-    const std::size_t cancelled = std::min(retire_pending_, to_spawn);
-    retire_pending_ -= cancelled;
-    for (std::size_t i = 0; i < to_spawn - cancelled; ++i) spawn_user();
-  } else if (target < alive) {
-    retire_pending_ += alive - target;
+void SessionShard::track(SimTime now) {
+  for (std::size_t n = core_.retarget(now); n > 0; --n) {
+    user_think(core_.add_user());
   }
-}
-
-void SessionShard::spawn_user() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(users_.size());
-    users_.emplace_back();
-  }
-  users_[slot] = User{};
-  users_[slot].live = true;
-  user_think(slot);
 }
 
 void SessionShard::user_think(std::uint32_t slot) {
-  if (maybe_retire(slot)) return;
+  if (core_.maybe_retire(slot)) return;
   const double think = params_.think_time_mean > 0.0
                            ? rng_.exponential(params_.think_time_mean)
                            : 0.0;
-  users_[slot].think_event =
+  core_.slot(slot).pending =
       schedule_after(think, [this, slot] { user_submit(slot); });
 }
 
 void SessionShard::user_submit(std::uint32_t slot) {
-  if (maybe_retire(slot)) return;
-  User& user = users_[slot];
-  user.in_flight = true;
-  user.issued_at = sim().now();
-
+  if (core_.maybe_retire(slot)) return;
   RequestContext ctx;
   // Request ids carry the shard in the high bits so they stay globally
   // unique and partition-independent without any cross-shard coordination.
   ctx.id = (static_cast<std::uint64_t>(shard_index_ + 1) << 40) |
            next_request_id_++;
   ctx.request_class = &mix_.pick(rng_);
-  ctx.issued_at = user.issued_at;
-  ++issued_;
-
+  ctx.issued_at = sim().now();
+  core_.issue(slot, ctx.issued_at);
   post(gateway_lane_, params_.net_delay,
-       [gateway = &gateway_, ctx, this, slot] {
-         gateway->on_request(ctx, *this, slot);
-       });
+       [this, ctx, slot] { gateway_.on_request(ctx, *this, slot); });
 }
 
 void SessionShard::on_reply(std::uint32_t user_slot, RequestOutcome outcome) {
-  User& user = users_[user_slot];
-  user.in_flight = false;
-  if (outcome == RequestOutcome::kServed) {
-    ++completed_;
-    rt_histogram_.add(sim().now() - user.issued_at);
-  } else {
-    ++rejected_;
-  }
+  core_.reply(user_slot, outcome, sim().now());
   user_think(user_slot);
 }
 
-bool SessionShard::maybe_retire(std::uint32_t slot) {
-  if (retire_pending_ == 0) return false;
-  --retire_pending_;
-  User& user = users_[slot];
-  user.think_event.cancel();
-  user.live = false;
-  free_slots_.push_back(slot);
-  return true;
+void LaneGateway::on_request(const RequestContext& ctx, SessionShard& from,
+                             std::uint32_t user_slot) {
+  // The shard stamped issued_at at the client; the system should see the
+  // arrival instant (now = client issue + one-way network latency), exactly
+  // as a frontend would.
+  const SimTime client_issued = ctx.issued_at;
+  RequestContext arrival = ctx;
+  arrival.issued_at = sim().now();
+  submit_(arrival, [this, &from, user_slot,
+                    client_issued](RequestOutcome outcome) {
+    if (outcome == RequestOutcome::kServed) {
+      // Client-perceived response time: the reply still has to cross the
+      // network, so the client sees it one net_delay after system done.
+      if (completion_hook_) {
+        completion_hook_(sim().now() + params_.net_delay - client_issued);
+      }
+    } else if (rejection_hook_) {
+      rejection_hook_();
+    }
+    post(from.lane(), params_.net_delay,
+         [&from, user_slot, outcome] { from.on_reply(user_slot, outcome); });
+  });
 }
 
 }  // namespace conscale

@@ -1,52 +1,42 @@
-// SessionShard: one partition of a lane-sharded closed-loop session
-// population (DESIGN.md §6.6). Semantics mirror ClientPopulation — each
-// session thinks (exponential), issues one request, and waits for the reply
-// before thinking again, while the shard's population tracks its integer
-// share of the WorkloadTrace — but every interaction with the serving
-// system crosses a lane boundary: requests travel to a ShardGateway on the
-// system lane with the client<->frontend network latency, and replies
-// travel back the same way. That latency is the model's natural lookahead,
-// which is what lets S shard cells run on K threads in parallel
-// (simcore/lanes/).
+// The shard protocol of the lane engine (DESIGN.md §6.6): SessionShard, one
+// partition of a lane-sharded closed-loop population, and LaneGateway, its
+// endpoint on the system's entry cell.
 //
-// Determinism: the shard is a LaneActor — think timers and posts carry the
-// shard's canonical (stream, seq) keys, the RNG is shard-local, and the
-// shard's share of the trace depends only on (shard_index, shard_count).
+// A shard's users are ClientPopulation's (workload/population.h): each
+// thinks (exponential), issues one request and waits for the reply, while
+// the shard tracks its part of the WorkloadTrace. But every interaction with
+// the serving system crosses a lane boundary: requests travel to the
+// gateway with the client<->frontend network latency, and replies travel
+// back the same way. That latency is the model's natural lookahead, which
+// is what lets S shard cells run on K threads in parallel (simcore/lanes/).
+//
+// Determinism: shard and gateway are LaneActors, so think timers and posts
+// carry canonical (stream, seq) keys, the shard's RNG is shard-local, and
+// its part of the trace depends only on (shard_index, shard_count). The
+// gateway's replies draw their keys in entry-cell execution order, which the
+// ordering contract (DESIGN.md §8) makes identical for every thread count.
 // Nothing observes the thread count, so lanes=1 and lanes=K replay the
 // exact same session histories.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "simcore/lanes/actor.h"
 #include "workload/mix.h"
+#include "workload/population.h"
 #include "workload/request.h"
 #include "workload/trace.h"
 
 namespace conscale {
 
-class SessionShard;
-
-/// The system-lane side of the shard protocol (cluster/lane_gateway.h
-/// implements it). `on_request` executes on the gateway's lane at the
-/// request's arrival instant; the gateway replies with a posted message
-/// that invokes SessionShard::on_reply back on the shard's lane.
-class ShardGateway {
- public:
-  virtual ~ShardGateway() = default;
-  virtual void on_request(const RequestContext& ctx, SessionShard& from,
-                          std::uint32_t user_slot) = 0;
-};
+class LaneGateway;
 
 class SessionShard final : public lanes::LaneActor {
  public:
   struct Params {
     double think_time_mean = 1.5;  ///< seconds; 0 = closed-loop stress mode
-    SimDuration adjust_period = 0.5;  ///< trace-tracking cadence
-    std::uint64_t seed = 7;           ///< shard-local RNG seed
+    std::uint64_t seed = 7;        ///< shard-local RNG seed
     /// Client<->frontend one-way network latency. Must be at least the
     /// declared shard -> gateway channel delay (the engine checks every
     /// post).
@@ -56,7 +46,7 @@ class SessionShard final : public lanes::LaneActor {
   SessionShard(lanes::LaneEngine& engine, std::size_t lane,
                std::size_t shard_index, std::size_t shard_count,
                const WorkloadTrace& trace, const RequestMix& mix,
-               ShardGateway& gateway, std::size_t gateway_lane, Params params);
+               LaneGateway& gateway, std::size_t gateway_lane, Params params);
   SessionShard(const SessionShard&) = delete;
   SessionShard& operator=(const SessionShard&) = delete;
 
@@ -64,55 +54,63 @@ class SessionShard final : public lanes::LaneActor {
   /// the client-perceived response instant.
   void on_reply(std::uint32_t user_slot, RequestOutcome outcome);
 
-  std::size_t shard_index() const { return shard_index_; }
-  /// Sessions currently alive on this shard (including those marked to
-  /// retire at their next activity, mirroring ClientPopulation).
-  std::size_t active_users() const {
-    return users_.size() - free_slots_.size();
-  }
-  std::uint64_t requests_issued() const { return issued_; }
-  std::uint64_t requests_completed() const { return completed_; }
-  std::uint64_t requests_rejected() const { return rejected_; }
-  /// Client-perceived response times (network latency both ways included).
-  const LogHistogram& response_times() const { return rt_histogram_; }
+  /// Sessions alive on this shard, including those marked to retire.
+  std::size_t active_users() const { return core_.active_users(); }
+  /// Client-perceived requests (network latency both ways included).
+  const ClientStats& stats() const { return core_.stats(); }
 
  private:
-  struct User {
-    bool live = false;
-    bool in_flight = false;
-    SimTime issued_at = 0.0;
-    EventHandle think_event;
-  };
-
-  /// This shard's integer share of `total` sessions: contiguous rounding
-  /// partition — shard i owns [total*i/S, total*(i+1)/S), so the shares sum
-  /// to `total` exactly and depend only on (i, S).
-  std::uint64_t share_of(std::uint64_t total) const;
-
-  void arm_adjust();
-  void adjust_population(SimTime now);
-  void spawn_user();
+  void arm_tracking();
+  void track(SimTime now);
   void user_think(std::uint32_t slot);
   void user_submit(std::uint32_t slot);
-  bool maybe_retire(std::uint32_t slot);
 
   std::size_t shard_index_;
-  std::size_t shard_count_;
-  const WorkloadTrace& trace_;
   const RequestMix& mix_;
-  ShardGateway& gateway_;
+  LaneGateway& gateway_;
   std::size_t gateway_lane_;
   Params params_;
   Rng rng_;
-
-  std::vector<User> users_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t retire_pending_ = 0;
+  ClosedLoopCore core_;
   std::uint64_t next_request_id_ = 1;
-  std::uint64_t issued_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t rejected_ = 0;
-  LogHistogram rt_histogram_;
+};
+
+/// The entry-cell endpoint of the shard protocol. Requests posted by shards
+/// arrive here after the one-way network latency, get re-stamped to their
+/// arrival instant and enter the serving system through `submit`. When the
+/// system finishes a request, the gateway fires the hooks at the
+/// client-perceived completion instant and posts the reply back across the
+/// same channel to the owning shard.
+class LaneGateway final : public lanes::LaneActor {
+ public:
+  struct Params {
+    /// Client<->frontend one-way network latency; must match the shards'
+    /// and be at least the declared gateway -> shard channel delay (the
+    /// engine checks every post).
+    SimDuration net_delay = 0.05;
+  };
+
+  LaneGateway(lanes::LaneEngine& engine, std::size_t lane, SubmitFn submit,
+              Params params)
+      : LaneActor(engine, lane), submit_(std::move(submit)), params_(params) {}
+
+  void set_completion_hook(CompletionHook hook) {
+    completion_hook_ = std::move(hook);
+  }
+  void set_rejection_hook(RejectionHook hook) {
+    rejection_hook_ = std::move(hook);
+  }
+
+  /// Protocol entry: a shard's request, executing on the gateway's lane at
+  /// its arrival instant.
+  void on_request(const RequestContext& ctx, SessionShard& from,
+                  std::uint32_t user_slot);
+
+ private:
+  SubmitFn submit_;
+  Params params_;
+  CompletionHook completion_hook_;
+  RejectionHook rejection_hook_;
 };
 
 }  // namespace conscale

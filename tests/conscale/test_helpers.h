@@ -42,9 +42,7 @@ struct Harness {
         },
         cp);
     clients->set_completion_hook(
-        [this](SimTime issued, double rt, const RequestClass&) {
-          monitor.on_client_completion(issued, rt);
-        });
+        [this](double rt) { monitor.on_client_completion(rt); });
     return clients;
   }
 

@@ -44,7 +44,7 @@ TEST(Properties, RequestConservationUnderLoad) {
   for (Vm* vm : system.tier(0).all_vms()) {
     web_in_flight += vm->server().in_flight();
   }
-  EXPECT_EQ(clients.requests_issued() - clients.requests_completed(),
+  EXPECT_EQ(clients.stats().issued - clients.stats().completed,
             web_in_flight);
 }
 
@@ -98,7 +98,7 @@ TEST(Properties, MoreHardwareNeverHurtsThroughputMuch) {
         },
         cp);
     sim.run_until(60.0);
-    return clients.requests_completed();
+    return clients.stats().completed;
   };
   const auto small = run_with(1, 1);
   const auto large = run_with(2, 2);

@@ -33,9 +33,7 @@ struct MonitorFixture : ::testing::Test {
         },
         cp);
     clients->set_completion_hook(
-        [this](SimTime issued, double rt, const RequestClass&) {
-          monitor.on_client_completion(issued, rt);
-        });
+        [this](double rt) { monitor.on_client_completion(rt); });
     sim.run_until(duration);
   }
 
@@ -81,8 +79,8 @@ TEST_F(MonitorFixture, SystemSamplesAggregateClientCompletions) {
     EXPECT_GE(s.max_rt, s.mean_rt);
     EXPECT_EQ(s.total_vms, 3u);
   }
-  EXPECT_NEAR(total, static_cast<double>(clients->requests_completed()),
-              static_cast<double>(clients->requests_completed()) * 0.15);
+  EXPECT_NEAR(total, static_cast<double>(clients->stats().completed),
+              static_cast<double>(clients->stats().completed) * 0.15);
 }
 
 TEST_F(MonitorFixture, ScaleOutVmGetsMonitoredAutomatically) {

@@ -143,17 +143,6 @@ TEST(PeriodicTask, FiresAtPeriod) {
   EXPECT_DOUBLE_EQ(times[3], 2.0);
 }
 
-TEST(PeriodicTask, FireImmediatelyOption) {
-  Simulation sim;
-  std::vector<double> times;
-  PeriodicTask task(sim, 1.0, [&](SimTime t) { times.push_back(t); },
-                    /*fire_immediately=*/true);
-  sim.run_until(2.5);
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_DOUBLE_EQ(times[0], 0.0);
-  EXPECT_DOUBLE_EQ(times[1], 1.0);
-}
-
 TEST(PeriodicTask, StopHaltsFiring) {
   Simulation sim;
   int count = 0;

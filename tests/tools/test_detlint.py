@@ -66,7 +66,7 @@ class DetlintGoldenFixtures(unittest.TestCase):
         shutil.rmtree(cls.tmp, ignore_errors=True)
 
     def test_catches_every_seeded_violation_and_nothing_else(self):
-        result = run_detlint(self.fixture_dir, "--engine=tokens")
+        result = run_detlint(self.fixture_dir)
         self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
         expected = expected_violations(FIXTURES)
         self.assertTrue(expected, "fixtures carry no EXPECT markers?")
@@ -78,15 +78,13 @@ class DetlintGoldenFixtures(unittest.TestCase):
                          f"detlint over-reported: {sorted(spurious)}")
 
     def test_clean_file_exits_zero(self):
-        result = run_detlint(os.path.join(self.fixture_dir, "clean.cpp"),
-                             "--engine=tokens")
+        result = run_detlint(os.path.join(self.fixture_dir, "clean.cpp"))
         self.assertEqual(result.returncode, 0,
                          result.stdout + result.stderr)
         self.assertEqual(reported_violations(result.stdout), set())
 
     def test_github_annotation_format(self):
-        result = run_detlint(self.fixture_dir, "--github",
-                             "--engine=tokens")
+        result = run_detlint(self.fixture_dir, "--github")
         self.assertEqual(result.returncode, 1)
         lines = [l for l in result.stdout.splitlines() if l]
         self.assertTrue(lines)
@@ -95,8 +93,7 @@ class DetlintGoldenFixtures(unittest.TestCase):
                 line, r"^::error file=.+,line=\d+,title=detlint\([a-z-]+\)::")
 
     def test_list_waivers_prints_reasons_and_usage(self):
-        result = run_detlint(self.fixture_dir, "--list-waivers",
-                             "--engine=tokens")
+        result = run_detlint(self.fixture_dir, "--list-waivers")
         self.assertIn("commutative sum", result.stdout)
         self.assertIn("[used]", result.stdout)
         self.assertIn("[UNUSED]", result.stdout)

@@ -15,14 +15,14 @@ RequestMix trivial_mix() {
 }
 
 // An instant-response "system": completes every request immediately.
-ClientPopulation::SubmitFn instant_system() {
+SubmitFn instant_system() {
   return [](const RequestContext&, std::function<void(RequestOutcome)> done) {
     done(RequestOutcome::kServed);
   };
 }
 
 // A system that responds after a fixed delay.
-ClientPopulation::SubmitFn delayed_system(Simulation& sim, double delay) {
+SubmitFn delayed_system(Simulation& sim, double delay) {
   return [&sim, delay](const RequestContext&,
                        std::function<void(RequestOutcome)> done) {
     sim.schedule_after(delay, [done = std::move(done)] {
@@ -48,7 +48,6 @@ TEST(ClientPopulation, FollowsRampUpAndDown) {
   const RequestMix mix = trivial_mix();
   ClientPopulation::Params params;
   params.think_time_mean = 0.05;  // fast cycles so retirement is prompt
-  params.adjust_period = 0.5;
   ClientPopulation clients(sim, trace, mix, instant_system(), params);
   sim.run_until(50.0);
   EXPECT_NEAR(static_cast<double>(clients.active_users()), 100.0, 6.0);
@@ -68,7 +67,7 @@ TEST(ClientPopulation, ZeroThinkTimeKeepsUsersBusy) {
                            params);
   sim.run_until(10.0);
   // 10 users each completing one request per 10 ms -> ~1000 req/s.
-  EXPECT_NEAR(static_cast<double>(clients.requests_completed()), 10000.0,
+  EXPECT_NEAR(static_cast<double>(clients.stats().completed), 10000.0,
               500.0);
 }
 
@@ -80,16 +79,14 @@ TEST(ClientPopulation, CompletionHookObservesResponseTimes) {
   params.think_time_mean = 0.5;
   ClientPopulation clients(sim, trace, mix, delayed_system(sim, 0.2), params);
   int hook_calls = 0;
-  clients.set_completion_hook(
-      [&](SimTime, double rt, const RequestClass& cls) {
-        ++hook_calls;
-        EXPECT_NEAR(rt, 0.2, 1e-9);
-        EXPECT_EQ(cls.name, "only");
-      });
+  clients.set_completion_hook([&](double rt) {
+    ++hook_calls;
+    EXPECT_NEAR(rt, 0.2, 1e-9);
+  });
   sim.run_until(20.0);
   EXPECT_GT(hook_calls, 0);
   EXPECT_EQ(static_cast<std::uint64_t>(hook_calls),
-            clients.requests_completed());
+            clients.stats().completed);
 }
 
 TEST(ClientPopulation, HistogramMatchesCompletions) {
@@ -101,8 +98,8 @@ TEST(ClientPopulation, HistogramMatchesCompletions) {
   ClientPopulation clients(sim, trace, mix, delayed_system(sim, 0.05),
                            params);
   sim.run_until(30.0);
-  EXPECT_EQ(clients.response_times().total(), clients.requests_completed());
-  EXPECT_NEAR(clients.response_times().mean(), 0.05, 0.005);
+  EXPECT_EQ(clients.stats().response_times.total(), clients.stats().completed);
+  EXPECT_NEAR(clients.stats().response_times.mean(), 0.05, 0.005);
 }
 
 TEST(ClientPopulation, IssuedAtLeastCompleted) {
@@ -112,8 +109,8 @@ TEST(ClientPopulation, IssuedAtLeastCompleted) {
   ClientPopulation::Params params;
   ClientPopulation clients(sim, trace, mix, delayed_system(sim, 0.5), params);
   sim.run_until(10.0);
-  EXPECT_GE(clients.requests_issued(), clients.requests_completed());
-  EXPECT_LE(clients.requests_issued() - clients.requests_completed(), 21u);
+  EXPECT_GE(clients.stats().issued, clients.stats().completed);
+  EXPECT_LE(clients.stats().issued - clients.stats().completed, 21u);
 }
 
 TEST(ClientPopulation, DeterministicAcrossRuns) {
@@ -126,7 +123,7 @@ TEST(ClientPopulation, DeterministicAcrossRuns) {
     ClientPopulation clients(sim, trace, mix, delayed_system(sim, 0.1),
                              params);
     sim.run_until(30.0);
-    return clients.requests_completed();
+    return clients.stats().completed;
   };
   EXPECT_EQ(run_once(), run_once());
 }

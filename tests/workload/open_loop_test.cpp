@@ -15,8 +15,10 @@ RequestMix trivial_mix() {
   return RequestMix({c});
 }
 
-OpenLoopGenerator::SubmitFn instant() {
-  return [](const RequestContext&, std::function<void()> done) { done(); };
+SubmitFn instant() {
+  return [](const RequestContext&, std::function<void(RequestOutcome)> done) {
+    done(RequestOutcome::kServed);
+  };
 }
 
 TEST(OpenLoop, ConstantRateArrivalCount) {
@@ -26,8 +28,8 @@ TEST(OpenLoop, ConstantRateArrivalCount) {
   OpenLoopGenerator gen(sim, rate, mix, instant(), {});
   sim.run_until(100.0);
   // Poisson(200 * 100): mean 20000, sd ~141.
-  EXPECT_NEAR(static_cast<double>(gen.requests_issued()), 20000.0, 600.0);
-  EXPECT_EQ(gen.requests_issued(), gen.requests_completed());
+  EXPECT_NEAR(static_cast<double>(gen.stats().issued), 20000.0, 600.0);
+  EXPECT_EQ(gen.stats().issued, gen.stats().completed);
 }
 
 TEST(OpenLoop, InterArrivalsAreExponential) {
@@ -37,9 +39,9 @@ TEST(OpenLoop, InterArrivalsAreExponential) {
   std::vector<double> arrivals;
   OpenLoopGenerator gen(
       sim, rate, mix,
-      [&](const RequestContext&, std::function<void()> done) {
+      [&](const RequestContext&, std::function<void(RequestOutcome)> done) {
         arrivals.push_back(sim.now());
-        done();
+        done(RequestOutcome::kServed);
       },
       {});
   sim.run_until(200.0);
@@ -62,9 +64,9 @@ TEST(OpenLoop, TimeVaryingRateFollowsTrace) {
   std::uint64_t first_half = 0, second_half = 0;
   OpenLoopGenerator gen(
       sim, rate, mix,
-      [&](const RequestContext&, std::function<void()> done) {
+      [&](const RequestContext&, std::function<void(RequestOutcome)> done) {
         (sim.now() < 100.0 ? first_half : second_half) += 1;
-        done();
+        done(RequestOutcome::kServed);
       },
       {});
   sim.run_until(200.0);
@@ -78,9 +80,9 @@ TEST(OpenLoop, StopsAtTraceEnd) {
   const RequestMix mix = trivial_mix();
   OpenLoopGenerator gen(sim, rate, mix, instant(), {});
   sim.run_until(100.0);
-  const auto at_end = gen.requests_issued();
+  const auto at_end = gen.stats().issued;
   sim.run_until(200.0);
-  EXPECT_EQ(gen.requests_issued(), at_end);
+  EXPECT_EQ(gen.stats().issued, at_end);
   EXPECT_NEAR(static_cast<double>(at_end), 1000.0, 150.0);
 }
 
@@ -91,9 +93,9 @@ TEST(OpenLoop, StopCancelsFutureArrivals) {
   OpenLoopGenerator gen(sim, rate, mix, instant(), {});
   sim.run_until(1.0);
   gen.stop();
-  const auto at_stop = gen.requests_issued();
+  const auto at_stop = gen.stats().issued;
   sim.run_until(50.0);
-  EXPECT_EQ(gen.requests_issued(), at_stop);
+  EXPECT_EQ(gen.stats().issued, at_stop);
 }
 
 TEST(OpenLoop, DeterministicWithSeed) {
@@ -105,7 +107,7 @@ TEST(OpenLoop, DeterministicWithSeed) {
     p.seed = 99;
     OpenLoopGenerator gen(sim, rate, mix, instant(), p);
     sim.run_until(20.0);
-    return gen.requests_issued();
+    return gen.stats().issued;
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -116,7 +118,36 @@ TEST(OpenLoop, ZeroRateIssuesNothing) {
   const RequestMix mix = trivial_mix();
   OpenLoopGenerator gen(sim, rate, mix, instant(), {});
   sim.run_until(10.0);
-  EXPECT_EQ(gen.requests_issued(), 0u);
+  EXPECT_EQ(gen.stats().issued, 0u);
+}
+
+TEST(OpenLoop, ShedRequestsCountAsIssuedAndRejected) {
+  // A system that sheds every third request at submit time and serves the
+  // rest after 20 ms: a shed request is issued and rejected and records no
+  // response time, as in the closed loops.
+  Simulation sim;
+  const WorkloadTrace rate = make_constant_trace(200.0, 50.0);
+  const RequestMix mix = trivial_mix();
+  std::uint64_t submitted = 0;
+  OpenLoopGenerator gen(
+      sim, rate, mix,
+      [&](const RequestContext&, std::function<void(RequestOutcome)> done) {
+        if (++submitted % 3 == 0) {
+          done(RequestOutcome::kRejected);
+          return;
+        }
+        sim.schedule_after(0.02, [done = std::move(done)] {
+          done(RequestOutcome::kServed);
+        });
+      },
+      {});
+  sim.run_until(60.0);
+  const ClientStats& stats = gen.stats();
+  EXPECT_EQ(stats.issued, submitted);
+  EXPECT_EQ(stats.rejected, submitted / 3);
+  EXPECT_EQ(stats.issued, stats.completed + stats.rejected);
+  EXPECT_EQ(stats.response_times.total(), stats.completed);
+  EXPECT_NEAR(stats.response_times.mean(), 0.02, 1e-3);
 }
 
 }  // namespace

@@ -104,7 +104,7 @@ TEST(SessionModel, EmpiricalVisitsMatchAnalyticalFractions) {
 }
 
 // A system that serves every request after a fixed delay.
-SessionPopulation::SubmitFn respond_after(Simulation& sim, double delay) {
+SubmitFn respond_after(Simulation& sim, double delay) {
   return [&sim, delay](const RequestContext&,
                        std::function<void(RequestOutcome)> done) {
     sim.schedule_after(delay, [done = std::move(done)] {
@@ -126,12 +126,12 @@ TEST(SessionPopulation, DrivesRequestsThroughStates) {
       params);
   sim.run_until(60.0);
   EXPECT_EQ(clients.active_users(), 30u);
-  EXPECT_GT(clients.requests_completed(), 200u);
+  EXPECT_GT(clients.stats().completed, 200u);
   EXPECT_GT(clients.sessions_finished(), 20u);
   EXPECT_GE(clients.sessions_started(), clients.sessions_finished());
   // All four states were exercised.
   EXPECT_EQ(clients.per_state_completions().size(), 4u);
-  EXPECT_EQ(clients.response_times().total(), clients.requests_completed());
+  EXPECT_EQ(clients.stats().response_times.total(), clients.stats().completed);
 }
 
 TEST(SessionPopulation, TracksShrinkingTrace) {
@@ -178,23 +178,23 @@ TEST(SessionPopulation, ShedRequestsCountAndUsersCarryOn) {
       },
       params);
   std::uint64_t rejections_seen = 0;
-  clients.set_rejection_hook([&](SimTime) { ++rejections_seen; });
+  clients.set_rejection_hook([&] { ++rejections_seen; });
   sim.run_until(60.0);
 
-  EXPECT_GT(clients.requests_rejected(), 100u);
-  EXPECT_EQ(rejections_seen, clients.requests_rejected());
-  EXPECT_EQ(clients.requests_issued(), submitted);
-  EXPECT_GE(clients.requests_issued(),
-            clients.requests_completed() + clients.requests_rejected());
-  EXPECT_LE(clients.requests_issued() - clients.requests_completed() -
-                clients.requests_rejected(),
+  EXPECT_GT(clients.stats().rejected, 100u);
+  EXPECT_EQ(rejections_seen, clients.stats().rejected);
+  EXPECT_EQ(clients.stats().issued, submitted);
+  EXPECT_GE(clients.stats().issued,
+            clients.stats().completed + clients.stats().rejected);
+  EXPECT_LE(clients.stats().issued - clients.stats().completed -
+                clients.stats().rejected,
             clients.active_users());
-  EXPECT_EQ(clients.response_times().total(), clients.requests_completed());
+  EXPECT_EQ(clients.stats().response_times.total(), clients.stats().completed);
   std::uint64_t per_state = 0;
   for (const auto& [state, count] : clients.per_state_completions()) {
     per_state += count;
   }
-  EXPECT_EQ(per_state, clients.requests_completed());
+  EXPECT_EQ(per_state, clients.stats().completed);
   EXPECT_GT(clients.sessions_finished(), 10u);
 }
 
@@ -211,7 +211,7 @@ TEST(SessionPopulation, DeterministicWithSeed) {
         respond_after(sim, 0.01),
         params);
     sim.run_until(30.0);
-    return clients.requests_completed();
+    return clients.stats().completed;
   };
   EXPECT_EQ(run_once(), run_once());
 }

@@ -8,14 +8,8 @@ container ordering, and no raw heap churn outside the event arena. This tool
 machine-checks that contract so a careless edit cannot silently break
 bit-reproducibility.
 
-Engines
--------
-If ``clang.cindex`` (libclang) is importable, the ``unordered-iter`` rule is
-checked semantically on a best-effort AST parse; everything else — and
-everything, when libclang is absent — runs on a robust token-level scanner so
-CI needs no dependencies beyond Python 3. Any libclang failure falls back to
-the token engine per file; the tool never hard-fails because of a missing or
-broken clang installation.
+Every rule runs on one token-level scanner, so the tool needs nothing
+beyond Python 3.
 
 Rules
 -----
@@ -50,8 +44,7 @@ itself a reviewable artifact.
 
 Usage
 -----
-    detlint.py [--github] [--list-waivers] [--engine auto|tokens|clang]
-               <file-or-dir> [...]
+    detlint.py [--github] [--list-waivers] <file-or-dir> [...]
 
 Exit status: 0 clean, 1 violations found, 2 usage or I/O error.
 """
@@ -385,7 +378,7 @@ def collect_unordered_names(scan: FileScan) -> set:
 
 
 # --------------------------------------------------------------------------
-# Rule checks (token engine)
+# Rule checks
 # --------------------------------------------------------------------------
 
 def check_banned_api(scan: FileScan, report) -> None:
@@ -542,44 +535,6 @@ def check_unordered_iter(scan: FileScan, unordered_names, report) -> None:
 
 
 # --------------------------------------------------------------------------
-# Optional libclang engine (unordered-iter only; best-effort)
-# --------------------------------------------------------------------------
-
-def clang_unordered_iter(path: str, report) -> bool:
-    """Semantic unordered-iter check via libclang. Returns True when the
-    check ran (so the token-level version is skipped); any failure returns
-    False and the caller falls back."""
-    try:
-        from clang import cindex  # type: ignore
-
-        index = cindex.Index.create()
-        tu = index.parse(path, args=["-std=c++20", "-Isrc", "-x", "c++"])
-        if any(d.severity >= cindex.Diagnostic.Fatal
-               for d in tu.diagnostics):
-            return False
-
-        def walk(cursor):
-            for child in cursor.walk_preorder():
-                if child.kind != cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                    continue
-                children = list(child.get_children())
-                if len(children) < 2:
-                    continue
-                range_type = children[-2].type.spelling
-                if "unordered_map" in range_type or \
-                        "unordered_set" in range_type or \
-                        "unordered_multi" in range_type:
-                    report(child.location.line, "unordered-iter",
-                           f"range-for over '{range_type}' — hash order is "
-                           "not part of the determinism contract")
-
-        walk(tu.cursor)
-        return True
-    except Exception:  # noqa: BLE001 — clang is best-effort by design
-        return False
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -605,7 +560,7 @@ def gather_files(paths):
     return sorted(dict.fromkeys(files))
 
 
-def lint_files(files, engine="auto"):
+def lint_files(files):
     """Lints `files`; returns (violations, waivers)."""
     scans = []
     for path in files:
@@ -651,17 +606,10 @@ def lint_files(files, engine="auto"):
         check_raw_new(scan, report)
 
         if not is_test_path(scan.path):
-            handled = False
-            if engine in ("auto", "clang"):
-                handled = clang_unordered_iter(scan.path, report)
-            if not handled:
-                if engine == "clang":
-                    print(f"warning: libclang unavailable for {scan.path}; "
-                          "using token engine", file=sys.stderr)
-                stem = os.path.splitext(os.path.basename(scan.path))[0]
-                names = set(names_by_stem.get(stem, set()))
-                names.update(collect_unordered_names(scan))
-                check_unordered_iter(scan, names, report)
+            stem = os.path.splitext(os.path.basename(scan.path))[0]
+            names = set(names_by_stem.get(stem, set()))
+            names.update(collect_unordered_names(scan))
+            check_unordered_iter(scan, names, report)
 
     for waiver in all_waivers:
         if waiver.used == 0:
@@ -684,9 +632,6 @@ def main(argv=None):
                         help="emit GitHub Actions annotations")
     parser.add_argument("--list-waivers", action="store_true",
                         help="print every active waiver with its reason")
-    parser.add_argument("--engine", choices=("auto", "tokens", "clang"),
-                        default="auto",
-                        help="auto = libclang if importable, else tokens")
     args = parser.parse_args(argv)
 
     try:
@@ -701,7 +646,7 @@ def main(argv=None):
         return 2
 
     try:
-        violations, waivers = lint_files(files, engine=args.engine)
+        violations, waivers = lint_files(files)
     except FileNotFoundError as error:
         print(f"detlint: {error}", file=sys.stderr)
         return 2
