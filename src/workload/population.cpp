@@ -35,17 +35,7 @@ std::size_t ClosedLoopCore::retarget(SimTime now) {
     const std::size_t to_add = target - alive;
     const std::size_t kept = std::min(retire_pending_, to_add);
     retire_pending_ -= kept;
-    const std::size_t added = to_add - kept;
-    // The batch's fresh slots in one allocation, growing at least 2x so a
-    // ramp stays amortized: a large population grown user by user leaves a
-    // trail of freed buffers in the allocator, which raised the peak RSS
-    // of the million-session shards.
-    const std::size_t needed =
-        slots_.size() + added - std::min(added, free_.size());
-    if (needed > slots_.capacity()) {
-      slots_.reserve(std::max(needed, 2 * slots_.capacity()));
-    }
-    return added;
+    return to_add - kept;
   }
   retire_pending_ += alive - target;
   return 0;

@@ -50,11 +50,16 @@ struct ClientStats {
 
 class ClosedLoopCore {
  public:
-  /// One user: the issue time of its request in flight and its pending
-  /// event (think timer or next step).
+  /// One user: the issue time of its request in flight, its pending event
+  /// (think timer or next step), and one word of the population's own per
+  /// user state (SessionPopulation's Markov state). A 24-byte slot without
+  /// that word raised the peak RSS of million-session runs, because the
+  /// allocator kept more freed buffers (EXPERIMENTS.md), so the word costs
+  /// no memory there.
   struct Slot {
     SimTime issued_at = 0.0;
     EventHandle pending;
+    std::size_t state = 0;
   };
 
   /// Tracks part `share` of `shares` of `trace`'s users: part i owns

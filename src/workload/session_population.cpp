@@ -16,15 +16,13 @@ SessionPopulation::SessionPopulation(Simulation& sim,
 
 void SessionPopulation::track(SimTime now) {
   for (std::size_t n = core_.retarget(now); n > 0; --n) {
-    const std::uint32_t slot = core_.add_user();
-    if (slot >= states_.size()) states_.resize(slot + 1);
-    begin_session(slot);
+    begin_session(core_.add_user());
   }
 }
 
 void SessionPopulation::begin_session(std::uint32_t slot) {
   if (core_.maybe_retire(slot)) return;
-  states_[slot] = model_.pick_entry(rng_);
+  core_.slot(slot).state = model_.pick_entry(rng_);
   ++sessions_started_;
   // Issue through the event queue: users spawned at construction time must
   // not hit the system before its bootstrap VMs have come online.
@@ -33,7 +31,7 @@ void SessionPopulation::begin_session(std::uint32_t slot) {
 }
 
 void SessionPopulation::issue(std::uint32_t slot) {
-  const auto& state = model_.states()[states_[slot]];
+  const auto& state = model_.states()[core_.slot(slot).state];
   RequestContext ctx;
   ctx.id = next_request_id_++;
   ctx.request_class = &mix_.classes().at(state.class_index);
@@ -45,12 +43,12 @@ void SessionPopulation::issue(std::uint32_t slot) {
 }
 
 void SessionPopulation::after_response(std::uint32_t slot, bool served) {
-  const auto& state = model_.states()[states_[slot]];
+  const auto& state = model_.states()[core_.slot(slot).state];
   if (served) ++per_state_[state.name];
   if (core_.maybe_retire(slot)) return;
-  const auto next_state = model_.next(states_[slot], rng_);
+  const auto next_state = model_.next(core_.slot(slot).state, rng_);
   if (next_state) {
-    states_[slot] = *next_state;
+    core_.slot(slot).state = *next_state;
     core_.slot(slot).pending = sim_.schedule_after(
         rng_.exponential(state.think_mean), [this, slot] { issue(slot); });
   } else {

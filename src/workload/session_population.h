@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/rng.h"
 #include "simcore/simulation.h"
@@ -66,8 +65,6 @@ class SessionPopulation {
   Params params_;
   Rng rng_;
   ClosedLoopCore core_;
-  /// Each user's session state, indexed like the core's slots.
-  std::vector<std::size_t> states_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t sessions_started_ = 0;
   std::uint64_t sessions_finished_ = 0;
