@@ -33,6 +33,7 @@ class ClientPopulation {
   /// back to thinking (retry-after-backoff behavior).
   ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
                    const RequestMix& mix, SubmitFn submit, Params params);
+  ~ClientPopulation() { core_.cancel_pending(); }
   ClientPopulation(const ClientPopulation&) = delete;
   ClientPopulation& operator=(const ClientPopulation&) = delete;
 

@@ -17,7 +17,7 @@ ClosedLoopCore::ClosedLoopCore(const WorkloadTrace& trace, std::size_t share,
     : trace_(trace), share_(share),
       shares_(std::max<std::size_t>(shares, 1)) {}
 
-ClosedLoopCore::~ClosedLoopCore() {
+void ClosedLoopCore::cancel_pending() {
   // Freed slots hold stale handles, and cancelling a stale handle is a
   // no-op.
   for (Slot& slot : slots_) slot.pending.cancel();

@@ -67,8 +67,6 @@ class ClosedLoopCore {
   /// depend only on (i, S). The defaults track the whole trace.
   explicit ClosedLoopCore(const WorkloadTrace& trace, std::size_t share = 0,
                           std::size_t shares = 1);
-  /// Cancels every user's pending event.
-  ~ClosedLoopCore();
   ClosedLoopCore(const ClosedLoopCore&) = delete;
   ClosedLoopCore& operator=(const ClosedLoopCore&) = delete;
 
@@ -92,6 +90,10 @@ class ClosedLoopCore {
   /// its response time and fires the completion hook, a shed one fires the
   /// rejection hook. Returns true when the request was served.
   bool reply(std::uint32_t slot, RequestOutcome outcome, SimTime now);
+
+  /// Cancels every user's pending event. A population whose Simulation may
+  /// run on after it is gone calls this from its destructor.
+  void cancel_pending();
 
   /// Users alive, including those marked to retire at their next activity.
   std::size_t active_users() const { return slots_.size() - free_.size(); }

@@ -33,6 +33,7 @@ class SessionPopulation {
   SessionPopulation(Simulation& sim, const WorkloadTrace& trace,
                     const RequestMix& mix, const SessionModel& model,
                     SubmitFn submit, Params params);
+  ~SessionPopulation() { core_.cancel_pending(); }
   SessionPopulation(const SessionPopulation&) = delete;
   SessionPopulation& operator=(const SessionPopulation&) = delete;
 

@@ -49,6 +49,9 @@ class SessionShard final : public lanes::LaneActor {
                LaneGateway& gateway, std::size_t gateway_lane, Params params);
   SessionShard(const SessionShard&) = delete;
   SessionShard& operator=(const SessionShard&) = delete;
+  // No cancel_pending() on destruction: the lane engine outlives its shards
+  // and runs no event after them, and a million-user sweep costs a cache
+  // miss per user.
 
   /// Protocol entry: the gateway's reply, executing on this shard's lane at
   /// the client-perceived response instant.

@@ -74,16 +74,18 @@ TEST(ClosedLoopCore, RetiringCancelsThePendingEvent) {
   EXPECT_EQ(core.active_users(), 0u);
 }
 
-TEST(ClosedLoopCore, DestructorCancelsEveryPendingEvent) {
+TEST(ClosedLoopCore, CancelPendingCancelsEveryUsersEvent) {
   Simulation sim;
-  const WorkloadTrace trace = steps({2.0, 2.0});
+  const WorkloadTrace trace = steps({2.0, 1.0});
+  ClosedLoopCore core(trace);
+  add_users(core, core.retarget(0.0));
   int fired = 0;
-  {
-    ClosedLoopCore core(trace);
-    add_users(core, core.retarget(0.0));
-    core.slot(0).pending = sim.schedule_at(1.0, [&] { ++fired; });
-    core.slot(1).pending = sim.schedule_at(2.0, [&] { ++fired; });
-  }
+  core.slot(0).pending = sim.schedule_at(1.0, [&] { ++fired; });
+  core.slot(1).pending = sim.schedule_at(2.0, [&] { ++fired; });
+  // A freed slot keeps its stale handle; cancelling it is harmless.
+  ASSERT_EQ(core.retarget(1.0), 0u);
+  ASSERT_TRUE(core.maybe_retire(1));
+  core.cancel_pending();
   sim.run_until(10.0);
   EXPECT_EQ(fired, 0);
 }
