@@ -53,9 +53,9 @@ class ClosedLoopCore {
   /// One user: the issue time of its request in flight, its pending event
   /// (think timer or next step), and one word of the population's own per
   /// user state (SessionPopulation's Markov state). A 24-byte slot without
-  /// that word raised the peak RSS of million-session runs, because the
-  /// allocator kept more freed buffers (EXPERIMENTS.md), so the word costs
-  /// no memory there.
+  /// that word measured a higher peak RSS on million-session runs, because
+  /// the allocator kept more freed buffers (EXPERIMENTS.md); the word costs
+  /// nothing there.
   struct Slot {
     SimTime issued_at = 0.0;
     EventHandle pending;
