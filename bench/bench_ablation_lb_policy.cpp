@@ -19,7 +19,6 @@ int main(int argc, char** argv) try {
   std::vector<RunSpec> specs;
   for (LbPolicy policy : policies) {
     RunSpec spec;
-    spec.label = "lb/" + to_string(policy);
     spec.params = env.params;
     spec.params.lb_policy = policy;
     spec.trace = TraceKind::kBigSpike;

@@ -20,7 +20,6 @@ int main(int argc, char** argv) try {
   std::vector<RunSpec> specs;
   for (bool sessions : {false, true}) {
     RunSpec spec;
-    spec.label = sessions ? "markov-sessions" : "iid-draws";
     spec.params = env.params;
     spec.trace = TraceKind::kLargeVariations;
     spec.framework = "conscale";
@@ -36,8 +35,10 @@ int main(int argc, char** argv) try {
     std::snprintf(buf, sizeof(buf),
                   "  %-16s p50=%6.0fms p95=%6.0fms p99=%6.0fms "
                   "sla(500ms)=%3.0f%% completed=%llu estimates=%zu\n",
-                  specs[i].label.c_str(), result.p50_ms,
-                  result.p95_ms, result.p99_ms, result.sla_500ms * 100.0,
+                  specs[i].options.session_workload ? "markov-sessions"
+                                                    : "iid-draws",
+                  result.p50_ms, result.p95_ms, result.p99_ms,
+                  result.sla_500ms * 100.0,
                   static_cast<unsigned long long>(result.requests_completed),
                   result.sct_history.size());
     std::cout << buf;

@@ -80,15 +80,10 @@ int main(int argc, char** argv) try {
   struct Cell {
     ControllerRef framework;
     TraceKind trace;
-    std::string label;
   };
   std::vector<Cell> cells;
   for (const ControllerRef& framework : frameworks) {
-    for (TraceKind trace : traces) {
-      cells.push_back({framework, trace,
-                       registry.at(framework.name).display_name + "/" +
-                           to_string(trace)});
-    }
+    for (TraceKind trace : traces) cells.push_back({framework, trace});
   }
   std::cout << "  grid: " << frameworks.size() << " frameworks x "
             << traces.size() << " traces = " << cells.size()
@@ -96,10 +91,9 @@ int main(int argc, char** argv) try {
             << fmt(scenario.graph.nodes[1].cache.base_hit_ratio) << ")\n";
   const std::vector<GraphRunResult> grid = env.map<GraphRunResult>(
       cells.size(), [&](std::size_t i) {
-        ScalingRunOptions options = env.scaling_options();
-        options.context.set_label(cells[i].label);
         return run_graph_scaling(scenario, cells[i].trace,
-                                 to_string(cells[i].framework), options);
+                                 to_string(cells[i].framework),
+                                 env.scaling_options());
       });
 
   std::size_t index = 0;
@@ -119,10 +113,9 @@ int main(int argc, char** argv) try {
       ratios.size(), [&](std::size_t i) {
         GraphScenario variant = scenario;
         variant.graph.nodes[1].cache.base_hit_ratio = ratios[i];
-        ScalingRunOptions options = env.scaling_options();
-        options.context.set_label("ratio=" + fmt(ratios[i]));
         return run_graph_scaling(variant, TraceKind::kLargeVariations,
-                                 to_string(sweep_framework), options);
+                                 to_string(sweep_framework),
+                                 env.scaling_options());
       });
 
   std::cout << "\n  hit-ratio sweep ("

@@ -73,10 +73,9 @@ int main(int argc, char** argv) try {
 
   const std::vector<GraphRunResult> results = env.map<GraphRunResult>(
       cells.size(), [&](std::size_t i) {
-        ScalingRunOptions options = env.scaling_options();
-        options.context.set_label(cells[i].label);
         return run_graph_scaling(scenario, cells[i].trace,
-                                 to_string(cells[i].framework), options);
+                                 to_string(cells[i].framework),
+                                 env.scaling_options());
       });
 
   std::size_t index = 0;

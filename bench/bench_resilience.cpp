@@ -87,15 +87,11 @@ int main(int argc, char** argv) try {
     dcm_config.dcm_profile = train_dcm_profile(env.params);
   }
 
-  const ControllerRegistry& registry = ControllerRegistry::global();
   std::vector<RunSpec> specs;
   for (const auto& [fault_name, plan_text] : scenarios) {
     for (const ControllerRef& framework : frameworks) {
       for (TraceKind trace : traces) {
         RunSpec spec;
-        spec.label = fault_name + "/" +
-                     registry.at(framework.name).display_name + "/" +
-                     to_string(trace);
         spec.params = env.params;
         spec.trace = trace;
         spec.framework = to_string(framework);

@@ -209,8 +209,6 @@ int main(int argc, char** argv) try {
       } else {
         cell_options.lanes = threads;
       }
-      cell_options.base.context.set_label(name + "/" + knob +
-                                          std::to_string(threads));
       const auto start =
           std::chrono::steady_clock::now();  // detlint: allow(banned-api) real-time measurement only
       if (topology == "chain") {

@@ -101,12 +101,9 @@ int main(int argc, char** argv) try {
 
   const std::vector<GraphRunResult> results = env.map<GraphRunResult>(
       cells.size(), [&](std::size_t i) {
-        ScalingRunOptions options = env.scaling_options();
-        options.context.set_label(cells[i].variant + "/" +
-                                  cells[i].framework.name + "/" +
-                                  to_string(cells[i].trace));
         return run_graph_scaling(*cells[i].scenario, cells[i].trace,
-                                 to_string(cells[i].framework), options);
+                                 to_string(cells[i].framework),
+                                 env.scaling_options());
       });
 
   // Index the nominal references by trace order.

@@ -1,7 +1,8 @@
 // Controller zoo: the Table-I grid (tail latency across the six paper
 // traces) extended to every registered controller — the three paper
-// frameworks plus the four literature-grounded zoo policies (PI-RT,
-// Fuzzy-RT, Vertical-Robust, HoltWinters-Pred). One table answers "how does
+// frameworks plus the five literature-grounded zoo controllers (PI-RT,
+// Fuzzy-RT, Vertical-Robust, HoltWinters-Pred, and Hybrid-PredSCT, the
+// forecast with ConScale's soft loop attached). One table answers "how does
 // a <paradigm> autoscaler behave on the paper's workloads?" for each
 // controller paradigm the registry knows about.
 //

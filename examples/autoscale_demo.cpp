@@ -45,6 +45,8 @@ void run_one(const ScenarioParams& params, TraceKind trace,
 
 int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
+  config.require_known_keys({"work_scale", "max_users", "seed", "trace",
+                             "duration", "framework"});
 
   ScenarioParams params = ScenarioParams::paper_default();
   params.work_scale = config.get_double("work_scale", 4.0);

@@ -75,6 +75,8 @@ PlanResult evaluate(const ScenarioParams& base, std::size_t app_vms,
 
 int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
+  config.require_known_keys({"work_scale", "peak_users", "sla_p99_ms",
+                             "duration", "max_app", "max_db"});
   ScenarioParams params = ScenarioParams::paper_default();
   params.work_scale = config.get_double("work_scale", 1.0);
   const double peak_users =

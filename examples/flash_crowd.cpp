@@ -47,6 +47,8 @@ WorkloadTrace make_flash_crowd(double base, double spike,
 
 int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
+  config.require_known_keys({"work_scale", "seed", "base_users", "spike_users",
+                             "duration"});
   ScenarioParams params = ScenarioParams::paper_default();
   params.work_scale = config.get_double("work_scale", 1.0);
   params.seed = static_cast<std::uint64_t>(config.get_int("seed", 7));

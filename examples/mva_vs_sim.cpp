@@ -19,6 +19,8 @@ using namespace conscale;
 
 int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
+  config.require_known_keys({"dataset_scale", "mode", "tier", "cores",
+                             "max_q"});
   ScenarioParams params = ScenarioParams::paper_default();
   params.mix.dataset_scale = config.get_double("dataset_scale", 1.0);
   params.mode = config.get_string("mode", "browse") == "readwrite"

@@ -27,6 +27,9 @@ using namespace conscale;
 
 int main(int argc, char** argv) try {
   const Config config = Config::from_args(argc, argv);
+  config.require_known_keys({"work_scale", "seed", "dataset_scale", "mode",
+                             "tier", "cores", "duration", "max_users",
+                             "app_vms", "db_vms", "csv"});
 
   ScenarioParams params = ScenarioParams::paper_default();
   params.work_scale = config.get_double("work_scale", 1.0);

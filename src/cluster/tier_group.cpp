@@ -4,10 +4,8 @@
 
 namespace conscale {
 
-TierGroup::TierGroup(Simulation& sim, TierConfig config,
-                     const RunContext* context)
-    : sim_(sim), ctx_(context ? context : &RunContext::global()),
-      config_(std::move(config)),
+TierGroup::TierGroup(Simulation& sim, TierConfig config)
+    : sim_(sim), config_(std::move(config)),
       lb_(config_.name + ".lb", config_.lb_policy),
       thread_pool_size_(config_.server_template.thread_pool_size),
       downstream_pool_size_(config_.server_template.downstream_pool_size) {}
@@ -24,13 +22,11 @@ std::unique_ptr<Vm> TierGroup::make_vm(SimDuration prep_delay) {
   params.speed = config_.server_template.speed * cpu_speed_factor_;
   ++next_vm_number_;
 
-  auto vm = std::make_unique<Vm>(
-      sim_, std::move(params), prep_delay,
-      [this](Vm& ready) {
-        lb_.add_backend(&ready.server());
-        if (on_vm_ready_) on_vm_ready_(ready);
-      },
-      ctx_);
+  auto vm = std::make_unique<Vm>(sim_, std::move(params), prep_delay,
+                                 [this](Vm& ready) {
+                                   lb_.add_backend(&ready.server());
+                                   if (on_vm_ready_) on_vm_ready_(ready);
+                                 });
   if (downstream_factory_) {
     vm->server().set_downstream(downstream_factory_());
   }
@@ -47,8 +43,6 @@ void TierGroup::bootstrap(std::size_t count) {
 
 bool TierGroup::scale_out() {
   if (billed_vms() >= config_.max_vms) return false;
-  CS_RUN_LOG_INFO(*ctx_) << config_.name << ": scale-out started at t="
-                         << sim_.now();
   vms_.push_back(make_vm(config_.vm_prep_delay * prep_delay_factor_));
   meters_.push_back(std::make_unique<CpuMeter>());
   return true;
@@ -71,8 +65,6 @@ bool TierGroup::inject_vm_crash(std::size_t ordinal,
 
 void TierGroup::set_prep_delay_factor(double factor) {
   prep_delay_factor_ = factor > 0.0 ? factor : 1.0;
-  CS_RUN_LOG_INFO(*ctx_) << config_.name << ": boot delay factor set to "
-                         << prep_delay_factor_ << " at t=" << sim_.now();
 }
 
 std::vector<Server*> TierGroup::set_vm_cpu_speed_factor(std::size_t ordinal,
@@ -107,8 +99,6 @@ bool TierGroup::scale_in() {
   for (auto it = vms_.rbegin(); it != vms_.rend(); ++it) {
     Vm* vm = it->get();
     if (vm->state() == VmState::kRunning) {
-      CS_RUN_LOG_INFO(*ctx_) << config_.name << ": draining " << vm->name()
-                             << " at t=" << sim_.now();
       lb_.remove_backend(&vm->server());
       vm->drain([](Vm&) {});
       return true;
@@ -126,8 +116,6 @@ bool TierGroup::set_cores(int cores) {
       vm->server().set_cores(cores);
     }
   }
-  CS_RUN_LOG_INFO(*ctx_) << config_.name << ": vertical scaling to " << cores
-                         << " cores";
   return true;
 }
 

@@ -13,7 +13,6 @@
 
 #include "cluster/load_balancer.h"
 #include "cluster/vm.h"
-#include "common/run_context.h"
 #include "simcore/simulation.h"
 #include "tier/server.h"
 
@@ -36,10 +35,7 @@ class TierGroup {
   /// soft resources to the newcomer.
   using VmReadyCallback = std::function<void(Vm&)>;
 
-  /// `context` (optional) scopes scaling/actuation log lines to the owning
-  /// run; it must outlive the tier.
-  TierGroup(Simulation& sim, TierConfig config,
-            const RunContext* context = nullptr);
+  TierGroup(Simulation& sim, TierConfig config);
 
   /// Adds `count` VMs immediately (initial topology; no preparation delay).
   void bootstrap(std::size_t count);
@@ -120,7 +116,6 @@ class TierGroup {
   std::unique_ptr<Vm> make_vm(SimDuration prep_delay);
 
   Simulation& sim_;
-  const RunContext* ctx_;
   TierConfig config_;
   LoadBalancer lb_;
   std::vector<std::unique_ptr<Vm>> vms_;

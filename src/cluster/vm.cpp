@@ -37,9 +37,9 @@ double CpuMeter::sample(SimTime now, double busy_core_seconds, int cores) {
 }
 
 Vm::Vm(Simulation& sim, Server::Params server_params, SimDuration prep_delay,
-       ReadyCallback on_ready, const RunContext* context)
-    : sim_(sim), ctx_(context ? context : &RunContext::global()),
-      server_(sim, std::move(server_params)), on_ready_(std::move(on_ready)) {
+       ReadyCallback on_ready)
+    : sim_(sim), server_(sim, std::move(server_params)),
+      on_ready_(std::move(on_ready)) {
   begin_provisioning(prep_delay);
 }
 
@@ -48,7 +48,6 @@ void Vm::begin_provisioning(SimDuration prep_delay) {
   boot_event_ = sim_.schedule_after(prep_delay, [this] {
     if (state_ != VmState::kProvisioning) return;
     state_ = VmState::kRunning;
-    CS_RUN_LOG_DEBUG(*ctx_) << "VM " << name() << " ready at t=" << sim_.now();
     if (on_ready_) on_ready_(*this);
   });
 }
@@ -76,18 +75,10 @@ std::size_t Vm::fail(SimDuration restart_delay,
   state_ = VmState::kFailed;
   ++crash_count_;
   const std::size_t aborted = server_.fail();
-  CS_RUN_LOG_INFO(*ctx_) << "VM " << name() << " FAILED at t=" << sim_.now()
-                         << " (aborted " << aborted << " in-flight requests"
-                         << (restart_delay >= 0.0
-                                 ? ", restart in " +
-                                       std::to_string(restart_delay) + "s)"
-                                 : ", permanent)");
   if (restart_delay >= 0.0) {
     restart_event_ =
         sim_.schedule_after(restart_delay, [this, restart_prep_delay] {
           if (state_ != VmState::kFailed) return;
-          CS_RUN_LOG_INFO(*ctx_)
-              << "VM " << name() << " restarting at t=" << sim_.now();
           begin_provisioning(restart_prep_delay);
         });
   }
@@ -98,8 +89,6 @@ void Vm::check_drained() {
   if (state_ != VmState::kDraining) return;
   if (server_.in_flight() == 0) {
     state_ = VmState::kStopped;
-    CS_RUN_LOG_DEBUG(*ctx_) << "VM " << name() << " stopped at t="
-                            << sim_.now();
     if (on_stopped_) {
       auto callback = std::move(on_stopped_);
       callback(*this);

@@ -26,7 +26,6 @@
 #include <memory>
 #include <string>
 
-#include "common/run_context.h"
 #include "simcore/simulation.h"
 #include "tier/server.h"
 
@@ -59,10 +58,8 @@ class Vm {
   /// the event queue (deterministic ordering with other time-zero work).
   /// `on_ready` fires again after every restart-from-failure, so LB
   /// re-registration works the same way as first boot.
-  /// `context` (optional) scopes the VM's log lines to its run; it must
-  /// outlive the VM.
   Vm(Simulation& sim, Server::Params server_params, SimDuration prep_delay,
-     ReadyCallback on_ready, const RunContext* context = nullptr);
+     ReadyCallback on_ready);
 
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
@@ -113,7 +110,6 @@ class Vm {
   void check_drained();
 
   Simulation& sim_;
-  const RunContext* ctx_;
   Server server_;
   VmState state_ = VmState::kProvisioning;
   bool is_bootstrap_ = false;

@@ -207,27 +207,4 @@ std::string render_scatter(const Series& points, const ChartOptions& options) {
   return assemble(canvas, bounds, options, legend);
 }
 
-std::string render_bars(const std::vector<Bar>& bars, int width,
-                        const std::string& unit) {
-  double max_value = 0.0;
-  std::size_t label_width = 0;
-  for (const auto& b : bars) {
-    max_value = std::max(max_value, b.value);
-    label_width = std::max(label_width, b.label.size());
-  }
-  if (max_value <= 0.0) max_value = 1.0;
-  std::ostringstream out;
-  for (const auto& b : bars) {
-    const int len =
-        static_cast<int>(std::round(b.value / max_value * width));
-    out << "  " << b.label << std::string(label_width - b.label.size(), ' ')
-        << " |" << std::string(static_cast<std::size_t>(len), '#')
-        << std::string(static_cast<std::size_t>(width - len), ' ') << "| "
-        << format_tick(b.value);
-    if (!unit.empty()) out << ' ' << unit;
-    out << '\n';
-  }
-  return out.str();
-}
-
 }  // namespace conscale

@@ -1,7 +1,7 @@
 // Terminal rendering of the paper's figures: line charts for timelines
-// (Fig 1/5/10/11), scatter plots for SCT correlation graphs (Fig 6/7), and
-// simple bar summaries for tables. The bench binaries print these so a run's
-// output is directly comparable to the paper without external plotting.
+// (Fig 1/5/10/11) and scatter plots for SCT correlation graphs (Fig 6/7).
+// The bench binaries print these so a run's output is directly comparable
+// to the paper without external plotting.
 #pragma once
 
 #include <string>
@@ -33,13 +33,5 @@ std::string render_lines(const std::vector<Series>& series,
 
 /// Renders a scatter plot (density shown by character ramp . : * # @).
 std::string render_scatter(const Series& points, const ChartOptions& options);
-
-/// Renders a labeled horizontal bar chart, e.g. for Table I summaries.
-struct Bar {
-  std::string label;
-  double value = 0.0;
-};
-std::string render_bars(const std::vector<Bar>& bars, int width = 60,
-                        const std::string& unit = "");
 
 }  // namespace conscale

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <stdexcept>
 
 namespace conscale {
@@ -30,31 +29,12 @@ Config Config::from_args(int argc, const char* const* argv) {
     std::string token = argv[i];
     // Accept both key=value and --key=value.
     if (token.rfind("--", 0) == 0) token = token.substr(2);
-    auto eq = token.find('=');
+    const auto eq = token.find('=');
     if (eq == std::string::npos) {
-      config.positional_.push_back(token);
-    } else {
-      config.set(trim(token.substr(0, eq)), trim(token.substr(eq + 1)));
+      throw std::runtime_error("Config: argument '" + token +
+                               "' is not key=value");
     }
-  }
-  return config;
-}
-
-Config Config::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Config: cannot open " + path);
-  Config config;
-  std::string line;
-  while (std::getline(in, line)) {
-    auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("Config: malformed line: " + line);
-    }
-    config.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+    config.set(trim(token.substr(0, eq)), trim(token.substr(eq + 1)));
   }
   return config;
 }
@@ -124,12 +104,6 @@ void Config::require_known_keys(
   }
   throw std::runtime_error("Config: unknown key(s): " + unknown +
                            " (known keys: " + known + ")");
-}
-
-void Config::merge(const Config& other) {
-  for (const auto& [k, v] : other.values_) values_[k] = v;
-  positional_.insert(positional_.end(), other.positional_.begin(),
-                     other.positional_.end());
 }
 
 }  // namespace conscale

@@ -1,10 +1,9 @@
-// Key/value configuration used by examples and benches: parses
-// "key=value" pairs from argv and simple INI-ish files, with typed getters
-// and defaults so every experiment knob is overridable from the command line.
+// Key/value configuration used by examples and benches: parses "key=value"
+// pairs from argv, with typed getters and defaults so every experiment knob
+// is overridable from the command line.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,13 +13,10 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses "key=value" tokens; tokens without '=' are collected as
-  /// positional arguments.
+  /// Parses "key=value" (or "--key=value") tokens. Throws
+  /// std::runtime_error on a token without '=': a bare `duration 60` must
+  /// abort, not silently run the default.
   static Config from_args(int argc, const char* const* argv);
-
-  /// Parses a file of `key = value` lines; '#' starts a comment. Throws
-  /// std::runtime_error if the file cannot be read.
-  static Config from_file(const std::string& path);
 
   void set(const std::string& key, const std::string& value);
   bool contains(const std::string& key) const;
@@ -31,12 +27,6 @@ class Config {
   long get_int(const std::string& key, long fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-  const std::map<std::string, std::string>& entries() const { return values_; }
-
-  /// Merge: entries in `other` override entries here.
-  void merge(const Config& other);
-
   /// Validation: throws std::runtime_error naming every key not in
   /// `known_keys` (sorted, so the message is deterministic). A mistyped
   /// `durration=60` must abort the bench, not silently run the default.
@@ -44,7 +34,6 @@ class Config {
 
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace conscale

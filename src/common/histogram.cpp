@@ -6,55 +6,6 @@
 
 namespace conscale {
 
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)) {
-  if (buckets == 0 || hi <= lo) {
-    throw std::invalid_argument("LinearHistogram: empty range");
-  }
-  counts_.assign(buckets, 0);
-}
-
-void LinearHistogram::add(double value, std::uint64_t count) {
-  auto idx = static_cast<long>((value - lo_) / width_);
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += count;
-  total_ += count;
-  sum_ += value * static_cast<double>(count);
-}
-
-void LinearHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0.0;
-}
-
-double LinearHistogram::bucket_value(std::size_t index) const {
-  return lo_ + (static_cast<double>(index) + 0.5) * width_;
-}
-
-double LinearHistogram::percentile(double pct) const {
-  if (total_ == 0) return 0.0;
-  pct = std::clamp(pct, 0.0, 100.0);
-  const double target = pct / 100.0 * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      // Interpolate within the bucket.
-      const double frac =
-          counts_[i] ? (target - cumulative) / static_cast<double>(counts_[i])
-                     : 0.0;
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cumulative = next;
-  }
-  return bucket_value(counts_.size() - 1);
-}
-
-double LinearHistogram::mean() const {
-  return total_ ? sum_ / static_cast<double>(total_) : 0.0;
-}
-
 LogHistogram::LogHistogram(double unit, std::size_t sub_buckets)
     : unit_(unit), sub_buckets_(sub_buckets) {
   if (unit <= 0.0 || sub_buckets == 0) {

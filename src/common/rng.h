@@ -130,24 +130,6 @@ class Rng {
     return std::exp(normal(mu, std::sqrt(sigma2)));
   }
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 60 to stay O(1)).
-  std::uint64_t poisson(double mean) {
-    if (mean <= 0.0) return 0;
-    if (mean > 60.0) {
-      const double x = normal(mean, std::sqrt(mean));
-      return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-    }
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-
  private:
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;

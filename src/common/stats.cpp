@@ -45,13 +45,9 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double percentile(std::span<const double> values, double pct) {
-  std::vector<double> copy(values.begin(), values.end());
-  return percentile_inplace(copy, pct);
-}
-
-double percentile_inplace(std::vector<double>& values, double pct) {
-  if (values.empty()) return 0.0;
+double percentile(std::span<const double> samples, double pct) {
+  if (samples.empty()) return 0.0;
+  std::vector<double> values(samples.begin(), samples.end());
   pct = std::clamp(pct, 0.0, 100.0);
   const double rank = pct / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
@@ -129,29 +125,6 @@ std::vector<double> moving_average(std::span<const double> values,
     out.push_back(sum / static_cast<double>(2 * r + 1));
   }
   return out;
-}
-
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y) {
-  LinearFit fit;
-  const std::size_t n = std::min(x.size(), y.size());
-  if (n < 2) return fit;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-    syy += y[i] * y[i];
-  }
-  const double dn = static_cast<double>(n);
-  const double cov = sxy - sx * sy / dn;
-  const double varx = sxx - sx * sx / dn;
-  const double vary = syy - sy * sy / dn;
-  if (varx <= 0.0) return fit;
-  fit.slope = cov / varx;
-  fit.intercept = (sy - fit.slope * sx) / dn;
-  fit.r2 = vary > 0.0 ? (cov * cov) / (varx * vary) : 1.0;
-  return fit;
 }
 
 }  // namespace conscale

@@ -1,7 +1,7 @@
 // Statistics primitives shared by the metrics pipeline and the SCT model:
 // streaming moments (Welford), percentiles, Welch's two-sample t-test (the
 // statistical-intervention building block, after Malkowski et al. 2007),
-// simple smoothing, and least-squares regression.
+// and simple smoothing.
 #pragma once
 
 #include <cstddef>
@@ -36,11 +36,8 @@ class RunningStats {
 };
 
 /// Percentile (0..100) with linear interpolation between order statistics.
-/// Sorts a copy; use Histogram for high-volume streaming cases.
+/// Selects on a copy; use LogHistogram for high-volume streaming cases.
 double percentile(std::span<const double> values, double pct);
-
-/// In-place variant for callers that can afford mutating their buffer.
-double percentile_inplace(std::vector<double>& values, double pct);
 
 /// Result of Welch's unequal-variance t-test.
 struct TTestResult {
@@ -62,13 +59,5 @@ double t_critical_95(double df);
 /// window symmetrically. Returns an empty vector for empty input.
 std::vector<double> moving_average(std::span<const double> values,
                                    std::size_t radius);
-
-/// Ordinary least squares y = a + b*x over paired samples.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-};
-LinearFit linear_fit(std::span<const double> x, std::span<const double> y);
 
 }  // namespace conscale

@@ -4,10 +4,8 @@
 
 namespace conscale {
 
-HardwareAgent::HardwareAgent(Simulation& sim, topology::ServiceGraph& system,
-                             const RunContext* context)
-    : sim_(sim), system_(system),
-      ctx_(context ? context : &RunContext::global()) {}
+HardwareAgent::HardwareAgent(Simulation& sim, topology::ServiceGraph& system)
+    : sim_(sim), system_(system) {}
 
 bool HardwareAgent::scale_out(std::size_t tier_index) {
   TierGroup& tier = system_.tier(tier_index);
@@ -42,10 +40,8 @@ bool HardwareAgent::set_tier_cpu_entitlement(std::size_t tier_index,
   return true;
 }
 
-SoftwareAgent::SoftwareAgent(Simulation& sim, topology::ServiceGraph& system,
-                             const RunContext* context)
-    : sim_(sim), system_(system),
-      ctx_(context ? context : &RunContext::global()) {}
+SoftwareAgent::SoftwareAgent(Simulation& sim, topology::ServiceGraph& system)
+    : sim_(sim), system_(system) {}
 
 void SoftwareAgent::set_tier_threads(std::size_t tier_index,
                                      std::size_t size) {
@@ -53,8 +49,6 @@ void SoftwareAgent::set_tier_threads(std::size_t tier_index,
   if (tier.thread_pool_size() == size) return;  // idempotent
   events_.push_back({sim_.now(), tier.name(), "threads",
                      static_cast<double>(size)});
-  CS_RUN_LOG_INFO(*ctx_) << tier.name() << ": thread pool -> " << size
-                         << " at t=" << sim_.now();
   sim_.schedule_after(params_.actuation_delay, [&tier, size] {
     tier.set_thread_pool_size(size);
   });
@@ -66,8 +60,6 @@ void SoftwareAgent::set_tier_downstream_pool(std::size_t tier_index,
   if (tier.downstream_pool_size() == size) return;
   events_.push_back({sim_.now(), tier.name(), "dbconn",
                      static_cast<double>(size)});
-  CS_RUN_LOG_INFO(*ctx_) << tier.name() << ": downstream pool -> " << size
-                         << " at t=" << sim_.now();
   sim_.schedule_after(params_.actuation_delay, [&tier, size] {
     tier.set_downstream_pool_size(size);
   });

@@ -1,16 +1,15 @@
 // Actuators (Fig 8, step 4-6): the hardware agent performs VM scaling via
 // the cluster layer ("calling hypervisor APIs remotely"), the software agent
 // performs runtime soft-resource reallocation (the JMX/RMI path in the real
-// implementation, §IV-A). Both log every action for the experiment reports,
-// and the software agent applies changes after a small actuation latency —
-// a remote JMX call is fast but not instantaneous.
+// implementation, §IV-A). Both record every action as a ScalingEvent for
+// the experiment reports, and the software agent applies changes after a
+// small actuation latency — a remote JMX call is fast but not instantaneous.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "simcore/simulation.h"
 
 namespace conscale::topology {
@@ -28,8 +27,7 @@ struct ScalingEvent {
 
 class HardwareAgent {
  public:
-  HardwareAgent(Simulation& sim, topology::ServiceGraph& system,
-                const RunContext* context = nullptr);
+  HardwareAgent(Simulation& sim, topology::ServiceGraph& system);
 
   /// Returns true if the scale-out was initiated (VM begins provisioning).
   bool scale_out(std::size_t tier_index);
@@ -50,7 +48,6 @@ class HardwareAgent {
  private:
   Simulation& sim_;
   topology::ServiceGraph& system_;
-  const RunContext* ctx_;
   std::vector<ScalingEvent> events_;
 };
 
@@ -60,8 +57,7 @@ class SoftwareAgent {
     SimDuration actuation_delay = 0.1;  ///< JMX round-trip + pool adjustment
   };
 
-  SoftwareAgent(Simulation& sim, topology::ServiceGraph& system,
-                const RunContext* context = nullptr);
+  SoftwareAgent(Simulation& sim, topology::ServiceGraph& system);
 
   /// Sets every server in the tier's worker thread pool to `size`.
   void set_tier_threads(std::size_t tier_index, std::size_t size);
@@ -74,7 +70,6 @@ class SoftwareAgent {
  private:
   Simulation& sim_;
   topology::ServiceGraph& system_;
-  const RunContext* ctx_;
   Params params_;
   std::vector<ScalingEvent> events_;
 };

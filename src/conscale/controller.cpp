@@ -1,6 +1,5 @@
 #include "conscale/controller.h"
 
-#include "common/logging.h"
 #include "topology/service_graph.h"
 
 namespace conscale {

@@ -66,12 +66,8 @@ class DecisionController : public Controller {
                      SoftwareAgent& sw, SoftResourcePolicy& policy,
                      ControllerConfig config);
 
-  std::uint64_t scale_out_count() const { return scale_outs_; }
-  std::uint64_t scale_in_count() const { return scale_ins_; }
-  std::uint64_t adapt_count() const { return adapts_; }
-  /// Tier-ticks skipped because metrics were stale (dropout guard).
-  std::uint64_t stale_skip_count() const { return stale_skips_; }
-
+  /// "adapts", "scale_ins", "scale_outs", and "stale_skips" (tier-ticks
+  /// skipped because metrics were stale: the dropout guard).
   ControllerCounters counters() const override;
 
  private:

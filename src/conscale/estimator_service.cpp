@@ -9,11 +9,9 @@ namespace conscale {
 
 ConcurrencyEstimatorService::ConcurrencyEstimatorService(
     Simulation& sim, topology::ServiceGraph& system,
-    const MetricsWarehouse& warehouse,
-    EstimatorServiceParams params, const RunContext* context)
-    : sim_(sim), system_(system),
-      ctx_(context ? context : &RunContext::global()), warehouse_(warehouse),
-      params_(params), estimator_(params.sct) {
+    const MetricsWarehouse& warehouse, EstimatorServiceParams params)
+    : sim_(sim), system_(system), warehouse_(warehouse), params_(params),
+      estimator_(params.sct) {
   refresh_task_ = std::make_unique<PeriodicTask>(
       sim_, params_.refresh, [this](SimTime now) { refresh(now); });
 }
@@ -81,10 +79,6 @@ void ConcurrencyEstimatorService::refresh(SimTime now) {
     }
     cache_[tier.name()] = *range;
     history_.push_back({now, tier.name(), *range});
-    CS_RUN_LOG_DEBUG(*ctx_)
-        << "SCT " << tier.name() << ": Q_lower=" << range->q_lower
-        << " Q_upper=" << range->q_upper << " TPmax=" << range->tp_max
-        << " at t=" << now;
   }
 }
 

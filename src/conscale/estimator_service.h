@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "metrics/warehouse.h"
 #include "sct/estimator.h"
 #include "simcore/simulation.h"
@@ -48,8 +47,7 @@ class ConcurrencyEstimatorService {
  public:
   ConcurrencyEstimatorService(Simulation& sim, topology::ServiceGraph& system,
                               const MetricsWarehouse& warehouse,
-                              EstimatorServiceParams params,
-                              const RunContext* context = nullptr);
+                              EstimatorServiceParams params);
 
   /// Latest cached estimate for a tier, if any estimation has succeeded.
   std::optional<RationalRange> tier_estimate(
@@ -77,7 +75,6 @@ class ConcurrencyEstimatorService {
 
   Simulation& sim_;
   topology::ServiceGraph& system_;
-  const RunContext* ctx_;
   const MetricsWarehouse& warehouse_;
   EstimatorServiceParams params_;
   SctEstimator estimator_;

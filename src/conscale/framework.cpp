@@ -9,8 +9,7 @@ ScalingFramework::ScalingFramework(Simulation& sim,
                                    topology::ServiceGraph& system,
                                    MetricsWarehouse& warehouse,
                                    const std::string& controller_ref,
-                                   FrameworkConfig config,
-                                   const RunContext* context) {
+                                   FrameworkConfig config) {
   const ControllerRef ref = parse_controller_ref(controller_ref);
   const ControllerSpec& spec = ControllerRegistry::global().at(ref.name);
   key_ = spec.name;
@@ -23,10 +22,10 @@ ScalingFramework::ScalingFramework(Simulation& sim,
     }
     spec.configure(ref.options, config);
   }
-  hw_ = std::make_unique<HardwareAgent>(sim, system, context);
-  sw_ = std::make_unique<SoftwareAgent>(sim, system, context);
-  FrameworkParts parts = spec.build(ControllerBuildContext{
-      sim, system, warehouse, *hw_, *sw_, config, context});
+  hw_ = std::make_unique<HardwareAgent>(sim, system);
+  sw_ = std::make_unique<SoftwareAgent>(sim, system);
+  FrameworkParts parts = spec.build(
+      ControllerBuildContext{sim, system, warehouse, *hw_, *sw_, config});
   if (!parts.controller) {
     throw std::runtime_error("controller '" + spec.name +
                              "': builder returned no controller");
@@ -102,8 +101,7 @@ void register_builtin_controllers(ControllerRegistry& registry) {
           [](const ControllerBuildContext& ctx) {
             FrameworkParts parts;
             parts.estimator = std::make_unique<ConcurrencyEstimatorService>(
-                ctx.sim, ctx.system, ctx.warehouse, ctx.config.estimator,
-                ctx.run_context);
+                ctx.sim, ctx.system, ctx.warehouse, ctx.config.estimator);
             parts.policy = std::make_unique<ConScalePolicy>(
                 ctx.system, ctx.sw, ctx.config.targets, *parts.estimator,
                 ctx.config.conscale_headroom);

@@ -38,7 +38,7 @@ struct FrameworkConfig {
   FuzzyPolicyParams fuzzy;
   VerticalControllerParams vertical;
   PredictiveControllerParams predictive;
-  HybridControllerParams hybrid;
+  HybridParams hybrid;
 };
 
 class ScalingFramework {
@@ -46,13 +46,10 @@ class ScalingFramework {
   /// `controller_ref` is a registry reference — "ec2", "conscale",
   /// "pi(target_ms=250)", ... Throws std::runtime_error (listing the
   /// registered controllers) on an unknown name, malformed reference
-  /// syntax, or invalid options. `context` (optional) scopes the
-  /// framework's components' log output to the owning run; it must outlive
-  /// the framework.
+  /// syntax, or invalid options.
   ScalingFramework(Simulation& sim, topology::ServiceGraph& system,
                    MetricsWarehouse& warehouse,
-                   const std::string& controller_ref, FrameworkConfig config,
-                   const RunContext* context = nullptr);
+                   const std::string& controller_ref, FrameworkConfig config);
 
   /// Registry key of the spec this framework was built from ("conscale").
   const std::string& key() const { return key_; }

@@ -1,5 +1,6 @@
 #include "conscale/registry.h"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -192,9 +193,9 @@ void OptionReader::get(const std::string& key, double& out) {
   } catch (const std::exception&) {
     used = 0;
   }
-  if (used != value.size() || value.empty()) {
+  if (used != value.size() || value.empty() || !std::isfinite(parsed)) {
     throw std::runtime_error("controller '" + controller_ + "': option '" +
-                             key + "=" + value + "' is not a number");
+                             key + "=" + value + "' is not a finite number");
   }
   out = parsed;
 }

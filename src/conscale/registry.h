@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "conscale/agents.h"
 #include "conscale/controller.h"
 #include "conscale/estimator_service.h"
@@ -48,7 +47,6 @@ struct ControllerBuildContext {
   HardwareAgent& hw;
   SoftwareAgent& sw;
   const FrameworkConfig& config;
-  const RunContext* run_context = nullptr;
 };
 
 /// What a builder returns. `controller` is mandatory; `estimator` and

@@ -15,11 +15,30 @@ PredictiveController::PredictiveController(Simulation& sim,
                                            topology::ServiceGraph& system,
                                            const MetricsWarehouse& warehouse,
                                            HardwareAgent& hw,
-                                           PredictiveControllerParams params)
-    : system_(system), warehouse_(warehouse), hw_(hw), params_(params),
+                                           PredictiveControllerParams params,
+                                           SoftResourcePolicy* policy,
+                                           SimDuration adapt_period)
+    : sim_(sim), system_(system), warehouse_(warehouse), hw_(hw),
+      params_(params), policy_(policy),
       cooldown_until_(system.tier_count(), -1.0) {
+  // Soft loop, as in DecisionController: adapt when a scale-out VM comes
+  // online (bootstrap VMs at t=0 are not scaling actions).
+  if (policy_) {
+    system_.add_vm_ready_callback([this](std::size_t, Vm& vm) {
+      if (!vm.is_bootstrap()) adapt(sim_.now());
+    });
+  }
   step_task_ = std::make_unique<PeriodicTask>(
-      sim, params_.period, [this](SimTime now) { step(now); });
+      sim_, params_.period, [this](SimTime now) { step(now); });
+  if (policy_ && adapt_period > 0.0) {
+    adapt_task_ = std::make_unique<PeriodicTask>(
+        sim_, adapt_period, [this](SimTime now) { adapt(now); });
+  }
+}
+
+void PredictiveController::adapt(SimTime now) {
+  ++adapts_;
+  policy_->adapt(now);
 }
 
 void PredictiveController::step(SimTime now) {
@@ -58,6 +77,7 @@ void PredictiveController::step(SimTime now) {
       if (hw_.scale_out(i)) {
         ++scale_outs_;
         cooldown_until_[i] = now + params_.cooldown;
+        // The soft adapt lands when the VM is ready (vm-ready hook).
       }
     } else if (billed > 1.0 &&
                load / (billed - 1.0) <
@@ -66,15 +86,19 @@ void PredictiveController::step(SimTime now) {
       if (hw_.scale_in(i)) {
         ++scale_ins_;
         cooldown_until_[i] = now + params_.cooldown;
+        // Capacity already shrank: re-fit the soft resources now.
+        if (policy_) adapt(now);
       }
     }
   }
 }
 
 ControllerCounters PredictiveController::counters() const {
-  return {{"forecasts", forecasts_},
-          {"scale_ins", scale_ins_},
-          {"scale_outs", scale_outs_}};
+  ControllerCounters counters = {{"forecasts", forecasts_},
+                                 {"scale_ins", scale_ins_},
+                                 {"scale_outs", scale_outs_}};
+  if (policy_) counters["adapts"] = adapts_;
+  return counters;
 }
 
 }  // namespace conscale::zoo

@@ -4,7 +4,6 @@
 
 #include "conscale/framework.h"
 #include "conscale/registry.h"
-#include "conscale/zoo/hybrid_controller.h"
 #include "conscale/zoo/predictive_controller.h"
 #include "conscale/zoo/rt_policies.h"
 #include "conscale/zoo/vertical_controller.h"
@@ -167,14 +166,14 @@ ControllerSpec hybrid_spec() {
           [](const ControllerBuildContext& ctx) {
             FrameworkParts parts;
             parts.estimator = std::make_unique<ConcurrencyEstimatorService>(
-                ctx.sim, ctx.system, ctx.warehouse, ctx.config.estimator,
-                ctx.run_context);
+                ctx.sim, ctx.system, ctx.warehouse, ctx.config.estimator);
             parts.policy = std::make_unique<ConScalePolicy>(
                 ctx.system, ctx.sw, ctx.config.targets, *parts.estimator,
                 ctx.config.conscale_headroom);
-            parts.controller = std::make_unique<HybridController>(
-                ctx.sim, ctx.system, ctx.warehouse, ctx.hw, *parts.policy,
-                ctx.config.hybrid);
+            parts.controller = std::make_unique<PredictiveController>(
+                ctx.sim, ctx.system, ctx.warehouse, ctx.hw,
+                ctx.config.hybrid.forecast, parts.policy.get(),
+                ctx.config.hybrid.periodic_adapt);
             return parts;
           },
   };

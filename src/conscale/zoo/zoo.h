@@ -1,6 +1,6 @@
 // The controller zoo: scaling frameworks beyond the paper's three, each one
 // implementation file plus one registration line in zoo.cpp. Registered
-// keys: "pi", "fuzzy", "vertical", "holt-winters".
+// keys: "pi", "fuzzy", "vertical", "holt-winters", "hybrid".
 #pragma once
 
 namespace conscale {

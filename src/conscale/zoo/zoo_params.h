@@ -86,8 +86,9 @@ struct PredictiveControllerParams {
 /// Hybrid proactive/adaptive autoscaler: the Holt-Winters forecast drives
 /// the hardware loop while ConScale's SCT-backed policy re-fits soft
 /// resources at every hardware action and on a slow periodic cadence —
-/// the zoo's two complementary halves composed (see hybrid_controller.h).
-struct HybridControllerParams {
+/// the zoo's two complementary halves composed (a PredictiveController with
+/// a policy attached; see predictive_controller.h).
+struct HybridParams {
   PredictiveControllerParams forecast;  ///< hardware-loop knobs, shared
   /// Periodic soft-adapt cadence [s]; 0 = adapt at hardware actions only.
   /// Matches the builtin frameworks' ControllerConfig::periodic_adapt

@@ -39,7 +39,7 @@ namespace conscale {
 
 struct LanedRunOptions {
   /// Everything run_scaling accepts (duration, monitoring, framework
-  /// overrides, faults, context). session_workload is not supported on the
+  /// overrides, faults). session_workload is not supported on the
   /// laned path (throws std::invalid_argument): session shards do not model
   /// Markov sessions.
   ScalingRunOptions base;

@@ -56,18 +56,7 @@ void parallel_for(std::size_t n, std::size_t jobs,
 }  // namespace detail
 
 ScalingRunResult RunSet::run_one(const RunSpec& spec) {
-  ScalingRunOptions options = spec.options;
-  std::string label = spec.label;
-  if (label.empty()) {
-    // Derive from the registry display name so builtin labels keep their
-    // historical spelling ("ConScale/LARGE_VARIATIONS"). Validates the
-    // reference before the run starts — unknown names abort loudly here.
-    const ControllerRef ref = parse_controller_ref(spec.framework);
-    label = ControllerRegistry::global().at(ref.name).display_name + "/" +
-            to_string(spec.trace);
-  }
-  options.context.set_label(label);
-  return run_scaling(spec.params, spec.trace, spec.framework, options);
+  return run_scaling(spec.params, spec.trace, spec.framework, spec.options);
 }
 
 std::vector<ScalingRunResult> RunSet::run(

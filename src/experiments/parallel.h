@@ -3,9 +3,9 @@
 //
 // The paper's evaluation (§V) is a grid of independent runs — framework ×
 // trace × seed × option set — and each run is a fully self-contained unit
-// (its Simulation owns the event arena, every component logs through the
-// run's RunContext, and there is no mutable global state on the run path),
-// so runs are thread-safe by isolation. RunSet exploits exactly that:
+// (its Simulation owns the event arena, its results are plain data in the
+// returned ScalingRunResult, and there is no mutable global state on the run
+// path), so runs are thread-safe by isolation. RunSet exploits exactly that:
 // N worker threads pull specs off a shared counter, and results land in
 // spec order regardless of completion order. Results are bit-for-bit
 // identical to the serial path — each run computes from its own seeds on
@@ -51,8 +51,6 @@ std::vector<T> parallel_map(std::size_t n, std::size_t jobs,
 
 /// One cell of the evaluation grid: everything run_scaling needs.
 struct RunSpec {
-  /// Log label for the run; empty derives "<framework display name>/<trace>".
-  std::string label;
   ScenarioParams params;
   TraceKind trace = TraceKind::kLargeVariations;
   /// Controller-registry reference ("ec2", "conscale", "pi(kp=20)", ...).

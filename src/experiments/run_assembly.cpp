@@ -43,14 +43,12 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
     mix.apply_dataset_scale(options.runtime_dataset_scale);
   }
 
-  const RunContext* ctx = &options.context;
   std::unique_ptr<topology::ServiceGraph> system_ptr;
   if (plan.tiered) {
     system_ptr = std::make_unique<topology::ServiceGraph>(
-        *engine, scenario.graph, laned->lan_delay, ctx);
+        *engine, scenario.graph, laned->lan_delay);
   } else {
-    system_ptr =
-        std::make_unique<topology::ServiceGraph>(sim, scenario.graph, ctx);
+    system_ptr = std::make_unique<topology::ServiceGraph>(sim, scenario.graph);
   }
   topology::ServiceGraph& system = *system_ptr;
   auto warehouse = std::make_shared<MetricsWarehouse>();
@@ -59,13 +57,12 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   // same adjustment in collect_scatter): at work_scale k, "50 ms" means
   // 50k ms or each window holds k× fewer completions than the paper's.
   monitoring.fine_period *= base.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, monitoring, ctx);
+  MonitoringAgent monitor(sim, system, *warehouse, monitoring);
 
   const FrameworkConfig& config = options.framework_config
                                       ? *options.framework_config
                                       : scenario.framework;
-  ScalingFramework framework(sim, system, *warehouse, framework_ref, config,
-                             ctx);
+  ScalingFramework framework(sim, system, *warehouse, framework_ref, config);
   // Passive RT recorders only — attaching them creates no events and draws
   // no randomness, so it cannot perturb the replayed sequence.
   LatencyBreakdown breakdown(system);
@@ -118,7 +115,7 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   std::unique_ptr<FaultInjector> injector;
   if (!options.faults.empty()) {
     injector = std::make_unique<FaultInjector>(sim, system, warehouse.get(),
-                                               options.faults, ctx);
+                                               options.faults);
     injector->arm();
   }
 

@@ -138,7 +138,7 @@ ScatterRunResult collect_scatter(const ScenarioParams& params,
 
   Simulation sim;
   RequestMix mix = p.make_mix();
-  topology::ServiceGraph system(sim, p.system_config(), &options.context);
+  topology::ServiceGraph system(sim, p.system_config());
   auto warehouse = std::make_shared<MetricsWarehouse>();
   MonitoringParams mp;
   // The 50 ms interval is matched to the paper's sub-millisecond service
@@ -146,7 +146,7 @@ ScatterRunResult collect_scatter(const ScenarioParams& params,
   // must stretch with it or per-window completion counts (and thus the
   // statistical quality of each {Q,TP} tuple) collapse.
   mp.fine_period = options.fine_period * p.work_scale;
-  MonitoringAgent monitor(sim, system, *warehouse, mp, &options.context);
+  MonitoringAgent monitor(sim, system, *warehouse, mp);
 
   ClientPopulation::Params cp;
   cp.think_time_mean = 0.0;

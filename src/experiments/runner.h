@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "conscale/framework.h"
 #include "experiments/scenario.h"
 #include "faults/injector.h"
@@ -48,12 +47,6 @@ struct ScalingRunOptions {
   /// Empty (the default) injects nothing and leaves the run byte-identical
   /// to one executed without the fault subsystem.
   FaultPlan faults;
-  /// Per-run execution context (log label/level/sink). Default-constructed
-  /// it behaves exactly like the process-wide Logger; the parallel runner
-  /// sets a label per run so concurrent log lines stay attributable. The
-  /// options object must outlive the run (it always does: run_scaling takes
-  /// it by reference for the whole run).
-  RunContext context;
 };
 
 struct ScalingRunResult {
@@ -152,8 +145,6 @@ struct ScatterRunOptions {
   std::size_t fixed_app_vms = 1;
   std::size_t fixed_db_vms = 1;
   SctParams sct;
-  /// Per-run execution context; see ScalingRunOptions::context.
-  RunContext context;
 };
 
 struct ScatterRunResult {

@@ -1,5 +1,9 @@
 #include "faults/fault_plan.h"
 
+#include <cmath>
+#include <cstdlib>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -38,13 +42,26 @@ double parse_number(const std::string& entry, const std::string& key,
   if (consumed != value.size()) {
     fail(entry, "malformed value for '" + key + "'");
   }
+  if (!std::isfinite(out)) fail(entry, "non-finite value for '" + key + "'");
   return out;
 }
 
+/// Every integer up to 2^53 is exact in a double, so an ordinal in range
+/// parses and prints back unchanged.
+constexpr double kMaxVmOrdinal = 9007199254740992.0;
+
+/// The shortest %g text that parses back to exactly `value`: the default
+/// 6 significant digits wherever they suffice (so hand-written plans keep
+/// their bytes), more only where they do not.
 std::string format_number(double value) {
-  std::ostringstream out;
-  out << value;
-  return out.str();
+  for (int digits = 6;; ++digits) {
+    std::ostringstream out;
+    out << std::setprecision(digits) << value;
+    if (digits >= std::numeric_limits<double>::max_digits10 ||
+        std::strtod(out.str().c_str(), nullptr) == value) {
+      return out.str();
+    }
+  }
 }
 
 std::vector<std::string> tokenize(const std::string& entry) {
@@ -94,6 +111,10 @@ FaultEvent parse_entry(const std::string& entry) {
       } else {
         const double ordinal = parse_number(entry, key, value);
         if (ordinal < 0.0) fail(entry, "vm ordinal must be >= 0");
+        if (ordinal != std::floor(ordinal)) {
+          fail(entry, "vm ordinal must be an integer");
+        }
+        if (ordinal > kMaxVmOrdinal) fail(entry, "vm ordinal out of range");
         event.vm_ordinal = static_cast<std::size_t>(ordinal);
       }
       saw_vm = true;

@@ -21,6 +21,7 @@
 // `tier` accepts a 0-based index, an exact tier name ("Tomcat"), or the
 // aliases web/app/db (the RUBBoS 3-tier layout). `boot` with no tier hits
 // every tier. `restart` omitted or negative means the crash is permanent.
+// Every number must be finite, and a `vm` ordinal a non-negative integer.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +54,8 @@ struct FaultEvent {
   /// Crash: restart this many seconds after the failure; < 0 = permanent.
   SimDuration restart_delay = -1.0;
 
-  /// Canonical single-line form (parse(to_line(e)) round-trips).
+  /// Canonical single-line form: parse(to_line(e)) gives back every field
+  /// exactly (numbers print with as many digits as that takes).
   std::string to_line() const;
 };
 
@@ -63,8 +65,9 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
 
   /// Parses the text form described above. Throws std::invalid_argument on
-  /// unknown kinds, unknown keys, malformed values, or missing required
-  /// fields — a typo'd plan must fail loudly, not silently not inject.
+  /// unknown kinds, unknown keys, malformed or non-finite values, or missing
+  /// required fields — a typo'd plan must fail loudly, not silently not
+  /// inject.
   static FaultPlan parse(const std::string& text);
 
   /// Canonical text form, one event per line (stable across round-trips;

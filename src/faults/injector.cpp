@@ -3,7 +3,6 @@
 #include <cctype>
 #include <stdexcept>
 
-#include "common/logging.h"
 #include "topology/service_graph.h"
 
 namespace conscale {
@@ -21,10 +20,8 @@ bool is_all_digits(const std::string& s) {
 }  // namespace
 
 FaultInjector::FaultInjector(Simulation& sim, topology::ServiceGraph& system,
-                             MetricsWarehouse* warehouse, FaultPlan plan,
-                             const RunContext* context)
+                             MetricsWarehouse* warehouse, FaultPlan plan)
     : sim_(sim), system_(system), warehouse_(warehouse),
-      ctx_(context ? context : &RunContext::global()),
       plan_(std::move(plan)) {
   // Validate eagerly: a plan naming a tier this topology does not have, or
   // a dropout without a warehouse, is a configuration error — failing at
@@ -114,9 +111,6 @@ void FaultInjector::arm_crash(const FaultEvent& event,
       ++stats_.crashes_injected;
     } else {
       ++stats_.crashes_missed;
-      CS_RUN_LOG_INFO(*ctx_)
-          << "fault: crash on " << tier.name() << " vm#" << event.vm_ordinal
-          << " missed at t=" << sim_.now() << " (no such running VM)";
     }
   });
 }
@@ -133,9 +127,6 @@ void FaultInjector::arm_interference(const FaultEvent& event,
     const std::vector<Server*> touched =
         tier.set_vm_cpu_speed_factor(selector, event.factor);
     ++stats_.interference_windows;
-    CS_RUN_LOG_INFO(*ctx_) << "fault: cpu interference x" << event.factor
-                           << " on " << touched.size() << " VM(s) of "
-                           << tier.name() << " at t=" << sim_.now();
     // Windows are assumed non-overlapping per tier: speeds restore to the
     // tier's nominal template value, not to a saved stack of factors.
     sim_.schedule_after(event.duration, [this, event, tier_index, touched] {
@@ -148,8 +139,6 @@ void FaultInjector::arm_interference(const FaultEvent& event,
         const double nominal = tier2.config().server_template.speed;
         for (Server* server : touched) server->set_cpu_speed(nominal);
       }
-      CS_RUN_LOG_INFO(*ctx_) << "fault: cpu interference on " << tier2.name()
-                             << " ended at t=" << sim_.now();
     });
   });
 }
@@ -183,14 +172,8 @@ void FaultInjector::arm_dropout(const FaultEvent& event) {
   sim_.schedule_at(event.at, [this, event] {
     ++stats_.dropout_windows;
     warehouse_->set_ingestion_enabled(false);
-    CS_RUN_LOG_INFO(*ctx_) << "fault: monitoring dropout started at t="
-                           << sim_.now() << " for " << event.duration << "s";
     sim_.schedule_after(event.duration, [this] {
       warehouse_->set_ingestion_enabled(true);
-      CS_RUN_LOG_INFO(*ctx_)
-          << "fault: monitoring dropout ended at t=" << sim_.now()
-          << " (dropped " << warehouse_->dropped_samples()
-          << " samples so far)";
     });
   });
 }

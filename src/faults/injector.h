@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "faults/fault_plan.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
@@ -61,8 +60,7 @@ class FaultInjector {
   /// The plan's tier selectors are resolved against `system` immediately,
   /// so a plan naming a nonexistent tier fails at construction.
   FaultInjector(Simulation& sim, topology::ServiceGraph& system,
-                MetricsWarehouse* warehouse, FaultPlan plan,
-                const RunContext* context = nullptr);
+                MetricsWarehouse* warehouse, FaultPlan plan);
 
   /// Schedules every event of the plan. Call once, before the run starts.
   void arm();
@@ -81,7 +79,6 @@ class FaultInjector {
   Simulation& sim_;
   topology::ServiceGraph& system_;
   MetricsWarehouse* warehouse_;
-  const RunContext* ctx_;
   FaultPlan plan_;
   FaultInjectorStats stats_;
   std::vector<FaultWindow> windows_;

@@ -8,11 +8,8 @@ namespace conscale {
 
 MonitoringAgent::MonitoringAgent(Simulation& sim,
                                  topology::ServiceGraph& system,
-                                 MetricsWarehouse& warehouse, Params params,
-                                 const RunContext* context)
-    : sim_(sim), system_(system),
-      ctx_(context ? context : &RunContext::global()), warehouse_(warehouse),
-      params_(params) {
+                                 MetricsWarehouse& warehouse, Params params)
+    : sim_(sim), system_(system), warehouse_(warehouse), params_(params) {
   system_.add_vm_ready_callback(
       [this](std::size_t tier_index, Vm& vm) { attach(tier_index, vm); });
   coarse_task_ = std::make_unique<PeriodicTask>(

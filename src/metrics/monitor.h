@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/run_context.h"
 #include "metrics/interval.h"
 #include "metrics/warehouse.h"
 #include "simcore/simulation.h"
@@ -34,11 +33,8 @@ class MonitoringAgent {
  public:
   using Params = MonitoringParams;
 
-  /// `context` (optional) scopes the agent's diagnostics to the owning run;
-  /// it must outlive the agent.
   MonitoringAgent(Simulation& sim, topology::ServiceGraph& system,
-                  MetricsWarehouse& warehouse, Params params = {},
-                  const RunContext* context = nullptr);
+                  MetricsWarehouse& warehouse, Params params = {});
 
   /// Wire this to the client population's completion hook.
   void on_client_completion(double rt);
@@ -59,7 +55,6 @@ class MonitoringAgent {
 
   Simulation& sim_;
   topology::ServiceGraph& system_;
-  const RunContext* ctx_;
   MetricsWarehouse& warehouse_;
   Params params_;
   std::vector<std::unique_ptr<IntervalAggregator>> aggregators_;

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/logging.h"
-
 namespace conscale {
 
 namespace {

@@ -134,19 +134,14 @@ Simulation& entry_sim(lanes::LaneEngine& engine,
 
 }  // namespace
 
-ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config,
-                           const RunContext* context)
-    : sim_(sim), ctx_(context ? context : &RunContext::global()),
-      config_(std::move(config)) {
+ServiceGraph::ServiceGraph(Simulation& sim, ServiceGraphConfig config)
+    : sim_(sim), config_(std::move(config)) {
   build(nullptr, 0.0);
 }
 
 ServiceGraph::ServiceGraph(lanes::LaneEngine& engine,
-                           ServiceGraphConfig config, SimDuration lan_delay,
-                           const RunContext* context)
-    : sim_(entry_sim(engine, config, lan_delay)),
-      ctx_(context ? context : &RunContext::global()),
-      config_(std::move(config)) {
+                           ServiceGraphConfig config, SimDuration lan_delay)
+    : sim_(entry_sim(engine, config, lan_delay)), config_(std::move(config)) {
   build(&engine, lan_delay);
 }
 
@@ -165,7 +160,7 @@ void ServiceGraph::build(lanes::LaneEngine* engine, SimDuration lan_delay) {
     tc.tier_index = static_cast<int>(i);
     Simulation& node_sim = engine ? engine->lane(node_lane(i)).sim() : sim_;
     node_sims_.push_back(&node_sim);
-    tiers_.push_back(std::make_unique<TierGroup>(node_sim, tc, ctx_));
+    tiers_.push_back(std::make_unique<TierGroup>(node_sim, tc));
   }
   // Laned: one TierChannel per distinct route edge, built in route order so
   // actor stream allocation is fixed by the config. A serial graph builds

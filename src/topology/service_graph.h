@@ -36,7 +36,6 @@
 #include "cluster/tier_channel.h"
 #include "cluster/tier_group.h"
 #include "common/rng.h"
-#include "common/run_context.h"
 #include "simcore/lanes/lane_engine.h"
 #include "simcore/simulation.h"
 #include "workload/request.h"
@@ -136,8 +135,7 @@ class ServiceGraph final {
   /// out-of-range route targets, self-calls, duplicate node names, or
   /// nodes unreachable from the entry), builds one TierGroup per node,
   /// wires the routers, and bootstraps the initial VMs.
-  ServiceGraph(Simulation& sim, ServiceGraphConfig config,
-               const RunContext* context = nullptr);
+  ServiceGraph(Simulation& sim, ServiceGraphConfig config);
 
   /// Lane-partitioned construction in the fixed cell layout: node i lives
   /// on lane node_lane(i), every route edge crosses a TierChannel with a
@@ -147,7 +145,7 @@ class ServiceGraph final {
   /// std::invalid_argument, before any lane is touched, when the engine has
   /// fewer than 1 + node-count lanes or `lan_delay` <= 0.
   ServiceGraph(lanes::LaneEngine& engine, ServiceGraphConfig config,
-               SimDuration lan_delay, const RunContext* context = nullptr);
+               SimDuration lan_delay);
 
   /// Client entry point. The continuation reports whether the request was
   /// served or shed; rejections fire synchronously at submit time.
@@ -226,7 +224,6 @@ class ServiceGraph final {
   void prune_inflight();
 
   Simulation& sim_;  ///< the entry node's sim (admission clock)
-  const RunContext* ctx_;
   ServiceGraphConfig config_;
   std::vector<std::unique_ptr<TierGroup>> tiers_;
   std::vector<Simulation*> node_sims_;

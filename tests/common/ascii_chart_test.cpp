@@ -71,20 +71,5 @@ TEST(AsciiChart, FixedYMaxRespected) {
   EXPECT_NE(out.find("1000"), std::string::npos);
 }
 
-TEST(AsciiChart, BarsScaleToMax) {
-  const std::string out = render_bars(
-      {{"short", 10.0}, {"long", 100.0}}, 20, "ms");
-  EXPECT_NE(out.find("short"), std::string::npos);
-  EXPECT_NE(out.find("long"), std::string::npos);
-  EXPECT_NE(out.find("ms"), std::string::npos);
-  // The max bar fills the full width.
-  EXPECT_NE(out.find(std::string(20, '#')), std::string::npos);
-}
-
-TEST(AsciiChart, BarsHandleAllZero) {
-  const std::string out = render_bars({{"a", 0.0}, {"b", 0.0}}, 10);
-  EXPECT_NE(out.find('a'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace conscale

@@ -1,11 +1,15 @@
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/config.h"
 #include "common/csv.h"
+#include "common/rng.h"
 
 namespace conscale {
 namespace {
@@ -47,12 +51,63 @@ TEST(Csv, WritesToFile) {
 }
 
 TEST(Config, ParsesKeyValueArgs) {
-  const char* argv[] = {"prog", "alpha=1.5", "--name=test", "positional"};
-  const Config c = Config::from_args(4, argv);
+  const char* argv[] = {"prog", "alpha=1.5", "--name=test"};
+  const Config c = Config::from_args(3, argv);
   EXPECT_DOUBLE_EQ(c.get_double("alpha", 0.0), 1.5);
   EXPECT_EQ(c.get_string("name"), "test");
-  ASSERT_EQ(c.positional().size(), 1u);
-  EXPECT_EQ(c.positional()[0], "positional");
+}
+
+TEST(Config, BareTokenThrows) {
+  // "duration 60" must not pass key validation and then run the default.
+  const char* spaced[] = {"prog", "duration", "60"};
+  EXPECT_THROW(Config::from_args(3, spaced), std::runtime_error);
+  const char* flag[] = {"prog", "seed=1", "--verbose"};
+  EXPECT_THROW(Config::from_args(3, flag), std::runtime_error);
+}
+
+// Property: any key=value token over a safe alphabet reads back unchanged,
+// and inserting one bare token anywhere makes the whole parse throw.
+TEST(ConfigProperty, KeyValueTokensReadBackAndBareTokensThrow) {
+  const std::string key_chars = "abcdefghijklmnopqrstuvwxyz_0123456789";
+  const std::string value_chars = key_chars + "./:@,-+=()";
+  Rng rng(2024);
+  const auto draw = [&rng](const std::string& alphabet, std::size_t max_len) {
+    std::string out(1 + rng.uniform_index(max_len), ' ');
+    for (char& c : out) c = alphabet[rng.uniform_index(alphabet.size())];
+    return out;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::map<std::string, std::string> expected;
+    std::vector<std::string> tokens = {"prog"};
+    const std::size_t n = rng.uniform_index(6);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string key = draw(key_chars, 12);
+      const std::string value = draw(value_chars, 16);
+      expected[key] = value;  // a later duplicate overrides an earlier one
+      tokens.push_back((rng.bernoulli(0.5) ? "--" : "") + key + "=" + value);
+    }
+    std::vector<const char*> argv;
+    for (const std::string& token : tokens) argv.push_back(token.c_str());
+    const Config c =
+        Config::from_args(static_cast<int>(argv.size()), argv.data());
+    for (const auto& [key, value] : expected) {
+      ASSERT_EQ(c.get_string(key, "<absent>"), value) << key;
+    }
+    std::vector<std::string> keys;
+    for (const auto& entry : expected) keys.push_back(entry.first);
+    EXPECT_NO_THROW(c.require_known_keys(keys));
+
+    const std::string bare = draw(key_chars, 12);
+    const std::size_t at = 1 + rng.uniform_index(tokens.size());
+    tokens.insert(tokens.begin() + static_cast<long>(at),
+                  (rng.bernoulli(0.5) ? "--" : "") + bare);
+    argv.clear();
+    for (const std::string& token : tokens) argv.push_back(token.c_str());
+    EXPECT_THROW(
+        Config::from_args(static_cast<int>(argv.size()), argv.data()),
+        std::runtime_error)
+        << "bare token '" << bare << "'";
+  }
 }
 
 TEST(Config, FallbacksWhenMissing) {
@@ -85,35 +140,6 @@ TEST(Config, NumericParseErrors) {
   EXPECT_THROW(c.get_int("x", 0), std::runtime_error);
 }
 
-TEST(Config, FileParsingWithComments) {
-  const std::string path = ::testing::TempDir() + "/config_test.ini";
-  {
-    std::ofstream out(path);
-    out << "# comment line\n"
-        << "duration = 720   # trailing comment\n"
-        << "\n"
-        << "trace=big_spike\n";
-  }
-  const Config c = Config::from_file(path);
-  EXPECT_EQ(c.get_int("duration", 0), 720);
-  EXPECT_EQ(c.get_string("trace"), "big_spike");
-  std::remove(path.c_str());
-}
-
-TEST(Config, FileMissingThrows) {
-  EXPECT_THROW(Config::from_file("/no/such/file.ini"), std::runtime_error);
-}
-
-TEST(Config, MalformedFileLineThrows) {
-  const std::string path = ::testing::TempDir() + "/bad_config.ini";
-  {
-    std::ofstream out(path);
-    out << "this line has no equals\n";
-  }
-  EXPECT_THROW(Config::from_file(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
 TEST(Config, RequireKnownKeysPassesOnKnownSubset) {
   Config c;
   c.set("work_scale", "16");
@@ -139,24 +165,6 @@ TEST(Config, RequireKnownKeysNamesEveryOffender) {
     EXPECT_EQ(message.find("work_scale,"), message.rfind("work_scale,"))
         << "valid keys listed once: " << message;
   }
-}
-
-TEST(Config, RequireKnownKeysIgnoresPositionals) {
-  const char* argv[] = {"prog", "positional", "seed=1"};
-  const Config c = Config::from_args(3, argv);
-  EXPECT_NO_THROW(c.require_known_keys({"seed"}));
-}
-
-TEST(Config, MergeOverrides) {
-  Config base, overlay;
-  base.set("a", "1");
-  base.set("b", "2");
-  overlay.set("b", "20");
-  overlay.set("c", "30");
-  base.merge(overlay);
-  EXPECT_EQ(base.get_int("a", 0), 1);
-  EXPECT_EQ(base.get_int("b", 0), 20);
-  EXPECT_EQ(base.get_int("c", 0), 30);
 }
 
 }  // namespace

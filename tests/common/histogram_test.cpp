@@ -11,51 +11,6 @@
 namespace conscale {
 namespace {
 
-TEST(LinearHistogram, RejectsBadConstruction) {
-  EXPECT_THROW(LinearHistogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(LinearHistogram, CountsAndMean) {
-  LinearHistogram h(0.0, 10.0, 10);
-  h.add(1.0);
-  h.add(5.0);
-  h.add(9.0);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-}
-
-TEST(LinearHistogram, ClampsOutOfRange) {
-  LinearHistogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(25.0);
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(LinearHistogram, PercentileApproximatesExact) {
-  Rng rng(11);
-  LinearHistogram h(0.0, 100.0, 1000);
-  std::vector<double> exact;
-  for (int i = 0; i < 20000; ++i) {
-    const double v = rng.uniform(0.0, 100.0);
-    h.add(v);
-    exact.push_back(v);
-  }
-  for (double pct : {10.0, 50.0, 95.0, 99.0}) {
-    EXPECT_NEAR(h.percentile(pct), percentile(exact, pct), 0.5) << pct;
-  }
-}
-
-TEST(LinearHistogram, ResetClears) {
-  LinearHistogram h(0.0, 1.0, 4);
-  h.add(0.5);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-}
-
 TEST(LogHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LogHistogram(0.0, 8), std::invalid_argument);
   EXPECT_THROW(LogHistogram(1.0, 0), std::invalid_argument);

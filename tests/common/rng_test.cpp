@@ -103,19 +103,6 @@ TEST(Rng, LognormalDegenerateCases) {
   EXPECT_DOUBLE_EQ(rng.lognormal_mean_cv(3.0, 0.0), 3.0);
 }
 
-TEST(Rng, PoissonMoments) {
-  Rng rng(15);
-  RunningStats small, large;
-  for (int i = 0; i < 50000; ++i) {
-    small.add(static_cast<double>(rng.poisson(3.0)));
-    large.add(static_cast<double>(rng.poisson(100.0)));  // normal approx path
-  }
-  EXPECT_NEAR(small.mean(), 3.0, 0.05);
-  EXPECT_NEAR(small.variance(), 3.0, 0.1);
-  EXPECT_NEAR(large.mean(), 100.0, 0.3);
-  EXPECT_NEAR(large.variance(), 100.0, 3.0);
-}
-
 TEST(Rng, BernoulliProbability) {
   Rng rng(16);
   int hits = 0;

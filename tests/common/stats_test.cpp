@@ -191,24 +191,5 @@ TEST(MovingAverage, PreservesConstantSeries) {
   for (double x : moving_average(v, 5)) EXPECT_DOUBLE_EQ(x, 4.2);
 }
 
-TEST(LinearFit, RecoverLine) {
-  std::vector<double> x, y;
-  for (int i = 0; i < 20; ++i) {
-    x.push_back(i);
-    y.push_back(3.0 + 2.0 * i);
-  }
-  const LinearFit fit = linear_fit(x, y);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.intercept, 3.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-9);
-}
-
-TEST(LinearFit, DegenerateInput) {
-  std::vector<double> x = {1.0};
-  std::vector<double> y = {2.0};
-  const LinearFit fit = linear_fit(x, y);
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-}
-
 }  // namespace
 }  // namespace conscale

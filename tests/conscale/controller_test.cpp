@@ -71,7 +71,7 @@ TEST_F(ControllerFixture, ScalesOutOnSustainedHotCpu) {
     push_cpu("Tomcat", 0.95);
     h.sim.run_for(1.0);
   }
-  EXPECT_EQ(controller->scale_out_count(), 1u);
+  EXPECT_EQ(controller->counters().at("scale_outs"), 1u);
   EXPECT_EQ(h.system.tier(kAppTier).billed_vms(), 2u);
 }
 
@@ -83,7 +83,7 @@ TEST_F(ControllerFixture, NoScaleOutBelowThreshold) {
     push_cpu("MySQL", 0.70);
     h.sim.run_for(1.0);
   }
-  EXPECT_EQ(controller->scale_out_count(), 0u);
+  EXPECT_EQ(controller->counters().at("scale_outs"), 0u);
 }
 
 TEST_F(ControllerFixture, AdaptInvokedWhenVmBecomesReady) {
@@ -93,11 +93,11 @@ TEST_F(ControllerFixture, AdaptInvokedWhenVmBecomesReady) {
     push_cpu("MySQL", 0.95);
     h.sim.run_for(1.0);
   }
-  ASSERT_EQ(controller->scale_out_count(), 1u);
+  ASSERT_EQ(controller->counters().at("scale_outs"), 1u);
   EXPECT_TRUE(policy.calls.empty());  // VM still provisioning
   h.sim.run_for(h.scenario.vm_prep_delay + 1.0);
   EXPECT_EQ(policy.calls.size(), 1u);
-  EXPECT_EQ(controller->adapt_count(), 1u);
+  EXPECT_EQ(controller->counters().at("adapts"), 1u);
 }
 
 TEST_F(ControllerFixture, ProvisioningBlocksFurtherScaleOut) {
@@ -109,7 +109,7 @@ TEST_F(ControllerFixture, ProvisioningBlocksFurtherScaleOut) {
   }
   // Only one scale-out despite persistent heat: the tier is blocked while
   // the new VM provisions (prep delay is 5 s in the test scenario).
-  EXPECT_EQ(controller->scale_out_count(), 1u);
+  EXPECT_EQ(controller->counters().at("scale_outs"), 1u);
 }
 
 TEST_F(ControllerFixture, ScaleInAfterSustainedColdAndAdapts) {
@@ -128,7 +128,7 @@ TEST_F(ControllerFixture, ScaleInAfterSustainedColdAndAdapts) {
     push_cpu("MySQL", 0.05);
     h.sim.run_for(1.0);
   }
-  EXPECT_EQ(controller->scale_in_count(), 1u);
+  EXPECT_EQ(controller->counters().at("scale_ins"), 1u);
   EXPECT_GT(policy.calls.size(), adapts_before);  // adapt on scale-in too
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "conscale/framework.h"
 #include "test_helpers.h"
 
@@ -57,6 +60,55 @@ TEST(ParseControllerRef, ToStringRoundTrips) {
   }
 }
 
+// Property: a reference over a safe alphabet prints and parses back to
+// itself; any single-character edit of its text either parses or throws
+// std::runtime_error, never anything else.
+TEST(ParseControllerRefProperty, RoundTripsAndEditsFailCleanly) {
+  const std::string safe = "abcdefghijklmnopqrstuvwxyz0123456789_-.";
+  const std::string edits = safe + "()=;, \t";
+  Rng rng(1609);
+  const auto draw = [&rng](const std::string& alphabet, std::size_t max_len) {
+    std::string out(1 + rng.uniform_index(max_len), ' ');
+    for (char& c : out) c = alphabet[rng.uniform_index(alphabet.size())];
+    return out;
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    ControllerRef ref;
+    ref.name = draw(safe, 12);
+    const std::size_t n = rng.uniform_index(5);
+    for (std::size_t i = 0; i < n; ++i) {
+      ref.options[draw(safe, 8)] = draw(safe, 8);
+    }
+    const std::string text = to_string(ref);
+    const ControllerRef again = parse_controller_ref(text);
+    ASSERT_EQ(again.name, ref.name) << text;
+    ASSERT_EQ(again.options, ref.options) << text;
+
+    std::string edited = text;
+    const std::size_t at = rng.uniform_index(edited.size() + 1);
+    const char c = edits[rng.uniform_index(edits.size())];
+    switch (rng.uniform_index(3)) {
+      case 0:
+        edited.insert(edited.begin() + static_cast<long>(at), c);
+        break;
+      case 1:
+        if (at < edited.size()) edited.erase(at, 1);
+        break;
+      default:
+        if (at < edited.size()) edited[at] = c;
+        break;
+    }
+    try {
+      const ControllerRef parsed = parse_controller_ref(edited);
+      EXPECT_FALSE(parsed.name.empty()) << edited;
+    } catch (const std::runtime_error&) {
+      // The one clean failure mode.
+    } catch (...) {
+      ADD_FAILURE() << "unexpected exception type for '" << edited << "'";
+    }
+  }
+}
+
 // ---- registration ---------------------------------------------------------
 
 TEST(ControllerRegistry, RejectsInvalidAndDuplicateSpecs) {
@@ -94,7 +146,8 @@ TEST(ControllerRegistry, NamesAreSortedAndCoverBuiltinsPlusZoo) {
   const std::vector<std::string> names = ControllerRegistry::global().names();
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const std::string expected : {"conscale", "dcm", "ec2", "fuzzy",
-                                     "holt-winters", "pi", "vertical"}) {
+                                     "holt-winters", "hybrid", "pi",
+                                     "vertical"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -159,6 +212,23 @@ TEST(OptionReader, RejectsUnparsableValues) {
   }
 }
 
+TEST(OptionReader, RejectsNonFiniteNumbers) {
+  for (const std::string value : {"nan", "inf", "-inf", "infinity", "NAN"}) {
+    SCOPED_TRACE(value);
+    OptionReader reader("test", {{"a", value}});
+    double a = 1.0;
+    EXPECT_THROW(reader.get("a", a), std::runtime_error);
+    EXPECT_DOUBLE_EQ(a, 1.0);  // left untouched
+  }
+  // The whole path: a NaN gain must not reach the controller.
+  Harness h;
+  FrameworkConfig config;
+  config.targets.thread_adapt_tiers = {kAppTier};
+  EXPECT_THROW(ScalingFramework(h.sim, h.system, *h.warehouse,
+                                "pi(kp=nan;target_ms=inf)", config),
+               std::runtime_error);
+}
+
 // ---- factory round-trip ---------------------------------------------------
 
 // Every shipped controller must assemble through the registry seam and
@@ -166,7 +236,8 @@ TEST(OptionReader, RejectsUnparsableValues) {
 // counters() map the reports can consume.
 TEST(ControllerRegistry, FactoryRoundTripForAllShippedControllers) {
   const std::vector<std::string> shipped = {
-      "ec2", "dcm", "conscale", "pi", "fuzzy", "vertical", "holt-winters"};
+      "ec2",   "dcm",      "conscale",     "pi",
+      "fuzzy", "vertical", "holt-winters", "hybrid"};
   for (const std::string& name : shipped) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(ControllerRegistry::global().contains(name));

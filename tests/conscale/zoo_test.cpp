@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "conscale/framework.h"
 #include "conscale/zoo/predictive_controller.h"
@@ -247,6 +249,52 @@ TEST_F(ZooFixture, PredictiveScalesInWhenForecastSitsInsideTargetBand) {
   EXPECT_EQ(system.tier(kAppTier).billed_vms(), 1u);
 }
 
+/// Records every adapt() call: the soft loop a policy adds to the forecast.
+class CountingPolicy final : public SoftResourcePolicy {
+ public:
+  std::string name() const override { return "counting"; }
+  void adapt(SimTime now) override { calls.push_back(now); }
+  std::vector<SimTime> calls;
+};
+
+TEST_F(ZooFixture, PredictiveWithPolicyAdaptsOnVmReadyAndScaleIn) {
+  CountingPolicy policy;
+  PredictiveController controller(sim, system, *warehouse, hw,
+                                  fast_predictive(), &policy);
+  // Rising throughput under high utilization: one scale-out at t = 2.
+  for (int k = 0; k < 2; ++k) {
+    sim.schedule_at(0.5 + k, [this, k] {
+      push_system(sim.now(), 0.2, 10.0 + 5.0 * k);
+      push_app_tier(sim.now(), 0.7, 1);
+    });
+  }
+  sim.run_until(3.0);
+  ASSERT_EQ(controller.counters().at("scale_outs"), 1u);
+  const SimTime scaled_out = hw.events().back().t;
+  // The bootstrap VMs came up at t = 0 without an adapt; the new VM is
+  // still provisioning.
+  sim.run_until(scaled_out + scenario.vm_prep_delay - 0.5);
+  EXPECT_TRUE(policy.calls.empty());
+  sim.run_until(scaled_out + scenario.vm_prep_delay + 0.5);
+  ASSERT_EQ(policy.calls.size(), 1u);
+  EXPECT_DOUBLE_EQ(policy.calls[0], scaled_out + scenario.vm_prep_delay);
+
+  // A flat, cold forecast: scale in, and re-fit the pools at once.
+  const SimTime cold = sim.now();
+  for (int k = 0; k < 6; ++k) {
+    sim.schedule_at(cold + 0.5 + k, [this] {
+      push_system(sim.now(), 0.05, 15.0);
+      push_app_tier(sim.now(), 0.1, 2);
+    });
+  }
+  sim.run_until(cold + 6.0);
+  ASSERT_EQ(controller.counters().at("scale_ins"), 1u);
+  ASSERT_EQ(policy.calls.size(), 2u);
+  EXPECT_EQ(hw.events().back().action, "scale-in");
+  EXPECT_DOUBLE_EQ(policy.calls[1], hw.events().back().t);
+  EXPECT_EQ(controller.counters().at("adapts"), 2u);
+}
+
 TEST_F(ZooFixture, PredictiveIgnoresQuietSeries) {
   PredictiveController controller(sim, system, *warehouse, hw,
                                   fast_predictive());
@@ -260,6 +308,7 @@ TEST_F(ZooFixture, PredictiveIgnoresQuietSeries) {
   EXPECT_EQ(controller.counters().at("forecasts"), 0u);
   EXPECT_EQ(controller.counters().at("scale_outs"), 0u);
   EXPECT_EQ(controller.counters().at("scale_ins"), 0u);
+  EXPECT_EQ(controller.counters().count("adapts"), 0u);  // no policy
 }
 
 // ---- registry-level option plumbing ---------------------------------------
@@ -280,7 +329,8 @@ TEST(ZooOptions, TunedReferencesBuild) {
   for (const std::string ref :
        {"pi(target_ms=300;kp=10;ki=2)", "fuzzy(step_large=20)",
         "vertical(target_util=0.7;period=2)",
-        "holt-winters(alpha=0.5;horizon=30)"}) {
+        "holt-winters(alpha=0.5;horizon=30)",
+        "hybrid(alpha=0.5;adapt_period=5)"}) {
     SCOPED_TRACE(ref);
     Harness h;
     FrameworkConfig config;
