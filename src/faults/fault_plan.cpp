@@ -50,9 +50,9 @@ double parse_number(const std::string& entry, const std::string& key,
 /// parses and prints back unchanged.
 constexpr double kMaxVmOrdinal = 9007199254740992.0;
 
-/// The shortest %g text that parses back to exactly `value`: the default
-/// 6 significant digits wherever they suffice (so hand-written plans keep
-/// their bytes), more only where they do not.
+/// `value` as %g text with the fewest significant digits, from the default
+/// 6 up, that parse back to exactly `value`; where 6 suffice this is
+/// plain `%g`.
 std::string format_number(double value) {
   for (int digits = 6;; ++digits) {
     std::ostringstream out;

@@ -8,14 +8,7 @@ namespace conscale {
 namespace {
 
 using testing::Harness;
-
-// A policy that records its adapt() invocations.
-class SpyPolicy final : public SoftResourcePolicy {
- public:
-  std::string name() const override { return "spy"; }
-  void adapt(SimTime now) override { calls.push_back(now); }
-  std::vector<SimTime> calls;
-};
+using testing::SpyPolicy;
 
 ControllerConfig fast_config() {
   ControllerConfig config;

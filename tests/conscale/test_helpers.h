@@ -3,13 +3,24 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "conscale/policy.h"
 #include "experiments/scenario.h"
 #include "metrics/monitor.h"
 #include "metrics/warehouse.h"
 #include "workload/client.h"
 
 namespace conscale::testing {
+
+/// A policy that records its adapt() invocations.
+class SpyPolicy final : public SoftResourcePolicy {
+ public:
+  std::string name() const override { return "spy"; }
+  void adapt(SimTime now) override { calls.push_back(now); }
+  std::vector<SimTime> calls;
+};
 
 inline ScenarioParams small_scenario() {
   ScenarioParams p = ScenarioParams::test_scale();

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "conscale/framework.h"
 #include "conscale/zoo/predictive_controller.h"
@@ -249,16 +247,8 @@ TEST_F(ZooFixture, PredictiveScalesInWhenForecastSitsInsideTargetBand) {
   EXPECT_EQ(system.tier(kAppTier).billed_vms(), 1u);
 }
 
-/// Records every adapt() call: the soft loop a policy adds to the forecast.
-class CountingPolicy final : public SoftResourcePolicy {
- public:
-  std::string name() const override { return "counting"; }
-  void adapt(SimTime now) override { calls.push_back(now); }
-  std::vector<SimTime> calls;
-};
-
 TEST_F(ZooFixture, PredictiveWithPolicyAdaptsOnVmReadyAndScaleIn) {
-  CountingPolicy policy;
+  testing::SpyPolicy policy;
   PredictiveController controller(sim, system, *warehouse, hw,
                                   fast_predictive(), &policy);
   // Rising throughput under high utilization: one scale-out at t = 2.
