@@ -42,7 +42,9 @@ std::vector<double> parse_ratios(const std::string& text) {
   std::stringstream in(text);
   std::string token;
   while (std::getline(in, token, ',')) {
-    if (!token.empty()) ratios.push_back(std::stod(token));
+    if (!token.empty()) {
+      ratios.push_back(Config::parse_double("ratios", token));
+    }
   }
   return ratios;
 }

@@ -12,8 +12,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "cluster/load_balancer.h"
 #include "simcore/lanes/actor.h"
@@ -54,6 +56,10 @@ class TierChannel {
   SimDuration delay_;
   Endpoint forward_;  ///< on the source lane
   Endpoint reply_;    ///< on the destination lane
+  /// Completions of requests out across the hop, by slot, with the free
+  /// slots; touched only on the source lane.
+  std::vector<Server::Completion> waiting_;
+  std::vector<std::uint32_t> free_;
 };
 
 /// Forwards a tier cell's vm-ready signal across the LAN hop to the control

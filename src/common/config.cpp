@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <stdexcept>
 
 namespace conscale {
@@ -53,26 +54,42 @@ std::string Config::get_string(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
+double Config::parse_double(const std::string& key, const std::string& text) {
+  std::size_t used = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(text, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != text.size() || !std::isfinite(parsed)) {
+    throw std::runtime_error("Config: key '" + key + "' is not a number: " +
+                             text);
+  }
+  return parsed;
+}
+
 double Config::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::runtime_error("Config: key '" + key + "' is not a number: " +
-                             it->second);
-  }
+  return parse_double(key, it->second);
 }
 
 long Config::get_int(const std::string& key, long fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  std::size_t used = 0;
+  long parsed = 0;
   try {
-    return std::stol(it->second);
+    parsed = std::stol(it->second, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != it->second.size()) {
     throw std::runtime_error("Config: key '" + key + "' is not an integer: " +
                              it->second);
   }
+  return parsed;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {

@@ -23,8 +23,15 @@ class Config {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback = "") const;
+  /// Numeric getters read the whole value or throw std::runtime_error:
+  /// `max_q=5x`, `duration=60s` and `jobs=4.0` must abort, not run as 5, 60
+  /// and 4. get_double also rejects nan and inf.
   double get_double(const std::string& key, double fallback) const;
   long get_int(const std::string& key, long fallback) const;
+
+  /// get_double's check for text read under `key` outside a Config (a
+  /// comma-separated list, say): the whole of `text` as a finite number.
+  static double parse_double(const std::string& key, const std::string& text);
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// Validation: throws std::runtime_error naming every key not in

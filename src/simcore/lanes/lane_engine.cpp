@@ -89,6 +89,9 @@ void LaneEngine::post(std::size_t from, std::size_t dest,
   if (from >= lanes_.size() || dest >= lanes_.size()) {
     throw std::out_of_range("LaneEngine::post: no such lane");
   }
+  if (!fn) {
+    throw std::invalid_argument("LaneEngine::post: empty callback");
+  }
   const Channel* channel = nullptr;
   for (const std::size_t index : channels_from_[from]) {
     if (channels_[index].to == dest) {

@@ -2,27 +2,23 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace conscale {
 
 EventHandle Simulation::schedule_at(SimTime when, EventCallback callback) {
-  const std::uint32_t slot = arena_.allocate(std::move(callback));
-  const std::uint32_t generation = arena_.generation(slot);
-  queue_.push(QueuedEvent{std::max(when, now_), 0, next_sequence_++, slot,
-                          generation});
-  ++live_events_;
-  return EventHandle(&arena_, slot, generation);
+  return push(when, 0, next_sequence_++, std::move(callback));
 }
 
 EventHandle Simulation::schedule_keyed(SimTime when, std::uint64_t group,
                                        std::uint64_t seq,
                                        EventCallback callback) {
-  const std::uint32_t slot = arena_.allocate(std::move(callback));
-  const std::uint32_t generation = arena_.generation(slot);
-  queue_.push(QueuedEvent{std::max(when, now_), group, seq, slot, generation});
-  ++live_events_;
-  return EventHandle(&arena_, slot, generation);
+  if (group > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::out_of_range("Simulation::schedule_keyed: group above 2^32 - 1");
+  }
+  return push(when, static_cast<std::uint32_t>(group), seq,
+              std::move(callback));
 }
 
 EventHandle Simulation::schedule_after(SimDuration delay,
@@ -33,13 +29,12 @@ EventHandle Simulation::schedule_after(SimDuration delay,
 void Simulation::pop_and_release() {
   arena_.release(queue_.top().slot);
   queue_.pop();
-  --live_events_;
 }
 
 bool Simulation::step() {
   while (!queue_.empty()) {
     const QueuedEvent entry = queue_.top();
-    if (arena_.cancelled(entry.slot)) {
+    if (!arena_.live(entry.slot)) {
       pop_and_release();
       continue;
     }
@@ -49,7 +44,7 @@ bool Simulation::step() {
     // held by the callback's owner reports !pending() during the call (the
     // generation already moved on), and the callback may schedule freely —
     // including reusing this very slot — without touching freed state.
-    EventCallback callback = arena_.take_callback(entry.slot);
+    EventCallback callback = arena_.fire(entry.slot);
     pop_and_release();
     callback();
     return true;
@@ -60,7 +55,7 @@ bool Simulation::step() {
 void Simulation::run_until(SimTime deadline) {
   while (!queue_.empty()) {
     // Skip cancelled entries without advancing the clock.
-    if (arena_.cancelled(queue_.top().slot)) {
+    if (!arena_.live(queue_.top().slot)) {
       pop_and_release();
       continue;
     }
@@ -72,7 +67,7 @@ void Simulation::run_until(SimTime deadline) {
 
 void Simulation::run_before(SimTime bound) {
   while (!queue_.empty()) {
-    if (arena_.cancelled(queue_.top().slot)) {
+    if (!arena_.live(queue_.top().slot)) {
       pop_and_release();
       continue;
     }
@@ -83,7 +78,7 @@ void Simulation::run_before(SimTime bound) {
 
 SimTime Simulation::next_event_time() {
   while (!queue_.empty()) {
-    if (arena_.cancelled(queue_.top().slot)) {
+    if (!arena_.live(queue_.top().slot)) {
       pop_and_release();
       continue;
     }

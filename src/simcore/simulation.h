@@ -6,12 +6,17 @@
 // independent runs are thread-safe by isolation and can execute
 // concurrently — see experiments/parallel.h for the run-level fan-out, and
 // simcore/lanes/ for the intra-run fan-out that runs several Simulations
-// (one per lane) under a conservative window barrier.
+// (one per lane) under a conservative window barrier. The queue is a binary
+// heap of 24-byte entries over the arena's dense arrays (simcore/event.h):
+// 52 bytes per pending event.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <queue>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/time_units.h"
@@ -30,6 +35,8 @@ class Simulation {
 
   /// Schedules `callback` at absolute time `when`; times in the past are
   /// clamped to `now()` (fires next, after already-queued events at now()).
+  /// Every schedule_* call throws std::invalid_argument on an empty
+  /// callback.
   EventHandle schedule_at(SimTime when, EventCallback callback);
 
   /// Schedules `callback` after `delay` seconds (negative clamps to 0).
@@ -44,7 +51,8 @@ class Simulation {
   /// counter, which makes same-time ordering a property of the *model*
   /// rather than of which Simulation instance the event landed in — the
   /// bit-for-bit lanes=1 vs lanes=K contract rests on this. `group` must be
-  /// non-zero and (group, seq) pairs must never repeat at the same time.
+  /// non-zero and (group, seq) pairs must never repeat at the same time;
+  /// a group above 2^32 - 1 throws std::out_of_range.
   EventHandle schedule_keyed(SimTime when, std::uint64_t group,
                              std::uint64_t seq, EventCallback callback);
 
@@ -76,22 +84,25 @@ class Simulation {
   /// Drains every queued event (use only in tests / bounded scenarios).
   void run_all();
 
-  std::size_t pending_events() const { return live_events_; }
+  /// Events scheduled and neither fired nor cancelled.
+  std::size_t pending_events() const { return arena_.live_count(); }
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  struct QueuedEvent {
-    SimTime time;
-    std::uint64_t group;     ///< 0 = plain event; >0 = keyed stream id
-    std::uint64_t sequence;  ///< arrival counter (plain) or stream seq (keyed)
-    std::uint32_t slot;
-    std::uint32_t generation;
-    bool operator>(const QueuedEvent& other) const {
-      if (time != other.time) return time > other.time;
-      if (group != other.group) return group > other.group;
-      return sequence > other.sequence;
+  using QueuedEvent = detail::QueuedEvent;
+
+  // Inline in the header: the traced benchmark build hooks out-of-line
+  // functions of .cpp files only, so this helper adds no traced call.
+  EventHandle push(SimTime when, std::uint32_t group, std::uint64_t sequence,
+                   EventCallback callback) {
+    if (!callback) {
+      throw std::invalid_argument(
+          "Simulation: cannot schedule an empty callback");
     }
-  };
+    const std::uint32_t slot = arena_.allocate(std::move(callback));
+    queue_.push(QueuedEvent{std::max(when, now_), sequence, group, slot});
+    return EventHandle(&arena_, slot, arena_.generation(slot));
+  }
 
   /// Pops the queue head and recycles its arena slot.
   void pop_and_release();
@@ -99,7 +110,6 @@ class Simulation {
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
-  std::size_t live_events_ = 0;
   detail::EventArena arena_;
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>,
                       std::greater<QueuedEvent>>

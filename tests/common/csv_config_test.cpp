@@ -134,10 +134,33 @@ TEST(Config, BoolParsing) {
 }
 
 TEST(Config, NumericParseErrors) {
+  // The whole value must be a number, and a finite one: `max_q=5x` must not
+  // run as max_q=5, nor `jobs=4.0` as jobs=4.
+  for (const char* bad : {"notanumber", "", "5x", "60s", "1.5.2", "nan",
+                          "inf", "-inf", "1e999"}) {
+    Config c;
+    c.set("x", bad);
+    EXPECT_THROW(c.get_double("x", 0.0), std::runtime_error) << bad;
+    EXPECT_THROW(Config::parse_double("x", bad), std::runtime_error) << bad;
+  }
+  for (const char* bad : {"notanumber", "", "4x", "4.0", "1e3",
+                          "99999999999999999999"}) {
+    Config c;
+    c.set("x", bad);
+    EXPECT_THROW(c.get_int("x", 0), std::runtime_error) << bad;
+  }
   Config c;
-  c.set("x", "notanumber");
-  EXPECT_THROW(c.get_double("x", 0.0), std::runtime_error);
-  EXPECT_THROW(c.get_int("x", 0), std::runtime_error);
+  c.set("x", "5x");
+  try {
+    c.get_double("x", 0.0);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "Config: key 'x' is not a number: 5x");
+  }
+  c.set("d", "-2.5e1");
+  c.set("i", "-42");
+  EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), -25.0);
+  EXPECT_EQ(c.get_int("i", 0), -42);
 }
 
 TEST(Config, RequireKnownKeysPassesOnKnownSubset) {

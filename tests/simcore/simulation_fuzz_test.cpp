@@ -1,9 +1,12 @@
 // Randomized conformance test: the event queue against a trivially correct
 // reference model. Thousands of random schedule/cancel/run interleavings
 // must produce identical firing sequences — this pins down the lazy-deletion
-// heap, the (time, sequence) ordering, and cancellation semantics at once.
+// heap, the (time, group, sequence) ordering, and cancellation semantics at
+// once. Times sit on a coarse grid so that ties are common, and plain
+// events (group 0) mix with keyed ones in the lowest, a middle and the
+// highest group.
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@ namespace {
 
 struct ReferenceEvent {
   double time;
+  std::uint64_t group;
   std::uint64_t seq;
   int id;
   bool cancelled = false;
@@ -28,58 +32,84 @@ TEST_P(SimulationFuzz, MatchesReferenceModel) {
   Simulation sim;
   std::vector<int> fired;
 
-  std::vector<ReferenceEvent> reference;
-  std::vector<EventHandle> handles;
-  std::uint64_t seq = 0;
-  int next_id = 0;
+  std::vector<ReferenceEvent> reference;  // indexed by id
+  std::vector<EventHandle> handles;       // indexed by id
+  std::uint64_t plain_seq = 0;
+  const std::uint64_t groups[] = {1, 2, 0xffffffffu};
+  std::uint64_t keyed_count[] = {0, 0, 0};
+  std::size_t cancelled = 0;
+
+  const auto schedule = [&](double requested) {
+    const int id = static_cast<int>(reference.size());
+    const auto record = [&fired, id] { fired.push_back(id); };
+    const double when = std::max(requested, sim.now());
+    if (rng.bernoulli(0.4)) {
+      handles.push_back(sim.schedule_at(requested, record));
+      reference.push_back({when, 0, plain_seq++, id});
+      return;
+    }
+    // Keyed seqs are unique per group but not in scheduling order, so a
+    // tie inside a group is broken by the seq, not by arrival.
+    const std::size_t g = rng.uniform_index(3);
+    const std::uint64_t seq = (keyed_count[g]++ * 7919) % 1000003;
+    handles.push_back(sim.schedule_keyed(requested, groups[g], seq, record));
+    reference.push_back({when, groups[g], seq, id});
+  };
+  const auto grid_time = [&rng] {
+    return 5.0 * static_cast<double>(rng.uniform_index(21));
+  };
+  const auto cancel_random = [&] {
+    const std::size_t victim = rng.uniform_index(handles.size());
+    const bool did_cancel = handles[victim].cancel();
+    const bool was_live =
+        !reference[victim].cancelled &&
+        std::find(fired.begin(), fired.end(), reference[victim].id) ==
+            fired.end();
+    EXPECT_EQ(did_cancel, was_live);
+    if (was_live) {
+      reference[victim].cancelled = true;
+      ++cancelled;
+    }
+  };
+  const auto expect_pending_count = [&] {
+    EXPECT_EQ(sim.pending_events(),
+              reference.size() - cancelled - fired.size());
+  };
 
   // Phase 1: random schedules and cancels before running.
   for (int op = 0; op < 400; ++op) {
-    const double dice = rng.uniform();
-    if (dice < 0.7 || handles.empty()) {
-      const double when = rng.uniform(0.0, 100.0);
-      const int id = next_id++;
-      handles.push_back(sim.schedule_at(when, [&fired, id] {
-        fired.push_back(id);
-      }));
-      reference.push_back({when, seq++, id});
+    if (rng.uniform() < 0.7 || handles.empty()) {
+      schedule(grid_time());
     } else {
-      const std::size_t victim = rng.uniform_index(handles.size());
-      const bool did_cancel = handles[victim].cancel();
-      if (!reference[victim].cancelled) {
-        EXPECT_TRUE(did_cancel);
-        reference[victim].cancelled = true;
-      } else {
-        EXPECT_FALSE(did_cancel);
-      }
+      cancel_random();
     }
+    expect_pending_count();
   }
 
-  // Phase 2: run in random-length time slices, interleaving more schedules.
+  // Phase 2: run in random-length time slices, interleaving more schedules
+  // and cancels. Events scheduled "in the past" clamp to now and fire next.
   double horizon = 0.0;
   while (horizon < 100.0) {
     horizon += rng.uniform(0.0, 20.0);
     sim.run_until(horizon);
-    // Events scheduled "in the past" clamp to now and fire next.
-    if (rng.bernoulli(0.5)) {
-      const double requested = rng.uniform(0.0, 100.0);
-      const int id = next_id++;
-      handles.push_back(sim.schedule_at(requested, [&fired, id] {
-        fired.push_back(id);
-      }));
-      reference.push_back({std::max(requested, sim.now()), seq++, id});
-    }
+    expect_pending_count();
+    if (rng.bernoulli(0.5)) schedule(grid_time());
+    if (rng.bernoulli(0.3)) cancel_random();
+    expect_pending_count();
   }
   sim.run_all();
+  EXPECT_EQ(sim.pending_events(), 0u);
 
-  // Reference: stable sort by (time, seq), drop cancelled.
+  // Reference: sort by (time, group, seq), drop cancelled.
   std::vector<ReferenceEvent> expected;
   for (const auto& e : reference) {
     if (!e.cancelled) expected.push_back(e);
   }
   std::sort(expected.begin(), expected.end(),
             [](const ReferenceEvent& a, const ReferenceEvent& b) {
-              return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+              if (a.time != b.time) return a.time < b.time;
+              if (a.group != b.group) return a.group < b.group;
+              return a.seq < b.seq;
             });
 
   ASSERT_EQ(fired.size(), expected.size());

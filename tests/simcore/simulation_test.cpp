@@ -1,5 +1,9 @@
 #include "simcore/simulation.h"
 
+#include <cstdint>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,9 +63,13 @@ TEST(Simulation, CancelPreventsExecution) {
   bool fired = false;
   EventHandle handle = sim.schedule_after(1.0, [&] { fired = true; });
   EXPECT_TRUE(handle.pending());
+  EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_TRUE(handle.cancel());
   EXPECT_FALSE(handle.pending());
+  // The cancelled entry still sits in the queue, but it is not pending.
+  EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_FALSE(handle.cancel());  // second cancel is a no-op
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.run_all();
   EXPECT_FALSE(fired);
 }
@@ -131,6 +139,105 @@ TEST(Simulation, ExecutedCounterSkipsCancelled) {
   h.cancel();
   sim.run_all();
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+static_assert(sizeof(EventCallback) == 24);
+static_assert(sizeof(detail::QueuedEvent) == 24);
+
+// Not trivially copyable, so EventCallback boxes it on the heap. Every
+// constructor adds one to *live and the destructor takes one off: *live is
+// back at 0 exactly when every copy was destroyed once.
+struct CountedTarget {
+  CountedTarget(int* live_count, int* call_count)
+      : live(live_count), calls(call_count) {
+    ++*live;
+  }
+  CountedTarget(const CountedTarget& other)
+      : live(other.live), calls(other.calls) {
+    ++*live;
+  }
+  CountedTarget& operator=(const CountedTarget&) = delete;
+  ~CountedTarget() { --*live; }
+  void operator()() const { ++*calls; }
+  int* live;
+  int* calls;
+};
+
+TEST(EventCallback, BoxedTargetIsDestroyedOnceFiredCancelledOrTornDown) {
+  int live = 0;
+  int calls = 0;
+  {
+    Simulation sim;
+    sim.schedule_at(1.0, CountedTarget(&live, &calls));
+    EventHandle cancelled = sim.schedule_at(2.0, CountedTarget(&live, &calls));
+    sim.schedule_at(3.0, CountedTarget(&live, &calls));
+    EXPECT_EQ(live, 3);  // one boxed copy per event, temporaries gone
+    EXPECT_TRUE(cancelled.cancel());
+    sim.run_until(2.5);  // fires the first, pops the cancelled one
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(live, 1);
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  EXPECT_EQ(live, 0);  // the pending one went with the Simulation
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(EventCallback, InlineTargetRunsOnlyWhenFired) {
+  // An inline target is trivially copyable, so it has no destructor to
+  // count; it must run once when fired and never after a cancel or with a
+  // Simulation torn down.
+  int calls = 0;
+  const auto target = [&calls] { ++calls; };
+  static_assert(std::is_trivially_copyable_v<decltype(target)> &&
+                sizeof(target) <= 16);
+  {
+    Simulation sim;
+    sim.schedule_at(1.0, target);
+    sim.schedule_at(2.0, target).cancel();
+    sim.schedule_at(3.0, target);
+    sim.run_until(2.5);
+    EXPECT_EQ(calls, 1);
+  }
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(EventCallback, MovedFromIsEmpty) {
+  int live = 0;
+  int calls = 0;
+  EventCallback inline_source([&calls] { ++calls; });
+  EventCallback inline_moved(std::move(inline_source));
+  EXPECT_FALSE(inline_source);
+  ASSERT_TRUE(inline_moved);
+  inline_moved();
+  EXPECT_EQ(calls, 1);
+
+  EventCallback boxed_source(CountedTarget(&live, &calls));
+  EventCallback boxed_moved;
+  boxed_moved = std::move(boxed_source);
+  EXPECT_FALSE(boxed_source);
+  ASSERT_TRUE(boxed_moved);
+  EXPECT_EQ(live, 1);  // a move relocates the box, it copies no target
+  boxed_moved();
+  EXPECT_EQ(calls, 2);
+  boxed_moved = std::move(inline_moved);  // releases the boxed target
+  EXPECT_EQ(live, 0);
+  EXPECT_FALSE(inline_moved);
+}
+
+TEST(EventCallback, EmptyCallbacksAndOutOfRangeGroupsAreRejected) {
+  Simulation sim;
+  EventCallback moved_from([] {});
+  EventCallback taker(std::move(moved_from));
+  EXPECT_THROW(sim.schedule_at(1.0, EventCallback()), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_after(1.0, std::move(moved_from)),
+               std::invalid_argument);
+  EXPECT_THROW(sim.schedule_keyed(1.0, 1, 0, EventCallback()),
+               std::invalid_argument);
+  EXPECT_THROW(sim.schedule_keyed(1.0, std::uint64_t{1} << 32, 0, [] {}),
+               std::out_of_range);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(sim.schedule_keyed(1.0, 0xffffffffu, 0, [] {}).pending());
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 TEST(PeriodicTask, FiresAtPeriod) {
