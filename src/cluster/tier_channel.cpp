@@ -19,9 +19,8 @@ void TierChannel::dispatch(const RequestContext& ctx,
   // so the two [this, slot] closures are stored inline; carrying `done`
   // itself would box a std::function on the reply hop. `ctx` is captured by
   // value (a small id/class/issue-time triple pointing at the run-wide mix).
-  std::uint32_t slot;
+  auto slot = static_cast<std::uint32_t>(waiting_.size());
   if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(waiting_.size());
     waiting_.push_back(std::move(done));
   } else {
     slot = free_.back();

@@ -28,11 +28,11 @@ class Config {
   /// and 4. get_double also rejects nan and inf.
   double get_double(const std::string& key, double fallback) const;
   long get_int(const std::string& key, long fallback) const;
+  bool get_bool(const std::string& key, bool fallback) const;
 
   /// get_double's check for text read under `key` outside a Config (a
   /// comma-separated list, say): the whole of `text` as a finite number.
   static double parse_double(const std::string& key, const std::string& text);
-  bool get_bool(const std::string& key, bool fallback) const;
 
   /// Validation: throws std::runtime_error naming every key not in
   /// `known_keys` (sorted, so the message is deterministic). A mistyped

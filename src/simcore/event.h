@@ -36,12 +36,13 @@ namespace conscale {
 /// A move-only `void()` callable in 24 bytes: a 16-byte inline buffer and a
 /// pointer to a static {invoke, destroy} table. A target is stored inline
 /// exactly when libstdc++'s std::function stores it inline (trivially
-/// copyable, at most 16 bytes, alignment at most 8), so a call site that
-/// used to build a std::function allocates as often as before; any other
-/// target is boxed with std::make_unique. An inline target is trivially
-/// copyable and a boxed one is a pointer, so a move copies the 16 bytes and
-/// makes no indirect call — the lane engine's message heaps move callbacks
-/// on every sift. Empty when default-constructed or moved from.
+/// copyable, at most 16 bytes, alignment at most 8), so a lambda costs the
+/// allocations it cost in a std::function; any other target is boxed with
+/// std::make_unique, a std::function handed over as the target included
+/// (it is 32 bytes). An inline target is trivially copyable and a boxed one
+/// is a pointer, so a move copies the 16 bytes and makes no indirect call —
+/// the lane engine's message heaps move callbacks on every sift. Empty when
+/// default-constructed or moved from.
 class EventCallback {
  public:
   EventCallback() = default;
@@ -154,9 +155,8 @@ class EventArena {
   /// Claims a slot for `callback` and makes it live (odd generation);
   /// returns its index. Reuses a free slot if available, otherwise grows.
   std::uint32_t allocate(EventCallback callback) {
-    std::uint32_t index;
+    auto index = static_cast<std::uint32_t>(callbacks_.size());
     if (free_.empty()) {
-      index = static_cast<std::uint32_t>(callbacks_.size());
       callbacks_.push_back(std::move(callback));
       generations_.push_back(1);
     } else {

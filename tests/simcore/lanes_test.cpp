@@ -332,6 +332,14 @@ TEST(LaneEngine, PostRejectsOutOfRangeLanes) {
   EXPECT_THROW(engine.post(0, 2, 1.0, 1, 0, [] {}), std::out_of_range);
 }
 
+TEST(LaneEngine, PostRejectsAnEmptyCallback) {
+  // At post time, not when the message is delivered rounds later.
+  LaneEngine engine(two_lanes());
+  declare_both_ways(engine, 0.05);
+  EXPECT_THROW(engine.post(0, 1, 1.0, 1, 0, EventCallback()),
+               std::invalid_argument);
+}
+
 TEST(LaneEngine, ActorRejectsOutOfRangeLane) {
   LaneEngine engine(two_lanes());
   EXPECT_THROW(Violator bad(engine, 2), std::out_of_range);
