@@ -16,17 +16,13 @@ int main(int argc, char** argv) try {
 
   const std::vector<LbPolicy> policies = {LbPolicy::kLeastConnections,
                                           LbPolicy::kRoundRobin};
-  std::vector<RunSpec> specs;
-  for (LbPolicy policy : policies) {
-    RunSpec spec;
-    spec.params = env.params;
-    spec.params.lb_policy = policy;
-    spec.trace = TraceKind::kBigSpike;
-    spec.framework = "conscale";
-    spec.options.duration = env.duration;
-    specs.push_back(spec);
-  }
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  const std::vector<ScalingRunResult> results = env.map<ScalingRunResult>(
+      policies.size(), [&](std::size_t i) {
+        ScenarioParams params = env.params;
+        params.lb_policy = policies[i];
+        return run_scaling(params, TraceKind::kBigSpike, "conscale",
+                           env.scaling_options());
+      });
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScalingRunResult& result = results[i];

@@ -17,17 +17,14 @@ int main(int argc, char** argv) try {
          "Expectation: comparable control quality; sessions shift the class "
          "mix and think-time structure without breaking the SCT estimates.");
 
-  std::vector<RunSpec> specs;
-  for (bool sessions : {false, true}) {
-    RunSpec spec;
-    spec.params = env.params;
-    spec.trace = TraceKind::kLargeVariations;
-    spec.framework = "conscale";
-    spec.options.duration = env.duration;
-    spec.options.session_workload = sessions;
-    specs.push_back(spec);
-  }
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  // Run 0 draws i.i.d. requests, run 1 drives Markov sessions.
+  const std::vector<ScalingRunResult> results =
+      env.map<ScalingRunResult>(2, [&](std::size_t i) {
+        ScalingRunOptions options = env.scaling_options();
+        options.session_workload = i == 1;
+        return run_scaling(env.params, TraceKind::kLargeVariations,
+                           "conscale", options);
+      });
 
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScalingRunResult& result = results[i];
@@ -35,8 +32,7 @@ int main(int argc, char** argv) try {
     std::snprintf(buf, sizeof(buf),
                   "  %-16s p50=%6.0fms p95=%6.0fms p99=%6.0fms "
                   "sla(500ms)=%3.0f%% completed=%llu estimates=%zu\n",
-                  specs[i].options.session_workload ? "markov-sessions"
-                                                    : "iid-draws",
+                  i == 1 ? "markov-sessions" : "iid-draws",
                   result.p50_ms, result.p95_ms, result.p99_ms,
                   result.sla_500ms * 100.0,
                   static_cast<unsigned long long>(result.requests_completed),

@@ -16,19 +16,14 @@ int main(int argc, char** argv) try {
          "estimate rarely (too thin), very long ones react late.");
 
   const std::vector<double> windows = {30.0, 60.0, 120.0, 180.0, 300.0};
-  std::vector<RunSpec> specs;
-  for (double window : windows) {
-    FrameworkConfig config = make_framework_config(env.params);
-    config.estimator.window = window;
-    RunSpec spec;
-    spec.params = env.params;
-    spec.trace = TraceKind::kLargeVariations;
-    spec.framework = "conscale";
-    spec.options.duration = env.duration;
-    spec.options.framework_config = config;
-    specs.push_back(spec);
-  }
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  const std::vector<ScalingRunResult> results = env.map<ScalingRunResult>(
+      windows.size(), [&](std::size_t i) {
+        ScalingRunOptions options = env.scaling_options();
+        options.framework_config = make_framework_config();
+        options.framework_config->estimator.window = windows[i];
+        return run_scaling(env.params, TraceKind::kLargeVariations,
+                           "conscale", options);
+      });
 
   std::cout << "  window[s]  estimates  p95[ms]  p99[ms]  completed\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

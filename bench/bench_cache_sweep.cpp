@@ -24,7 +24,6 @@
 #include "bench_common.h"
 #include "common/csv.h"
 #include "experiments/graph_runner.h"
-#include "metrics/latency_breakdown.h"
 
 using namespace conscale;
 using namespace conscale::bench;
@@ -138,8 +137,8 @@ int main(int argc, char** argv) try {
   }
   std::cout << "\n  per-node latency at the sweep extremes:\n";
   for (std::size_t i : {std::size_t{0}, sweep.size() - 1}) {
-    std::cout << "   ratio=" << fmt(ratios[i]) << ":\n"
-              << LatencyBreakdown::format(sweep[i].node_latency);
+    std::cout << "   ratio=" << fmt(ratios[i]) << ":\n";
+    print_node_latency(std::cout, sweep[i].node_latency);
   }
 
   if (!env.csv_dir.empty()) {

@@ -5,9 +5,9 @@
 // when needed. All default to the paper's native scale. Unknown keys abort
 // with the list of valid ones — a mistyped knob must not silently run the
 // default. Multi-run benches fan their independent runs across `jobs`
-// worker threads (default: one per hardware thread) through RunSet /
-// parallel_map; results and printed output are bit-identical to the serial
-// path regardless of `jobs`.
+// worker threads (default: one per hardware thread) through `map`
+// (parallel_map); results and printed output are bit-identical to the
+// serial path regardless of `jobs`.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +36,7 @@ struct BenchEnv {
   std::size_t jobs = 0;
   /// Optional fault schedule (faults= inline text, or faults=@file); empty
   /// for the standard fault-free benches. Applied to every scaling run
-  /// (run_all / scaling_options); profiling and scatter benches have no
+  /// through scaling_options(); profiling and scatter benches have no
   /// system to perturb and ignore it.
   FaultPlan faults;
 
@@ -76,16 +76,9 @@ struct BenchEnv {
     return env;
   }
 
-  /// The bench's run fan-out, honouring `jobs=`.
-  RunSet run_set() const {
-    RunSetOptions options;
-    options.jobs = jobs;
-    return RunSet(options);
-  }
-
   /// Standard per-run options: the bench duration plus the command-line
-  /// fault schedule. Benches that build ScalingRunOptions by hand should
-  /// start from this so `faults=` works on them too.
+  /// fault schedule. Every scaling run starts from this so `faults=` reaches
+  /// it; a bench's own plan (bench_resilience's scenarios) replaces it.
   ScalingRunOptions scaling_options() const {
     ScalingRunOptions options;
     options.duration = duration;
@@ -93,21 +86,8 @@ struct BenchEnv {
     return options;
   }
 
-  /// Executes the specs (in parallel up to `jobs`) and returns results in
-  /// spec order. A `faults=` schedule from the command line is applied to
-  /// every spec that does not already carry its own plan (a bench's explicit
-  /// plan — e.g. bench_resilience's scenarios — wins).
-  std::vector<ScalingRunResult> run_all(std::vector<RunSpec> specs) const {
-    if (!faults.empty()) {
-      for (RunSpec& spec : specs) {
-        if (spec.options.faults.empty()) spec.options.faults = faults;
-      }
-    }
-    return run_set().run(specs);
-  }
-
-  /// Generic fan-out for benches whose runs are not scaling runs (scatter
-  /// collections, ad-hoc cases); results come back in index order.
+  /// The bench's run fan-out, honouring `jobs=`: fn(i) for every i in
+  /// [0, n), results in index order.
   template <typename T>
   std::vector<T> map(std::size_t n,
                      const std::function<T(std::size_t)>& fn) const {

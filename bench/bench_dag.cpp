@@ -16,7 +16,6 @@
 #include "bench_common.h"
 #include "common/csv.h"
 #include "experiments/graph_runner.h"
-#include "metrics/latency_breakdown.h"
 
 using namespace conscale;
 using namespace conscale::bench;
@@ -94,8 +93,8 @@ int main(int argc, char** argv) try {
   // cross-traffic no single parent's estimator sees alone.
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (cells[i].trace != TraceKind::kLargeVariations) continue;
-    std::cout << "\n  per-node latency (" << cells[i].label << "):\n"
-              << LatencyBreakdown::format(results[i].node_latency);
+    std::cout << "\n  per-node latency (" << cells[i].label << "):\n";
+    print_node_latency(std::cout, results[i].node_latency);
   }
 
   if (!env.csv_dir.empty()) {

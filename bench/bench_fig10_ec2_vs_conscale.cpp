@@ -14,19 +14,12 @@ int main(int argc, char** argv) try {
          "Paper: EC2 spikes (periods 62-95 s, 244-285 s, 545-570 s) with "
          "throughput drops; ConScale stays stable and low.");
 
-  ScalingRunOptions options;
-  options.duration = env.duration;
-
-  std::vector<RunSpec> specs(2);
-  specs[0].params = env.params;
-  specs[0].trace = TraceKind::kLargeVariations;
-  specs[0].framework = "ec2";
-  specs[0].options = options;
-  specs[1].params = env.params;
-  specs[1].trace = TraceKind::kLargeVariations;
-  specs[1].framework = "conscale";
-  specs[1].options = options;
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  const std::vector<ScalingRunResult> results =
+      env.map<ScalingRunResult>(2, [&](std::size_t i) {
+        return run_scaling(env.params, TraceKind::kLargeVariations,
+                           i == 0 ? "ec2" : "conscale",
+                           env.scaling_options());
+      });
   const ScalingRunResult& ec2 = results[0];
   const ScalingRunResult& con = results[1];
 

@@ -33,26 +33,22 @@ int main(int argc, char** argv) try {
   // under-allocation effect — while ConScale re-estimates the knee online.
   // Users rise correspondingly (lighter requests, same infrastructure
   // pressure).
-  ScalingRunOptions options;
-  options.duration = env.duration;
+  ScalingRunOptions options = env.scaling_options();
   options.runtime_dataset_scale = 0.4;
   ScenarioParams params = env.params;
   params.max_users = env.params.max_users / 0.55;
 
-  FrameworkConfig dcm_config = make_framework_config(params);
-  dcm_config.dcm_profile = profile;
+  ScalingRunOptions dcm_options = options;
+  dcm_options.framework_config = make_framework_config();
+  dcm_options.framework_config->dcm_profile = profile;
 
-  std::vector<RunSpec> specs(2);
-  specs[0].params = params;
-  specs[0].trace = TraceKind::kLargeVariations;
-  specs[0].framework = "dcm";
-  specs[0].options = options;
-  specs[0].options.framework_config = dcm_config;
-  specs[1].params = params;
-  specs[1].trace = TraceKind::kLargeVariations;
-  specs[1].framework = "conscale";
-  specs[1].options = options;
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  const std::vector<ScalingRunResult> results =
+      env.map<ScalingRunResult>(2, [&](std::size_t i) {
+        return i == 0 ? run_scaling(params, TraceKind::kLargeVariations,
+                                    "dcm", dcm_options)
+                      : run_scaling(params, TraceKind::kLargeVariations,
+                                    "conscale", options);
+      });
   const ScalingRunResult& dcm = results[0];
   const ScalingRunResult& con = results[1];
 

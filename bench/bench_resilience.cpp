@@ -75,7 +75,7 @@ int main(int argc, char** argv) try {
   // One framework config for all runs, with the dropout guards on: hold
   // decisions when the newest tier sample is older than 5 s, and keep the
   // cached SCT range when the fine-grained window goes stale.
-  FrameworkConfig base_config = make_framework_config(env.params);
+  FrameworkConfig base_config = make_framework_config();
   base_config.controller.metric_staleness_limit = 5.0;
   base_config.estimator.max_staleness = 30.0;
   FrameworkConfig dcm_config = base_config;
@@ -87,28 +87,33 @@ int main(int argc, char** argv) try {
     dcm_config.dcm_profile = train_dcm_profile(env.params);
   }
 
-  std::vector<RunSpec> specs;
+  // A scenario's own plan replaces a faults= plan; the nominal scenario
+  // keeps it.
+  struct Cell {
+    ControllerRef framework;
+    TraceKind trace;
+    ScalingRunOptions options;
+  };
+  std::vector<Cell> cells;
   for (const auto& [fault_name, plan_text] : scenarios) {
     for (const ControllerRef& framework : frameworks) {
       for (TraceKind trace : traces) {
-        RunSpec spec;
-        spec.params = env.params;
-        spec.trace = trace;
-        spec.framework = to_string(framework);
-        spec.options.duration = env.duration;
-        spec.options.framework_config =
+        ScalingRunOptions options = env.scaling_options();
+        options.framework_config =
             framework.name == "dcm" ? dcm_config : base_config;
-        if (!plan_text.empty()) {
-          spec.options.faults = FaultPlan::parse(plan_text);
-        }
-        specs.push_back(spec);
+        if (!plan_text.empty()) options.faults = FaultPlan::parse(plan_text);
+        cells.push_back({framework, trace, std::move(options)});
       }
     }
   }
   std::cout << "  grid: " << scenarios.size() << " fault scenarios x "
             << frameworks.size() << " frameworks x " << traces.size()
-            << " traces = " << specs.size() << " runs\n";
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+            << " traces = " << cells.size() << " runs\n";
+  const std::vector<ScalingRunResult> results = env.map<ScalingRunResult>(
+      cells.size(), [&](std::size_t i) {
+        return run_scaling(env.params, cells[i].trace,
+                           to_string(cells[i].framework), cells[i].options);
+      });
 
   // ---- per-fault tail tables + worst-case summary --------------------------
   std::map<std::string, std::map<std::string, double>> worst_p99;
@@ -163,8 +168,8 @@ int main(int argc, char** argv) try {
     for (const auto& [fault_name, plan_text] : scenarios) {
       for (std::size_t f = 0; f < frameworks.size(); ++f) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
-          const ScalingRunResult& r = results[index++];
-          if (specs[index - 1].trace != TraceKind::kLargeVariations) continue;
+          const ScalingRunResult& r = results[index];
+          if (cells[index++].trace != TraceKind::kLargeVariations) continue;
           const std::string stem =
               "resilience_" + fault_name + "_" + r.framework_name;
           env.maybe_dump(stem, r);

@@ -28,6 +28,7 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,8 +140,8 @@ int main(int argc, char** argv) try {
   const std::vector<ControllerRef> frameworks =
       frameworks_from(config, "conscale");
   if (topology != "chain" && topology != "dag") {
-    std::cerr << "topology= must be chain or dag\n";
-    return 1;
+    throw std::invalid_argument("topology= must be chain or dag, got '" +
+                                topology + "'");
   }
   const bool tiered = tier_lanes > 0;
 

@@ -30,32 +30,28 @@ int main(int argc, char** argv) try {
          "Paper: ConScale keeps p99 < ~500 ms everywhere; EC2 spikes to "
          "multi-second p99 on the bursty traces.");
 
-  ScalingRunOptions options;
-  options.duration = env.duration;
+  const ScalingRunOptions options = env.scaling_options();
 
   // Offline training only when DCM is actually in the grid.
   ScalingRunOptions dcm_options = options;
   if (std::any_of(frameworks.begin(), frameworks.end(),
                   [](const ControllerRef& ref) { return ref.name == "dcm"; })) {
     std::cout << "  training DCM offline...\n";
-    FrameworkConfig dcm_config = make_framework_config(env.params);
+    FrameworkConfig dcm_config = make_framework_config();
     dcm_config.dcm_profile = train_dcm_profile(env.params);
     dcm_options.framework_config = dcm_config;
   }
 
-  // The full grid (6 traces × frameworks) as one fan-out.
-  std::vector<RunSpec> specs;
-  for (TraceKind kind : all_trace_kinds()) {
-    for (const ControllerRef& framework : frameworks) {
-      RunSpec spec;
-      spec.params = env.params;
-      spec.trace = kind;
-      spec.framework = to_string(framework);
-      spec.options = framework.name == "dcm" ? dcm_options : options;
-      specs.push_back(spec);
-    }
-  }
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+  // The full grid (6 traces × frameworks) as one fan-out, frameworks
+  // varying fastest.
+  const std::vector<TraceKind>& traces = all_trace_kinds();
+  const std::vector<ScalingRunResult> results = env.map<ScalingRunResult>(
+      traces.size() * frameworks.size(), [&](std::size_t i) {
+        const ControllerRef& framework = frameworks[i % frameworks.size()];
+        return run_scaling(env.params, traces[i / frameworks.size()],
+                           to_string(framework),
+                           framework.name == "dcm" ? dcm_options : options);
+      });
 
   std::vector<TailRow> rows;
   // Worst-case p99 per framework, in frameworks= order.

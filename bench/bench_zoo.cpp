@@ -58,25 +58,22 @@ int main(int argc, char** argv) try {
   if (std::any_of(frameworks.begin(), frameworks.end(),
                   [](const ControllerRef& ref) { return ref.name == "dcm"; })) {
     std::cout << "  training DCM offline...\n";
-    FrameworkConfig dcm_config = make_framework_config(env.params);
+    FrameworkConfig dcm_config = make_framework_config();
     dcm_config.dcm_profile = train_dcm_profile(env.params);
     dcm_options.framework_config = dcm_config;
   }
 
-  std::vector<RunSpec> specs;
-  for (TraceKind kind : traces) {
-    for (const ControllerRef& framework : frameworks) {
-      RunSpec spec;
-      spec.params = env.params;
-      spec.trace = kind;
-      spec.framework = to_string(framework);
-      spec.options = framework.name == "dcm" ? dcm_options : options;
-      specs.push_back(spec);
-    }
-  }
+  // Frameworks vary fastest.
+  const std::size_t runs = traces.size() * frameworks.size();
   std::cout << "  grid: " << frameworks.size() << " controllers x "
-            << traces.size() << " traces = " << specs.size() << " runs\n";
-  const std::vector<ScalingRunResult> results = env.run_all(specs);
+            << traces.size() << " traces = " << runs << " runs\n";
+  const std::vector<ScalingRunResult> results = env.map<ScalingRunResult>(
+      runs, [&](std::size_t i) {
+        const ControllerRef& framework = frameworks[i % frameworks.size()];
+        return run_scaling(env.params, traces[i / frameworks.size()],
+                           to_string(framework),
+                           framework.name == "dcm" ? dcm_options : options);
+      });
 
   std::vector<TailRow> rows;
   std::vector<double> worst_p99(frameworks.size(), 0.0);
@@ -101,7 +98,8 @@ int main(int argc, char** argv) try {
   const auto find_p99 = [&](const std::string& key,
                             TraceKind kind) -> const ScalingRunResult* {
     for (std::size_t i = 0; i < results.size(); ++i) {
-      if (results[i].framework_key == key && specs[i].trace == kind) {
+      if (results[i].framework_key == key &&
+          traces[i / frameworks.size()] == kind) {
         return &results[i];
       }
     }
@@ -134,7 +132,9 @@ int main(int argc, char** argv) try {
     JsonExportOptions json_options;
     json_options.include_counters = true;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      if (specs[i].trace != TraceKind::kLargeVariations) continue;
+      if (traces[i / frameworks.size()] != TraceKind::kLargeVariations) {
+        continue;
+      }
       const std::string stem = "zoo_" + results[i].framework_key;
       dump_system_csv(env.csv_dir + "/" + stem + ".csv", results[i]);
       export_run_json(env.csv_dir + "/" + stem + ".json", results[i],

@@ -76,7 +76,7 @@ int main(int argc, char** argv) try {
     if (framework == "dcm") {
       // Give DCM a profile trained on exactly these conditions — its best
       // case (no staleness in this example).
-      FrameworkConfig fc = make_framework_config(params);
+      FrameworkConfig fc = make_framework_config();
       fc.dcm_profile = train_dcm_profile(params);
       run_options.framework_config = fc;
     }

@@ -11,6 +11,8 @@ namespace conscale {
 namespace {
 
 constexpr char kSeriesGlyphs[] = {'*', '+', 'o', 'x', '%', '&'};
+/// Plot area columns.
+constexpr int kWidth = 96;
 
 struct Bounds {
   double x_min = std::numeric_limits<double>::infinity();
@@ -119,7 +121,7 @@ std::string assemble(const Canvas& canvas, const Bounds& bounds,
 }
 
 Bounds apply_option_bounds(Bounds bounds, const ChartOptions& options) {
-  if (!options.auto_y_min) bounds.y_min = options.y_min;
+  bounds.y_min = 0.0;  // paper style: every y axis starts at 0
   if (options.y_max > 0.0) bounds.y_max = options.y_max;
   if (bounds.y_max <= bounds.y_min) bounds.y_max = bounds.y_min + 1.0;
   if (bounds.x_max <= bounds.x_min) bounds.x_max = bounds.x_min + 1.0;
@@ -134,7 +136,7 @@ std::string render_lines(const std::vector<Series>& series,
   if (!bounds.valid) return "(no data)\n";
   bounds = apply_option_bounds(bounds, options);
 
-  Canvas canvas(options.width, options.height);
+  Canvas canvas(kWidth, options.height);
   std::ostringstream legend;
   legend << "  legend:";
   for (std::size_t s = 0; s < series.size(); ++s) {
@@ -147,7 +149,7 @@ std::string render_lines(const std::vector<Series>& series,
       if (!std::isfinite(sr.x[i]) || !std::isfinite(sr.y[i])) continue;
       const double fx = (sr.x[i] - bounds.x_min) / (bounds.x_max - bounds.x_min);
       const double fy = (sr.y[i] - bounds.y_min) / (bounds.y_max - bounds.y_min);
-      const int col = static_cast<int>(std::round(fx * (options.width - 1)));
+      const int col = static_cast<int>(std::round(fx * (kWidth - 1)));
       const int row = static_cast<int>(
           std::round((1.0 - std::clamp(fy, 0.0, 1.0)) * (options.height - 1)));
       canvas.put(col, row, glyph);
@@ -172,26 +174,26 @@ std::string render_scatter(const Series& points, const ChartOptions& options) {
 
   // Count hits per cell, then map density to a ramp.
   std::vector<int> density(
-      static_cast<std::size_t>(options.width * options.height), 0);
+      static_cast<std::size_t>(kWidth * options.height), 0);
   const std::size_t n = std::min(points.x.size(), points.y.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::isfinite(points.x[i]) || !std::isfinite(points.y[i])) continue;
     const double fx = (points.x[i] - bounds.x_min) / (bounds.x_max - bounds.x_min);
     const double fy = (points.y[i] - bounds.y_min) / (bounds.y_max - bounds.y_min);
     const int col = static_cast<int>(std::round(std::clamp(fx, 0.0, 1.0) *
-                                                (options.width - 1)));
+                                                (kWidth - 1)));
     const int row = static_cast<int>(
         std::round((1.0 - std::clamp(fy, 0.0, 1.0)) * (options.height - 1)));
-    ++density[static_cast<std::size_t>(row * options.width + col)];
+    ++density[static_cast<std::size_t>(row * kWidth + col)];
   }
   int max_density = 0;
   for (int d : density) max_density = std::max(max_density, d);
 
   static constexpr char kRamp[] = {'.', ':', '*', '#', '@'};
-  Canvas canvas(options.width, options.height);
+  Canvas canvas(kWidth, options.height);
   for (int row = 0; row < options.height; ++row) {
-    for (int col = 0; col < options.width; ++col) {
-      const int d = density[static_cast<std::size_t>(row * options.width + col)];
+    for (int col = 0; col < kWidth; ++col) {
+      const int d = density[static_cast<std::size_t>(row * kWidth + col)];
       if (d == 0) continue;
       const double frac =
           max_density > 1 ? static_cast<double>(d - 1) /

@@ -9,13 +9,12 @@
 
 namespace conscale {
 
+/// The plot area is 96 columns wide and its y axis starts at 0 (paper
+/// style).
 struct ChartOptions {
-  int width = 96;        ///< plot area columns
   int height = 18;       ///< plot area rows
   std::string x_label;   ///< axis captions
   std::string y_label;
-  double y_min = 0.0;    ///< fixed lower bound (default 0 — paper style)
-  bool auto_y_min = false;
   double y_max = 0.0;    ///< 0 => auto from data
 };
 

@@ -49,7 +49,7 @@ void SoftwareAgent::set_tier_threads(std::size_t tier_index,
   if (tier.thread_pool_size() == size) return;  // idempotent
   events_.push_back({sim_.now(), tier.name(), "threads",
                      static_cast<double>(size)});
-  sim_.schedule_after(params_.actuation_delay, [&tier, size] {
+  sim_.schedule_after(kActuationDelay, [&tier, size] {
     tier.set_thread_pool_size(size);
   });
 }
@@ -60,7 +60,7 @@ void SoftwareAgent::set_tier_downstream_pool(std::size_t tier_index,
   if (tier.downstream_pool_size() == size) return;
   events_.push_back({sim_.now(), tier.name(), "dbconn",
                      static_cast<double>(size)});
-  sim_.schedule_after(params_.actuation_delay, [&tier, size] {
+  sim_.schedule_after(kActuationDelay, [&tier, size] {
     tier.set_downstream_pool_size(size);
   });
 }

@@ -23,6 +23,8 @@ struct ScalingEvent {
   std::string tier;
   std::string action;  ///< "scale-out", "scale-in", "threads", "dbconn"
   double value = 0.0;  ///< pool size for soft actions; VM count after hw ones
+
+  bool operator==(const ScalingEvent&) const = default;
 };
 
 class HardwareAgent {
@@ -53,9 +55,8 @@ class HardwareAgent {
 
 class SoftwareAgent {
  public:
-  struct Params {
-    SimDuration actuation_delay = 0.1;  ///< JMX round-trip + pool adjustment
-  };
+  /// JMX round-trip + pool adjustment.
+  static constexpr SimDuration kActuationDelay = 0.1;
 
   SoftwareAgent(Simulation& sim, topology::ServiceGraph& system);
 
@@ -70,7 +71,6 @@ class SoftwareAgent {
  private:
   Simulation& sim_;
   topology::ServiceGraph& system_;
-  Params params_;
   std::vector<ScalingEvent> events_;
 };
 

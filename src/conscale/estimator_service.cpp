@@ -10,8 +10,7 @@ namespace conscale {
 ConcurrencyEstimatorService::ConcurrencyEstimatorService(
     Simulation& sim, topology::ServiceGraph& system,
     const MetricsWarehouse& warehouse, EstimatorServiceParams params)
-    : sim_(sim), system_(system), warehouse_(warehouse), params_(params),
-      estimator_(params.sct) {
+    : sim_(sim), system_(system), warehouse_(warehouse), params_(params) {
   refresh_task_ = std::make_unique<PeriodicTask>(
       sim_, params_.refresh, [this](SimTime now) { refresh(now); });
 }

@@ -28,7 +28,6 @@ namespace conscale {
 struct EstimatorServiceParams {
   SimDuration window = 180.0;   ///< §III-A: "short time window (e.g. 3 min)"
   SimDuration refresh = 5.0;    ///< asynchronous re-estimation period
-  SctParams sct;                ///< estimation-phase knobs
   /// Exponential smoothing applied to successive per-tier estimates (the
   /// "Historical Result" box of Fig 8): blends the new q_lower/q_upper with
   /// the cached one so a single noisy window cannot yank the allocation.
@@ -62,6 +61,8 @@ class ConcurrencyEstimatorService {
     SimTime t = 0.0;
     std::string tier;
     RationalRange range;
+
+    bool operator==(const HistoryEntry&) const = default;
   };
   const std::vector<HistoryEntry>& history() const { return history_; }
 

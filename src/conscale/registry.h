@@ -3,7 +3,7 @@
 // `ControllerSpec` — registry key, display name, one-line description, an
 // optional per-controller option parser, and a builder that assembles the
 // run-scoped parts (estimator / policy / controller) — and from then on
-// every experiment layer (runner, RunSet, benches, reports) refers to it by
+// every experiment layer (runner, fan-out, benches, reports) refers to it by
 // name. Adding a policy is one implementation file plus one registration
 // line; no switch site anywhere else moves.
 //

@@ -11,7 +11,6 @@
 
 #include "experiments/graph_scenario.h"
 #include "experiments/runner.h"
-#include "metrics/latency_breakdown.h"
 #include "topology/service_graph.h"
 
 namespace conscale {
@@ -24,8 +23,9 @@ struct GraphRunResult {
   /// (node name, stats) for every cache node, in node order.
   std::vector<std::pair<std::string, topology::CacheStats>> caches;
   /// Per-node in-server response-time distributions (replicas merged),
-  /// ordered by node name — the "where does the tail live" view.
-  std::vector<LatencyBreakdown::ServerStats> node_latency;
+  /// ordered by node name — the "where does the tail live" view, from the
+  /// monitoring agent (MonitoringAgent::node_latency).
+  std::vector<NodeLatency> node_latency;
 };
 
 /// `framework_ref` is a controller-registry reference, exactly as in

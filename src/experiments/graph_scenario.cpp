@@ -96,13 +96,9 @@ GraphScenario make_fanout_scenario(const ScenarioParams& base) {
   scenario.mix = RequestMix{std::move(classes)};
 
   // ---- framework wiring: per-node SCT targets ----
-  FrameworkConfig config;
+  FrameworkConfig config = make_framework_config();
   config.targets.thread_adapt_tiers = {1, 2};
   config.targets.conn_adapt = {{1, 3}, {2, 3}};
-  config.controller.tick = 1.0;
-  config.controller.periodic_adapt = 10.0;
-  config.estimator.window = 180.0;
-  config.estimator.refresh = 5.0;
   // Analytic profile so DCM (offline-trained) runs on this topology: the
   // per-node Q_lower from the calibrated demands.
   const double db_rt = m.db_cpu_browse + m.db_delay;
@@ -177,13 +173,9 @@ GraphScenario make_cache_scenario(const ScenarioParams& base) {
   classes.push_back(make_class("Peek", 3.0, 0.7));
   scenario.mix = RequestMix{std::move(classes)};
 
-  FrameworkConfig config;
+  FrameworkConfig config = make_framework_config();
   config.targets.thread_adapt_tiers = {0};
   config.targets.conn_adapt = {{0, 1}, {1, 2}};
-  config.controller.tick = 1.0;
-  config.controller.periodic_adapt = 10.0;
-  config.estimator.window = 180.0;
-  config.estimator.refresh = 5.0;
   const double cache_rt = cache_cpu + cache_delay;
   const double db_rt = db_cpu + m.db_delay;
   // At the base hit ratio ~15% of lookups continue into the Db; the
@@ -207,7 +199,7 @@ GraphScenario make_linear_scenario(const ScenarioParams& base) {
 
   scenario.graph = base.system_config();
   scenario.mix = base.make_mix();
-  scenario.framework = make_framework_config(base);
+  scenario.framework = make_framework_config();
   return scenario;
 }
 

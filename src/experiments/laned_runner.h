@@ -38,7 +38,7 @@
 namespace conscale {
 
 struct LanedRunOptions {
-  /// Everything run_scaling accepts (duration, monitoring, framework
+  /// Everything run_scaling accepts (duration, dataset scale, framework
   /// overrides, faults). session_workload is not supported on the
   /// laned path (throws std::invalid_argument): session shards do not model
   /// Markov sessions.

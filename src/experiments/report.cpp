@@ -189,6 +189,23 @@ void print_events(std::ostream& out, const std::vector<ScalingEvent>& events) {
   }
 }
 
+void print_node_latency(std::ostream& out,
+                        const std::vector<NodeLatency>& rows) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf), "  %-10s %-10s %12s %8s %8s %8s %8s %8s\n",
+                "tier", "server", "completions", "mean", "p50", "p95", "p99",
+                "max");
+  out << buf;
+  for (const auto& r : rows) {
+    std::snprintf(buf, sizeof(buf),
+                  "  %-10s %-10s %12llu %7.1f %7.1f %7.1f %7.1f %7.1f\n",
+                  r.tier.c_str(), "*",
+                  static_cast<unsigned long long>(r.completions), r.mean_ms,
+                  r.p50_ms, r.p95_ms, r.p99_ms, r.max_ms);
+    out << buf;
+  }
+}
+
 void dump_system_csv(const std::string& path, const ScalingRunResult& result) {
   CsvWriter csv(path);
   csv.header({"t", "throughput_rps", "mean_rt_ms", "max_rt_ms", "total_vms"});

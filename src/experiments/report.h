@@ -42,6 +42,11 @@ void print_tail_table(std::ostream& out, const std::string& title,
 /// Scaling-event log (Fig 10's "Tomcat scales out at ...").
 void print_events(std::ostream& out, const std::vector<ScalingEvent>& events);
 
+/// Per-node latency table (tier, server "*" for replicas merged,
+/// completions, mean/p50/p95/p99/max in ms), aligned.
+void print_node_latency(std::ostream& out,
+                        const std::vector<NodeLatency>& rows);
+
 /// CSV dumps (written under `dir`, file name derived from `stem`).
 void dump_system_csv(const std::string& path, const ScalingRunResult& result);
 void dump_scatter_csv(const std::string& path, const ScatterRunResult& result);

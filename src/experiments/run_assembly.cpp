@@ -52,7 +52,7 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   }
   topology::ServiceGraph& system = *system_ptr;
   auto warehouse = std::make_shared<MetricsWarehouse>();
-  MonitoringParams monitoring = options.monitoring;
+  MonitoringParams monitoring;
   // Keep the fine interval matched to the service-demand scale (see the
   // same adjustment in collect_scatter): at work_scale k, "50 ms" means
   // 50k ms or each window holds k× fewer completions than the paper's.
@@ -63,9 +63,6 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
                                       ? *options.framework_config
                                       : scenario.framework;
   ScalingFramework framework(sim, system, *warehouse, framework_ref, config);
-  // Passive RT recorders only — attaching them creates no events and draws
-  // no randomness, so it cannot perturb the replayed sequence.
-  LatencyBreakdown breakdown(system);
 
   auto submit = [&system](const RequestContext& request,
                           std::function<void(RequestOutcome)> done) {
@@ -173,7 +170,7 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
                                  system.cache_stats(i));
     }
   }
-  result.node_latency = breakdown.by_tier();
+  result.node_latency = monitor.node_latency();
   if (engine && info) {
     info->stats = engine->stats();
     info->lookahead = engine->lookahead();

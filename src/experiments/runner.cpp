@@ -9,7 +9,81 @@
 
 namespace conscale {
 
-FrameworkConfig make_framework_config(const ScenarioParams& params) {
+namespace {
+
+bool differs(std::string* diff, std::string field) {
+  if (diff) *diff = std::move(field);
+  return false;
+}
+
+bool same(bool equal, const char* field, std::string* diff) {
+  return equal || differs(diff, field);
+}
+
+/// Element-wise equality of two series; a mismatch names the first
+/// differing index ("system[12]").
+template <typename T>
+bool same_series(const std::vector<T>& a, const std::vector<T>& b,
+                 const std::string& name, std::string* diff) {
+  if (a.size() != b.size()) return differs(diff, name + " length");
+  const auto first = std::mismatch(a.begin(), a.end(), b.begin()).first;
+  if (first == a.end()) return true;
+  return differs(diff, name + "[" + std::to_string(first - a.begin()) + "]");
+}
+
+}  // namespace
+
+bool results_equivalent(const ScalingRunResult& a, const ScalingRunResult& b,
+                        std::string* diff) {
+  if (!same(a.framework_name == b.framework_name, "framework_name", diff) ||
+      !same(a.framework_key == b.framework_key, "framework_key", diff) ||
+      !same(a.trace_name == b.trace_name, "trace_name", diff) ||
+      !same(a.controller_counters == b.controller_counters,
+            "controller_counters", diff) ||
+      !same_series(a.system, b.system, "system", diff) ||
+      !same(a.tiers.size() == b.tiers.size(), "tier count", diff)) {
+    return false;
+  }
+  for (const auto& [name, series] : a.tiers) {
+    const auto it = b.tiers.find(name);
+    if (it == b.tiers.end()) return differs(diff, "missing tier " + name);
+    if (!same_series(series, it->second, "tier " + name, diff)) return false;
+  }
+  return same_series(a.events, b.events, "events", diff) &&
+         same_series(a.sct_history, b.sct_history, "sct_history", diff) &&
+         same(a.mean_rt_ms == b.mean_rt_ms, "mean_rt_ms", diff) &&
+         same(a.p50_ms == b.p50_ms, "p50_ms", diff) &&
+         same(a.p95_ms == b.p95_ms, "p95_ms", diff) &&
+         same(a.p99_ms == b.p99_ms, "p99_ms", diff) &&
+         same(a.max_rt_ms == b.max_rt_ms, "max_rt_ms", diff) &&
+         same(a.sla_500ms == b.sla_500ms, "sla_500ms", diff) &&
+         same(a.requests_issued == b.requests_issued, "requests_issued",
+              diff) &&
+         same(a.requests_completed == b.requests_completed,
+              "requests_completed", diff) &&
+         same(a.requests_rejected == b.requests_rejected, "requests_rejected",
+              diff) &&
+         same(a.hook_underflows == b.hook_underflows, "hook_underflows",
+              diff) &&
+         same(a.fault_plan_text == b.fault_plan_text, "fault_plan_text",
+              diff) &&
+         same(a.requests_aborted == b.requests_aborted, "requests_aborted",
+              diff) &&
+         same(a.dropped_samples == b.dropped_samples, "dropped_samples",
+              diff) &&
+         same(a.fault_stats == b.fault_stats, "fault_stats", diff) &&
+         same_series(a.fault_windows, b.fault_windows, "fault_windows", diff);
+}
+
+bool graph_results_equivalent(const GraphRunResult& a, const GraphRunResult& b,
+                              std::string* diff) {
+  return results_equivalent(a.run, b.run, diff) &&
+         same(a.admission == b.admission, "admission", diff) &&
+         same_series(a.caches, b.caches, "caches", diff) &&
+         same_series(a.node_latency, b.node_latency, "node_latency", diff);
+}
+
+FrameworkConfig make_framework_config() {
   FrameworkConfig config;
   config.targets.thread_adapt_tiers = {kAppTier};
   config.targets.conn_adapt = {{kAppTier, kDbTier}};
@@ -21,7 +95,6 @@ FrameworkConfig make_framework_config(const ScenarioParams& params) {
   config.controller.periodic_adapt = 10.0;
   config.estimator.window = 180.0;
   config.estimator.refresh = 5.0;
-  (void)params;
   return config;
 }
 
@@ -173,7 +246,7 @@ ScatterRunResult collect_scatter(const ScenarioParams& params,
       first = false;
     }
   }
-  SctEstimator estimator(options.sct);
+  SctEstimator estimator;
   result.range = estimator.estimate(result.scatter);
   result.stages = estimator.classify(result.scatter);
   return result;

@@ -37,7 +37,6 @@ struct ScalingRunOptions {
   double runtime_dataset_scale = 1.0;
   /// Overrides for the framework; absent fields use defaults.
   std::optional<FrameworkConfig> framework_config;
-  MonitoringParams monitoring;
   /// Drive the system with Markov-session users (SessionModel::rubbos_browse)
   /// instead of i.i.d. class draws with exponential think time. Sessions add
   /// the short-range correlation of real navigation; the population still
@@ -96,10 +95,19 @@ struct ScalingRunResult {
   std::shared_ptr<MetricsWarehouse> warehouse;
 };
 
-/// Default framework config for a scenario: adapts the app-tier thread pool
-/// and the app->db connection pool; DCM profile must be supplied by the
-/// caller when running "dcm" (see train_dcm_profile).
-FrameworkConfig make_framework_config(const ScenarioParams& params);
+/// True when two results are observably identical: names, every timeline
+/// sample, scaling events, SCT history, fault outcome, and the client-side
+/// distribution stats — i.e. everything the reports and JSON/CSV exporters
+/// read. On mismatch, `diff` (when non-null) names the first differing
+/// field, with the index of the first differing element in a series
+/// ("system[12]", "tier Tomcat[3]").
+bool results_equivalent(const ScalingRunResult& a, const ScalingRunResult& b,
+                        std::string* diff = nullptr);
+
+/// Default framework config: adapts the app-tier thread pool and the
+/// app->db connection pool; DCM profile must be supplied by the caller when
+/// running "dcm" (see train_dcm_profile).
+FrameworkConfig make_framework_config();
 
 /// `framework` is a controller-registry reference — "ec2", "conscale",
 /// "pi(target_ms=250)", ... (see conscale/registry.h). Unknown names abort
@@ -144,7 +152,6 @@ struct ScatterRunOptions {
   SimDuration fine_period = 0.050;
   std::size_t fixed_app_vms = 1;
   std::size_t fixed_db_vms = 1;
-  SctParams sct;
 };
 
 struct ScatterRunResult {

@@ -41,6 +41,8 @@ struct FaultInjectorStats {
   std::uint64_t interference_windows = 0;
   std::uint64_t boot_jitter_windows = 0;
   std::uint64_t dropout_windows = 0;
+
+  bool operator==(const FaultInjectorStats&) const = default;
 };
 
 /// A realized perturbation window, for CSV export and plot shading. Crashes
@@ -51,6 +53,8 @@ struct FaultWindow {
   SimTime start = 0.0;
   SimTime end = 0.0;
   std::string tier;  ///< resolved tier name; empty = system-wide
+
+  bool operator==(const FaultWindow&) const = default;
 };
 
 class FaultInjector {

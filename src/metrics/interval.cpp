@@ -50,6 +50,7 @@ void IntervalAggregator::note_departed(SimTime now, double rt) {
   }
   ++completions_;
   rt_sum_ += rt;
+  response_times_.add(rt);
 }
 
 void IntervalAggregator::note_aborted(SimTime now) {

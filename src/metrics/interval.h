@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 
+#include "common/histogram.h"
 #include "common/stats.h"
 #include "simcore/simulation.h"
 #include "tier/server.h"
@@ -23,7 +24,8 @@ struct IntervalSample {
 };
 
 /// Builds IntervalSamples from a server's admission/departure hooks.
-/// Attach once; read via the callback given to start().
+/// Attach once; read via the callback given to start(). Every departure's
+/// response time also goes into a whole-run histogram (response_times()).
 class IntervalAggregator {
  public:
   using SampleCallback = std::function<void(const IntervalSample&)>;
@@ -50,6 +52,9 @@ class IntervalAggregator {
   /// and must be asserted zero by the harness (see MonitoringAgent).
   std::uint64_t hook_underflows() const { return hook_underflows_; }
 
+  /// Response times of every departure since attachment [s].
+  const LogHistogram& response_times() const { return response_times_; }
+
  private:
   void advance_integral(SimTime now);
   void emit(SimTime now);
@@ -69,6 +74,8 @@ class IntervalAggregator {
   // Completion accumulation for the current window.
   std::uint64_t completions_ = 0;
   double rt_sum_ = 0.0;
+
+  LogHistogram response_times_;
 };
 
 }  // namespace conscale

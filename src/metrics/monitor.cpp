@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/time_units.h"
 #include "topology/service_graph.h"
 
 namespace conscale {
@@ -13,11 +14,11 @@ MonitoringAgent::MonitoringAgent(Simulation& sim,
   system_.add_vm_ready_callback(
       [this](std::size_t tier_index, Vm& vm) { attach(tier_index, vm); });
   coarse_task_ = std::make_unique<PeriodicTask>(
-      sim_, params_.coarse_period, [this](SimTime now) { coarse_tick(now); });
+      sim_, kCoarsePeriod, [this](SimTime now) { coarse_tick(now); });
 }
 
 void MonitoringAgent::attach(std::size_t tier_index, Vm& vm) {
-  if (!attached_.insert(vm.name()).second) return;  // restarted VM
+  if (servers_.count(vm.name())) return;  // restarted VM
   // Each per-VM aggregator ticks on the sim hosting its tier — the run's
   // sim when serial, the tier's own lane when laned, so its samples land in
   // per-series warehouse vectors no other lane touches.
@@ -28,15 +29,37 @@ void MonitoringAgent::attach(std::size_t tier_index, Vm& vm) {
   aggregator->start([this, id](const IntervalSample& sample) {
     warehouse_.record_server(id, sample);
   });
-  aggregators_.push_back(std::move(aggregator));
+  servers_.emplace(vm.name(), Attached{tier_index, std::move(aggregator)});
 }
 
 std::uint64_t MonitoringAgent::hook_underflows() const {
   std::uint64_t total = 0;
-  for (const auto& aggregator : aggregators_) {
-    total += aggregator->hook_underflows();
+  for (const auto& [name, server] : servers_) {
+    total += server.aggregator->hook_underflows();
   }
   return total;
+}
+
+std::vector<NodeLatency> MonitoringAgent::node_latency() const {
+  std::map<std::string, LogHistogram> merged;
+  for (const auto& [name, server] : servers_) {
+    merged[system_.tier(server.tier_index).name()].merge(
+        server.aggregator->response_times());
+  }
+  std::vector<NodeLatency> rows;
+  for (const auto& [tier, histogram] : merged) {
+    if (histogram.total() == 0) continue;
+    NodeLatency row;
+    row.tier = tier;
+    row.completions = histogram.total();
+    row.mean_ms = to_ms(histogram.mean());
+    row.p50_ms = to_ms(histogram.percentile(50.0));
+    row.p95_ms = to_ms(histogram.percentile(95.0));
+    row.p99_ms = to_ms(histogram.percentile(99.0));
+    row.max_ms = to_ms(histogram.max_recorded());
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 void MonitoringAgent::on_client_completion(double rt) {
@@ -64,8 +87,7 @@ void MonitoringAgent::coarse_tick(SimTime now) {
   }
   SystemSample sys;
   sys.t = now;
-  sys.throughput = static_cast<double>(window_completions_) /
-                   params_.coarse_period;
+  sys.throughput = static_cast<double>(window_completions_) / kCoarsePeriod;
   sys.mean_rt = window_completions_
                     ? window_rt_sum_ / static_cast<double>(window_completions_)
                     : 0.0;

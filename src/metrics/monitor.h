@@ -3,11 +3,16 @@
 // and future — scale-out VMs are picked up through the vm-ready callback),
 // polls tier-level CPU utilization and VM counts every second, and folds
 // client-side completions into per-second system samples. Everything lands
-// in the MetricsWarehouse.
+// in the MetricsWarehouse. The aggregators also keep each server's
+// response-time distribution, which node_latency() merges per node: the
+// end-to-end percentiles say *that* the system spiked, the node rows say
+// *where* — which tier's in-server response time (queueing included)
+// carries the tail.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -23,15 +28,30 @@ namespace conscale {
 
 class Vm;
 
-/// Defaults: §III-B's 50 ms fine interval; Fig 8's 1 s agent reports.
+/// Default: §III-B's 50 ms fine interval.
 struct MonitoringParams {
   SimDuration fine_period = 0.050;
-  SimDuration coarse_period = 1.0;
+};
+
+/// One node's in-server response-time distribution over a run, every
+/// replica merged.
+struct NodeLatency {
+  std::string tier;
+  std::uint64_t completions = 0;
+  double mean_ms = 0.0;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  double max_ms = 0.0;
+
+  bool operator==(const NodeLatency&) const = default;
 };
 
 class MonitoringAgent {
  public:
   using Params = MonitoringParams;
+  /// Fig 8's 1 s agent report period.
+  static constexpr SimDuration kCoarsePeriod = 1.0;
 
   MonitoringAgent(Simulation& sim, topology::ServiceGraph& system,
                   MetricsWarehouse& warehouse, Params params = {});
@@ -49,7 +69,18 @@ class MonitoringAgent {
   /// experiment runner exports it so tests fail loudly on accounting bugs.
   std::uint64_t hook_underflows() const;
 
+  /// One row per node that completed at least one request, in node-name
+  /// order. Each row merges the node's servers in server-name order
+  /// ("Tomcat10" before "Tomcat2"): the histogram's sum is a double, so the
+  /// merge order is part of the result.
+  std::vector<NodeLatency> node_latency() const;
+
  private:
+  struct Attached {
+    std::size_t tier_index = 0;
+    std::unique_ptr<IntervalAggregator> aggregator;
+  };
+
   void attach(std::size_t tier_index, Vm& vm);
   void coarse_tick(SimTime now);
 
@@ -57,10 +88,10 @@ class MonitoringAgent {
   topology::ServiceGraph& system_;
   MetricsWarehouse& warehouse_;
   Params params_;
-  std::vector<std::unique_ptr<IntervalAggregator>> aggregators_;
-  /// Servers already wired. A restarted VM fires vm-ready again with the
-  /// same server; attaching twice would double-count its samples.
-  std::set<std::string> attached_;
+  /// Every wired server, by server name. A restarted VM fires vm-ready
+  /// again with the same server; attaching twice would double-count its
+  /// samples.
+  std::map<std::string, Attached> servers_;
   /// Interned warehouse ids per tier index — the 1 s poll records by id.
   std::vector<MetricsWarehouse::SeriesId> tier_ids_;
   std::unique_ptr<PeriodicTask> coarse_task_;

@@ -30,6 +30,8 @@ struct TierSample {
   double avg_cpu_utilization = 0.0;  ///< [0,1] across running VMs
   std::uint32_t billed_vms = 0;
   std::uint32_t running_vms = 0;
+
+  bool operator==(const TierSample&) const = default;
 };
 
 /// 1 s end-to-end sample (client-perceived).
@@ -40,6 +42,8 @@ struct SystemSample {
   double max_rt = 0.0;      ///< worst completion in the second [s]
   std::uint32_t total_vms = 0;
   std::uint32_t rejected = 0;  ///< requests shed by admission this second
+
+  bool operator==(const SystemSample&) const = default;
 };
 
 class MetricsWarehouse {

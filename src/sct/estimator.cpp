@@ -4,6 +4,17 @@
 
 namespace conscale {
 
+namespace {
+
+/// Buckets thinner than this are discarded as noise.
+constexpr std::size_t kMinSamplesPerBucket = 4;
+/// Moving-average half-width over bucket means before peak detection.
+constexpr std::size_t kSmoothingRadius = 1;
+/// Minimum number of dense buckets for a trustworthy estimate.
+constexpr std::size_t kMinBuckets = 5;
+
+}  // namespace
+
 std::string to_string(SctStage stage) {
   switch (stage) {
     case SctStage::kAscending:
@@ -37,13 +48,13 @@ bool SctEstimator::at_peak(const ConcurrencyBucket& bucket,
 std::optional<SctEstimator::Analysis> SctEstimator::analyze(
     const ScatterSet& scatter) const {
   Analysis a;
-  a.buckets = scatter.ordered_dense(params_.min_samples_per_bucket);
-  if (a.buckets.size() < params_.min_buckets) return std::nullopt;
+  a.buckets = scatter.ordered_dense(kMinSamplesPerBucket);
+  if (a.buckets.size() < kMinBuckets) return std::nullopt;
 
   std::vector<double> means;
   means.reserve(a.buckets.size());
   for (const auto* b : a.buckets) means.push_back(b->throughput.mean());
-  a.smoothed = moving_average(means, params_.smoothing_radius);
+  a.smoothed = moving_average(means, kSmoothingRadius);
 
   a.peak_index = static_cast<std::size_t>(
       std::max_element(a.smoothed.begin(), a.smoothed.end()) -

@@ -29,14 +29,8 @@ enum class SctStage { kAscending, kStable, kDescending };
 std::string to_string(SctStage stage);
 
 struct SctParams {
-  /// Buckets thinner than this are discarded as noise.
-  std::size_t min_samples_per_bucket = 4;
   /// δ: a bucket within (1-δ)·TP_max of the peak is plateau by definition.
   double plateau_tolerance = 0.05;
-  /// Moving-average half-width over bucket means before peak detection.
-  std::size_t smoothing_radius = 1;
-  /// Minimum number of dense buckets for a trustworthy estimate.
-  std::size_t min_buckets = 5;
   /// Optional response-time SLA (seconds; 0 disables). Fig 6(b) draws a
   /// latency threshold across the RT-vs-Q scatter: within the stable stage,
   /// RT still grows with Q, so when an SLA is set the *optimal* setting is
@@ -64,6 +58,8 @@ struct RationalRange {
   bool q_upper_censored = false;
   std::size_t buckets_used = 0;
   std::size_t samples_used = 0;
+
+  bool operator==(const RationalRange&) const = default;
 };
 
 /// Per-bucket stage labels, for reporting/plots (Fig 6a's three states).

@@ -20,7 +20,7 @@ double draw(Rng& rng, double mean, double cv) {
 Server::Server(Simulation& sim, Params params)
     : sim_(sim), params_(std::move(params)), rng_(params_.seed),
       cpu_(sim, params_.cores, params_.speed, params_.contention),
-      disk_(sim, params_.disk_channels, params_.disk_speed),
+      disk_(sim, params_.disk_channels),
       threads_(params_.name + ".threads",
                std::max<std::size_t>(params_.thread_pool_size, 1)) {
   if (params_.downstream_pool_size > 0) {

@@ -47,7 +47,6 @@ class Server {
     double speed = 1.0;
     ContentionModel contention = {};
     int disk_channels = 1;
-    double disk_speed = 1.0;
     std::size_t thread_pool_size = 64;
     /// 0 = this server makes no pooled downstream calls (calls pass through
     /// ungated); otherwise the connection-pool capacity.

@@ -119,11 +119,15 @@ struct AdmissionStats {
   std::uint64_t rejected_age = 0;
 
   std::uint64_t rejected() const { return rejected_occupancy + rejected_age; }
+
+  bool operator==(const AdmissionStats&) const = default;
 };
 
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+
+  bool operator==(const CacheStats&) const = default;
 };
 
 class ServiceGraph final {

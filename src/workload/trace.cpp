@@ -7,6 +7,12 @@
 
 namespace conscale {
 
+namespace {
+
+constexpr SimDuration kSamplePeriod = 1.0;
+
+}  // namespace
+
 std::string to_string(TraceKind kind) {
   switch (kind) {
     case TraceKind::kLargeVariations:
@@ -147,11 +153,11 @@ WorkloadTrace make_trace(TraceKind kind, const TraceParams& params) {
   // A run shorter than one sample period still gets the two samples a
   // WorkloadTrace needs.
   const auto count = std::max<std::size_t>(
-      static_cast<std::size_t>(params.duration / params.sample_period) + 1, 2);
+      static_cast<std::size_t>(params.duration / kSamplePeriod) + 1, 2);
   Rng rng(params.seed ^ (static_cast<std::uint64_t>(kind) * 0x9e3779b9ULL));
   std::vector<double> samples;
   samples.reserve(count);
-  const double floor_users = params.max_users * params.min_users_fraction;
+  const double floor_users = params.max_users * kTraceFloorFraction;
   // First pass: raw shape values, tracked for normalization so every trace
   // peaks exactly at max_users regardless of shape arithmetic.
   std::vector<double> raw(count);
@@ -170,31 +176,28 @@ WorkloadTrace make_trace(TraceKind kind, const TraceParams& params) {
     }
     samples.push_back(std::clamp(users, 0.0, params.max_users * 1.05));
   }
-  return WorkloadTrace(to_string(kind), params.sample_period,
-                       std::move(samples));
+  return WorkloadTrace(to_string(kind), kSamplePeriod, std::move(samples));
 }
 
-WorkloadTrace make_constant_trace(double users, SimDuration duration,
-                                  SimDuration sample_period) {
+WorkloadTrace make_constant_trace(double users, SimDuration duration) {
   const auto count =
-      static_cast<std::size_t>(duration / sample_period) + 1;
-  return WorkloadTrace("constant",  sample_period,
+      static_cast<std::size_t>(duration / kSamplePeriod) + 1;
+  return WorkloadTrace("constant", kSamplePeriod,
                        std::vector<double>(std::max<std::size_t>(count, 2),
                                            users));
 }
 
 WorkloadTrace make_ramp_trace(double lo_users, double hi_users,
-                              SimDuration duration,
-                              SimDuration sample_period) {
+                              SimDuration duration) {
   const auto count = std::max<std::size_t>(
-      static_cast<std::size_t>(duration / sample_period) + 1, 3);
+      static_cast<std::size_t>(duration / kSamplePeriod) + 1, 3);
   std::vector<double> samples(count);
   for (std::size_t i = 0; i < count; ++i) {
     const double u = static_cast<double>(i) / static_cast<double>(count - 1);
     const double tri = u < 0.5 ? 2.0 * u : 2.0 * (1.0 - u);
     samples[i] = lo_users + (hi_users - lo_users) * tri;
   }
-  return WorkloadTrace("ramp", sample_period, std::move(samples));
+  return WorkloadTrace("ramp", kSamplePeriod, std::move(samples));
 }
 
 }  // namespace conscale

@@ -33,12 +33,14 @@ enum class TraceKind {
 std::string to_string(TraceKind kind);
 const std::vector<TraceKind>& all_trace_kinds();
 
+/// Every trace shape's floor, as a fraction of its peak users.
+constexpr double kTraceFloorFraction = 0.12;
+
+/// Traces are sampled once a second.
 struct TraceParams {
   SimDuration duration = 720.0;  ///< 12 minutes, as in §V
   double max_users = 7500.0;     ///< peak concurrent users
-  double min_users_fraction = 0.12;  ///< floor as a fraction of max
   double noise_fraction = 0.03;  ///< multiplicative jitter per sample
-  SimDuration sample_period = 1.0;
   std::uint64_t seed = 42;
 };
 
@@ -68,14 +70,13 @@ class WorkloadTrace {
 /// Builds the requested trace shape.
 WorkloadTrace make_trace(TraceKind kind, const TraceParams& params);
 
-/// Flat trace (used by profiling runs and tests).
-WorkloadTrace make_constant_trace(double users, SimDuration duration,
-                                  SimDuration sample_period = 1.0);
+/// Flat trace (used by profiling runs and tests), sampled once a second.
+WorkloadTrace make_constant_trace(double users, SimDuration duration);
 
 /// Symmetric triangle ramp lo -> hi -> lo, used by the scatter-collection
-/// profiling runs to sweep a server through its whole concurrency range.
+/// profiling runs to sweep a server through its whole concurrency range;
+/// sampled once a second.
 WorkloadTrace make_ramp_trace(double lo_users, double hi_users,
-                              SimDuration duration,
-                              SimDuration sample_period = 1.0);
+                              SimDuration duration);
 
 }  // namespace conscale

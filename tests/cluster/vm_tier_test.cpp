@@ -14,10 +14,8 @@ Server::Params server_template() {
 }
 
 RequestClass delay_class() {
-  RequestClass c;
-  c.name = "d";
-  c.demand_cv = 0.0;
-  c.tiers.resize(1);
+  RequestClass c{.name = "d", .demand_cv = 0.0,
+                 .tiers = std::vector<PhaseDemand>(1)};
   c.tiers[0].pure_delay = 1.0;
   return c;
 }

@@ -1,8 +1,8 @@
-// Regression tests for the self-contained-run guarantee: the same RunSpec
+// Regression tests for the self-contained-run guarantee: the same run
 // must produce bit-identical results whether executed serially, twice in a
-// row, or fanned out across RunSet worker threads. Any mutable global state
-// creeping back onto the run path (a shared RNG, a logger-owned level gate,
-// a static cache) shows up here as a timeline mismatch.
+// row, or fanned out across parallel_map worker threads. Any mutable global
+// state creeping back onto the run path (a shared RNG, a logger-owned level
+// gate, a static cache) shows up here as a timeline mismatch.
 #include "experiments/parallel.h"
 
 #include <gtest/gtest.h>
@@ -25,61 +25,63 @@ ScenarioParams quick_params() {
   return p;
 }
 
-RunSpec quick_spec() {
-  RunSpec spec;
-  spec.params = quick_params();
-  spec.trace = TraceKind::kBigSpike;
-  spec.framework = "conscale";
-  spec.options.duration = 60.0;
-  return spec;
+ScalingRunOptions quick_options() {
+  ScalingRunOptions options;
+  options.duration = 60.0;
+  return options;
+}
+
+ScalingRunResult quick_run() {
+  return run_scaling(quick_params(), TraceKind::kBigSpike, "conscale",
+                     quick_options());
+}
+
+/// `copies` runs of quick_run() fanned over `jobs` threads.
+std::vector<ScalingRunResult> fan_out(std::size_t copies, std::size_t jobs) {
+  return parallel_map<ScalingRunResult>(
+      copies, jobs, [](std::size_t) { return quick_run(); });
 }
 
 TEST(Determinism, SerialRepeatIsBitIdentical) {
-  const RunSpec spec = quick_spec();
-  const ScalingRunResult first = RunSet::run_one(spec);
-  const ScalingRunResult second = RunSet::run_one(spec);
+  const ScalingRunResult first = quick_run();
+  const ScalingRunResult second = quick_run();
   std::string diff;
   EXPECT_TRUE(results_equivalent(first, second, &diff)) << diff;
 }
 
-TEST(Determinism, ParallelRunSetMatchesSerial) {
-  // Four copies of the same spec on four threads plus a serial baseline:
+TEST(Determinism, ParallelFanOutMatchesSerial) {
+  // Four copies of the same run on four threads plus a serial baseline:
   // every copy must reproduce the baseline exactly, even while the other
   // copies run concurrently on other threads.
-  const RunSpec spec = quick_spec();
-  const ScalingRunResult baseline = RunSet::run_one(spec);
-
-  RunSetOptions options;
-  options.jobs = 4;
-  const RunSet set(options);
-  const std::vector<RunSpec> specs(4, spec);
-  const std::vector<ScalingRunResult> results = set.run(specs);
+  const ScalingRunResult baseline = quick_run();
+  const std::vector<ScalingRunResult> results = fan_out(4, 4);
   ASSERT_EQ(results.size(), 4u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::string diff;
     EXPECT_TRUE(results_equivalent(results[i], baseline, &diff))
-        << "spec copy " << i << ": " << diff;
+        << "copy " << i << ": " << diff;
   }
 }
 
-TEST(Determinism, MixedSpecsKeepSpecOrder) {
-  RunSpec a = quick_spec();
-  RunSpec b = quick_spec();
-  b.framework = "ec2";
-  RunSpec c = quick_spec();
-  c.trace = TraceKind::kDualPhase;
-
-  RunSetOptions options;
-  options.jobs = 3;
-  // deterministic mode re-runs each spec serially inside run() and throws
-  // on any mismatch — the self-checking path the CI smoke runs use.
-  options.deterministic = true;
+TEST(Determinism, MixedRunsKeepIndexOrderAndMatchSerialReruns) {
+  // Three different runs on three threads land in index order, and each
+  // equals its own serial re-run.
+  const auto run = [](std::size_t i) {
+    return run_scaling(quick_params(),
+                       i == 2 ? TraceKind::kDualPhase : TraceKind::kBigSpike,
+                       i == 1 ? "ec2" : "conscale", quick_options());
+  };
   const std::vector<ScalingRunResult> results =
-      RunSet(options).run({a, b, c});
+      parallel_map<ScalingRunResult>(3, 3, run);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].framework_name, "ConScale");
   EXPECT_EQ(results[1].framework_name, "EC2-AutoScaling");
   EXPECT_EQ(results[2].trace_name, "dual_phase");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::string diff;
+    EXPECT_TRUE(results_equivalent(results[i], run(i), &diff))
+        << "run " << i << ": " << diff;
+  }
 }
 
 TEST(Determinism, RefactoredConScaleArtifactsAreByteIdentical) {
@@ -87,12 +89,8 @@ TEST(Determinism, RefactoredConScaleArtifactsAreByteIdentical) {
   // the flagship "conscale" run is rendered to CSV and JSON once from a
   // serial run and once from a jobs=4 fan-out, and the files must compare
   // equal byte for byte.
-  const RunSpec spec = quick_spec();
-  const ScalingRunResult serial = RunSet::run_one(spec);
-  RunSetOptions options;
-  options.jobs = 4;
-  const std::vector<ScalingRunResult> results =
-      RunSet(options).run(std::vector<RunSpec>(4, spec));
+  const ScalingRunResult serial = quick_run();
+  const std::vector<ScalingRunResult> results = fan_out(4, 4);
   ASSERT_EQ(results.size(), 4u);
 
   const auto render = [](const std::string& stem, const ScalingRunResult& r) {
@@ -120,14 +118,59 @@ TEST(Determinism, RefactoredConScaleArtifactsAreByteIdentical) {
 }
 
 TEST(Determinism, ResultsEquivalentFlagsDifferences) {
-  const RunSpec spec = quick_spec();
-  RunSpec other = spec;
-  other.params.seed = spec.params.seed + 1;
-  const ScalingRunResult x = RunSet::run_one(spec);
-  const ScalingRunResult y = RunSet::run_one(other);
+  ScenarioParams other = quick_params();
+  other.seed += 1;
+  const ScalingRunResult x = quick_run();
+  const ScalingRunResult y =
+      run_scaling(other, TraceKind::kBigSpike, "conscale", quick_options());
   std::string diff;
   EXPECT_FALSE(results_equivalent(x, y, &diff));
   EXPECT_FALSE(diff.empty());
+}
+
+TEST(ResultsEquivalent, NamesTheFirstDifference) {
+  // One faulted run fills every compared family; each case perturbs one
+  // field of a copy and expects the diff to name it.
+  ScalingRunOptions options = quick_options();
+  options.duration = 120.0;  // long enough for SCT estimates
+  options.faults = FaultPlan::parse("crash t=20 tier=app vm=0 restart=10");
+  const ScalingRunResult base =
+      run_scaling(quick_params(), TraceKind::kBigSpike, "conscale", options);
+  ASSERT_GT(base.system.size(), 12u);
+  ASSERT_FALSE(base.events.empty());
+  ASSERT_FALSE(base.sct_history.empty());
+  ASSERT_FALSE(base.fault_windows.empty());
+  ASSERT_FALSE(base.controller_counters.empty());
+  ASSERT_GT(base.tiers.at("Tomcat").size(), 3u);
+  ASSERT_TRUE(results_equivalent(base, base));
+
+  const auto expect_diff = [&base](const char* expected, auto&& perturb) {
+    ScalingRunResult copy = base;
+    perturb(copy);
+    std::string diff;
+    EXPECT_FALSE(results_equivalent(base, copy, &diff)) << expected;
+    EXPECT_EQ(diff, expected);
+  };
+  expect_diff("p99_ms", [](ScalingRunResult& r) { r.p99_ms += 1.0; });
+  expect_diff("system[12]",
+              [](ScalingRunResult& r) { r.system[12].max_rt += 1e-9; });
+  expect_diff("tier Tomcat[3]", [](ScalingRunResult& r) {
+    ++r.tiers.at("Tomcat")[3].running_vms;
+  });
+  expect_diff("events[0]",
+              [](ScalingRunResult& r) { r.events[0].value += 1.0; });
+  expect_diff("sct_history[0]", [](ScalingRunResult& r) {
+    r.sct_history[0].range.q_upper += 1;
+  });
+  // Not compared before the sample types compared by value.
+  expect_diff("sct_history[0]", [](ScalingRunResult& r) {
+    ++r.sct_history[0].range.buckets_used;
+  });
+  expect_diff("fault_windows[0]",
+              [](ScalingRunResult& r) { r.fault_windows[0].end += 1.0; });
+  expect_diff("controller_counters", [](ScalingRunResult& r) {
+    ++r.controller_counters.begin()->second;
+  });
 }
 
 TEST(ParallelFor, RethrowsLowestFailingIndex) {

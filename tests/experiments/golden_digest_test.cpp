@@ -107,7 +107,7 @@ ScenarioParams quick_params() {
 ScalingRunOptions chain_options(const ScenarioParams& params) {
   ScalingRunOptions options;
   options.duration = 60.0;
-  FrameworkConfig config = make_framework_config(params);
+  FrameworkConfig config = make_framework_config();
   config.dcm_profile = train_dcm_profile_analytical(params);
   options.framework_config = config;
   return options;

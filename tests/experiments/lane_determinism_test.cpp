@@ -41,7 +41,7 @@ LanedRunOptions laned_options(const ScenarioParams& params,
   options.base.duration = 60.0;
   // The chain's default config carries no DCM profile; supply the analytic
   // one so "dcm" assembles (identical on both sides of the comparison).
-  FrameworkConfig config = make_framework_config(params);
+  FrameworkConfig config = make_framework_config();
   config.dcm_profile = train_dcm_profile_analytical(params);
   options.base.framework_config = config;
   options.lanes = lanes;
@@ -159,7 +159,7 @@ LanedRunOptions tier_laned_options(const ScenarioParams& params,
                                    SimDuration lan_delay = 0.010) {
   LanedRunOptions options;
   options.base.duration = 60.0;
-  FrameworkConfig config = make_framework_config(params);
+  FrameworkConfig config = make_framework_config();
   config.dcm_profile = train_dcm_profile_analytical(params);
   options.base.framework_config = config;
   options.tier_lanes = tier_lanes;

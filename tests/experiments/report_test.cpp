@@ -70,6 +70,16 @@ TEST(Report, EventsListEveryAction) {
   EXPECT_NE(s.find("12.0s"), std::string::npos);
 }
 
+TEST(Report, NodeLatencyTableIsAligned) {
+  std::ostringstream out;
+  print_node_latency(out, {{"MySQL", 1234, 5.5, 4.0, 9.5, 12.0, 30.0}});
+  EXPECT_EQ(out.str(),
+            "  tier       server      completions     mean      p50      p95"
+            "      p99      max\n"
+            "  MySQL      *                  1234     5.5     4.0     9.5"
+            "    12.0    30.0\n");
+}
+
 TEST(Report, TailTableFormatsRows) {
   std::ostringstream out;
   print_tail_table(out, "Table I",

@@ -109,7 +109,7 @@ TEST(CollectScatter, ProducesSamplesAndScatter) {
 }
 
 TEST(MakeFrameworkConfig, TargetsAppAndDbTiers) {
-  const FrameworkConfig config = make_framework_config(quick_params());
+  const FrameworkConfig config = make_framework_config();
   ASSERT_EQ(config.targets.thread_adapt_tiers.size(), 1u);
   EXPECT_EQ(config.targets.thread_adapt_tiers[0], kAppTier);
   ASSERT_EQ(config.targets.conn_adapt.size(), 1u);

@@ -319,22 +319,25 @@ TEST(FaultRuns, DropoutRunCountsDroppedSamples) {
 }
 
 TEST(FaultRuns, FaultedRunsAreDeterministicUnderParallelFanOut) {
-  RunSpec spec;
-  spec.params = quick_params();
-  spec.trace = TraceKind::kBigSpike;
-  spec.framework = "conscale";
-  spec.options.duration = 45.0;
-  spec.options.faults = FaultPlan::parse(
+  ScalingRunOptions options;
+  options.duration = 45.0;
+  options.faults = FaultPlan::parse(
       "crash t=15 tier=app vm=0 restart=8\n"
       "cpu t=25 dur=10 tier=db vm=all factor=0.5\n"
       "drop t=30 dur=5\n");
-  RunSetOptions rs;
-  rs.jobs = 2;
-  rs.deterministic = true;  // serial re-run must be bit-identical
-  const auto results = RunSet(rs).run({spec, spec});
+  const auto run = [&options](std::size_t) {
+    return run_scaling(quick_params(), TraceKind::kBigSpike, "conscale",
+                       options);
+  };
+  const auto results = parallel_map<ScalingRunResult>(2, 2, run);
   ASSERT_EQ(results.size(), 2u);
   std::string diff;
   EXPECT_TRUE(results_equivalent(results[0], results[1], &diff)) << diff;
+  // Each fanned-out copy equals a serial re-run.
+  const ScalingRunResult serial = run(0);
+  for (const ScalingRunResult& result : results) {
+    EXPECT_TRUE(results_equivalent(result, serial, &diff)) << diff;
+  }
   EXPECT_EQ(results[0].fault_stats.crashes_injected, 1u);
 }
 

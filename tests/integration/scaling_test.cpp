@@ -249,14 +249,14 @@ TEST(ScalingIntegration, DcmWithStaleProfileUnderperformsConScale) {
   ScalingRunOptions dcm_options;
   dcm_options.duration = 720.0;
   dcm_options.runtime_dataset_scale = 0.4;  // far smaller dataset than trained
-  FrameworkConfig config = make_framework_config(params);
+  FrameworkConfig config = make_framework_config();
   config.dcm_profile = profile;
   dcm_options.framework_config = config;
   const auto dcm = run_scaling(params, TraceKind::kLargeVariations,
                                "dcm", dcm_options);
 
   ScalingRunOptions con_options = dcm_options;
-  con_options.framework_config = make_framework_config(params);
+  con_options.framework_config = make_framework_config();
   const auto con = run_scaling(params, TraceKind::kLargeVariations,
                                "conscale", con_options);
   // At this compressed scale the headline latency gap of Fig 11 is noise-

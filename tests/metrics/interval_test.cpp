@@ -13,9 +13,6 @@ struct IntervalFixture : ::testing::Test {
     p.name = "s";
     p.thread_pool_size = 16;
     server = std::make_unique<Server>(sim, p);
-    cls.name = "c";
-    cls.demand_cv = 0.0;
-    cls.tiers.resize(1);
   }
 
   void submit(double delay) {
@@ -26,7 +23,8 @@ struct IntervalFixture : ::testing::Test {
   }
 
   Simulation sim;
-  RequestClass cls;
+  RequestClass cls{.name = "c", .demand_cv = 0.0,
+                   .tiers = std::vector<PhaseDemand>(1)};
   std::unique_ptr<Server> server;
   std::vector<IntervalSample> samples;
 };

@@ -43,7 +43,7 @@ TEST_P(AllTraceKinds, RespectsFloorFraction) {
   const TraceParams p = default_params();
   const WorkloadTrace trace = make_trace(GetParam(), p);
   for (double users : trace.samples()) {
-    EXPECT_GE(users, p.min_users_fraction * p.max_users * 0.99);
+    EXPECT_GE(users, kTraceFloorFraction * p.max_users * 0.99);
   }
 }
 
