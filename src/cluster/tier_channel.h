@@ -65,11 +65,11 @@ class TierChannel {
 /// Forwards a tier cell's vm-ready signal across the LAN hop to the control
 /// lane, where the registered VmReadyCallbacks (monitor attach, decision
 /// hooks) run exactly as in a serial run, one hop after the VM joins its
-/// load balancer. A departure inside that hop is not in the monitor's
-/// samples or node-latency rows; a bootstrap VM has none, because no
-/// request reaches the system before the client hop and net_delay >=
-/// lan_delay (DESIGN.md §6e). Declares the lane->control engine channel.
-/// The Vm pointer stays valid: TierGroup owns its VMs for the whole run.
+/// load balancer. A scale-out VM's departures inside that hop are not in
+/// the monitor's samples or node-latency row; the monitor wires the
+/// bootstrap VMs at construction (DESIGN.md §6e). Declares the
+/// lane->control engine channel. The Vm pointer stays valid: TierGroup
+/// owns its VMs for the whole run.
 class VmReadyNotifier final : public lanes::LaneActor {
  public:
   using Deliver = std::function<void(Vm&)>;

@@ -11,25 +11,41 @@ MonitoringAgent::MonitoringAgent(Simulation& sim,
                                  topology::ServiceGraph& system,
                                  MetricsWarehouse& warehouse, Params params)
     : sim_(sim), system_(system), warehouse_(warehouse), params_(params) {
+  // The servers that exist now are wired at once, so their node-latency
+  // rows hold every departure even when vm-ready reaches the monitor late
+  // (one LAN hop on a tier cut); their 50 ms samples start at vm-ready.
+  for (std::size_t i = 0; i < system_.tier_count(); ++i) {
+    for (Vm* vm : system_.tier(i).all_vms()) wire(i, *vm);
+  }
   system_.add_vm_ready_callback(
       [this](std::size_t tier_index, Vm& vm) { attach(tier_index, vm); });
   coarse_task_ = std::make_unique<PeriodicTask>(
       sim_, kCoarsePeriod, [this](SimTime now) { coarse_tick(now); });
 }
 
+MonitoringAgent::Attached& MonitoringAgent::wire(std::size_t tier_index,
+                                                 Vm& vm) {
+  auto [it, inserted] = servers_.try_emplace(vm.name());
+  if (inserted) {
+    // Each per-VM aggregator ticks on the sim hosting its tier — the run's
+    // sim when serial, the tier's own lane when laned, so its samples land
+    // in per-series warehouse vectors no other lane touches.
+    it->second.tier_index = tier_index;
+    it->second.aggregator = std::make_unique<IntervalAggregator>(
+        system_.tier_sim(tier_index), vm.server(), params_.fine_period);
+  }
+  return it->second;
+}
+
 void MonitoringAgent::attach(std::size_t tier_index, Vm& vm) {
-  if (servers_.count(vm.name())) return;  // restarted VM
-  // Each per-VM aggregator ticks on the sim hosting its tier — the run's
-  // sim when serial, the tier's own lane when laned, so its samples land in
-  // per-series warehouse vectors no other lane touches.
-  auto aggregator = std::make_unique<IntervalAggregator>(
-      system_.tier_sim(tier_index), vm.server(), params_.fine_period);
+  Attached& server = wire(tier_index, vm);
+  if (server.started) return;  // restarted VM
+  server.started = true;
   // Intern the series once at attach; every 50 ms ingest is then an index.
   const MetricsWarehouse::SeriesId id = warehouse_.server_id(vm.name());
-  aggregator->start([this, id](const IntervalSample& sample) {
+  server.aggregator->start([this, id](const IntervalSample& sample) {
     warehouse_.record_server(id, sample);
   });
-  servers_.emplace(vm.name(), Attached{tier_index, std::move(aggregator)});
 }
 
 std::uint64_t MonitoringAgent::hook_underflows() const {

@@ -79,8 +79,14 @@ class MonitoringAgent {
   struct Attached {
     std::size_t tier_index = 0;
     std::unique_ptr<IntervalAggregator> aggregator;
+    /// Sampling since the server's first vm-ready.
+    bool started = false;
   };
 
+  /// The server's aggregator, created (hooks on, not yet sampling) on
+  /// first sight.
+  Attached& wire(std::size_t tier_index, Vm& vm);
+  /// vm-ready: wires the server if needed and starts its 50 ms samples.
   void attach(std::size_t tier_index, Vm& vm);
   void coarse_tick(SimTime now);
 
@@ -89,7 +95,7 @@ class MonitoringAgent {
   MetricsWarehouse& warehouse_;
   Params params_;
   /// Every wired server, by server name. A restarted VM fires vm-ready
-  /// again with the same server; attaching twice would double-count its
+  /// again with the same server; starting twice would double-count its
   /// samples.
   std::map<std::string, Attached> servers_;
   /// Interned warehouse ids per tier index — the 1 s poll records by id.
