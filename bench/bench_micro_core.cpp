@@ -16,6 +16,7 @@
 #include "simcore/lanes/lane_engine.h"
 #include "simcore/simulation.h"
 #include "tier/server.h"
+#include "workload/client.h"
 #include "workload/trace.h"
 
 namespace conscale {
@@ -234,6 +235,35 @@ void BM_SctEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_SctEstimate);
 
+void BM_PopulationWake(benchmark::State& state) {
+  // The closed-loop client's wake-up path alone: users think (exponential,
+  // 1.5 s mean) and the "system" replies at once. The users' wake-ups live
+  // in ClosedLoopCore's heap under one kernel event, so 16x more users may
+  // cost a log factor per wake-up, never a linear one (check_bench_ratios.py
+  // gates the ratio).
+  const WorkloadTrace trace =
+      make_constant_trace(static_cast<double>(state.range(0)), 20.0);
+  RequestClass only;
+  only.name = "bench";
+  only.weight = 1.0;
+  only.tiers.resize(1);
+  const RequestMix mix({only});
+  const SubmitFn instant = [](const RequestContext&,
+                              std::function<void(RequestOutcome)> done) {
+    done(RequestOutcome::kServed);
+  };
+  std::int64_t wakes = 0;
+  for (auto _ : state) {
+    Simulation sim;
+    ClientPopulation clients(sim, trace, mix, instant, {});
+    sim.run_until(10.0);
+    benchmark::DoNotOptimize(clients.stats().completed);
+    wakes += static_cast<std::int64_t>(clients.stats().issued);
+  }
+  state.SetItemsProcessed(wakes);
+}
+BENCHMARK(BM_PopulationWake)->Arg(4096)->Arg(65536);
+
 // ---- lane engine (src/simcore/lanes) ---------------------------------------
 
 /// System-lane stand-in: receives a request, replies across the channel.
@@ -245,10 +275,12 @@ class BenchEchoSink final : public lanes::LaneActor {
   }
 };
 
-/// Shard stand-in: `sessions` closed-loop sessions that think (exponential)
-/// and round-trip one message through the sink — the SessionShard hot path
-/// (keyed timer churn + cross-lane messaging) without the serving system.
-/// The sink (on lane 0) only needs on_request(reply_lane, reply).
+/// Lane-engine load: `sessions` closed-loop sessions, each thinking on its
+/// own keyed timer (exponential), that round-trip one message through the
+/// sink — keyed timer churn and cross-lane messaging without the serving
+/// system. SessionShard itself keeps its users' wake-ups in ClosedLoopCore's
+/// heap, which BM_PopulationWake measures. The sink (on lane 0) only needs
+/// on_request(reply_lane, reply).
 template <typename Sink>
 class BenchShard final : public lanes::LaneActor {
  public:

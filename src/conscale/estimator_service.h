@@ -69,8 +69,6 @@ class ConcurrencyEstimatorService {
   /// Tier-refreshes skipped because the window was stale (dropout guard).
   std::uint64_t stale_skip_count() const { return stale_skips_; }
 
-  const EstimatorServiceParams& params() const { return params_; }
-
  private:
   void refresh(SimTime now);
 

@@ -40,10 +40,6 @@ class ThresholdRule {
   /// cooldown and reset the sustain counters.
   void on_action(SimTime now);
 
-  const ThresholdRuleParams& params() const { return params_; }
-  int hot_ticks() const { return hot_ticks_; }
-  int cold_ticks() const { return cold_ticks_; }
-
  private:
   ThresholdRuleParams params_;
   int hot_ticks_ = 0;

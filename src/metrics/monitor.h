@@ -62,8 +62,6 @@ class MonitoringAgent {
   /// control); folds shed requests into the per-second system samples.
   void on_client_rejection();
 
-  const Params& params() const { return params_; }
-
   /// Total hook underflows across every attached aggregator (see
   /// IntervalAggregator::hook_underflows). Zero in a correct run; the
   /// experiment runner exports it so tests fail loudly on accounting bugs.

@@ -83,8 +83,6 @@ class SctEstimator {
   /// Stage classification of every dense bucket (empty if underpopulated).
   std::vector<StagePoint> classify(const ScatterSet& scatter) const;
 
-  const SctParams& params() const { return params_; }
-
  private:
   struct Analysis {
     /// View into the ScatterSet's dense-bucket scratch; valid for the

@@ -47,6 +47,12 @@ class LaneActor {
                        std::move(callback));
   }
 
+  /// Draws the stream key a schedule_at call made now would take, without
+  /// scheduling: the keyed counterpart of Simulation::reserve_sequence, for
+  /// a component that schedules under the key later with
+  /// sim().schedule_keyed(when, stream(), seq, ...).
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
   /// Cross-lane message: `callback` executes on `dest_lane` at now+delay.
   /// `delay` must be at least the declared lane() -> dest_lane channel's.
   void post(std::size_t dest_lane, SimDuration delay, EventCallback callback) {

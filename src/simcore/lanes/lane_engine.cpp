@@ -89,6 +89,11 @@ void LaneEngine::post(std::size_t from, std::size_t dest,
   if (from >= lanes_.size() || dest >= lanes_.size()) {
     throw std::out_of_range("LaneEngine::post: no such lane");
   }
+  // Delivery schedules under the stream as a keyed group, which must not
+  // be the plain events' 0; refuse here, not rounds later at delivery.
+  if (stream == 0) {
+    throw std::out_of_range("LaneEngine::post: stream 0 is not an actor's");
+  }
   if (!fn) {
     throw std::invalid_argument("LaneEngine::post: empty callback");
   }

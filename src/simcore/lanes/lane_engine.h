@@ -155,8 +155,8 @@ class LaneEngine {
   /// executing, or any lane between rounds) across the declared channel
   /// from -> dest. `deliver_time` must be at least the channel's delay in
   /// the future. Throws std::out_of_range for a lane index that does not
-  /// exist and std::invalid_argument for an empty `fn`. Prefer
-  /// LaneActor::post.
+  /// exist or a `stream` of 0 (new_stream() never hands it out), and
+  /// std::invalid_argument for an empty `fn`. Prefer LaneActor::post.
   void post(std::size_t from, std::size_t dest, SimTime deliver_time,
             std::uint64_t stream, std::uint64_t seq, EventCallback fn);
 

@@ -14,11 +14,27 @@ EventHandle Simulation::schedule_at(SimTime when, EventCallback callback) {
 EventHandle Simulation::schedule_keyed(SimTime when, std::uint64_t group,
                                        std::uint64_t seq,
                                        EventCallback callback) {
+  // Group 0 is the plain events': a keyed event there could tie a plain
+  // event's (time, 0, sequence) key exactly.
+  if (group == 0) {
+    throw std::out_of_range(
+        "Simulation::schedule_keyed: group 0 belongs to plain events");
+  }
   if (group > std::numeric_limits<std::uint32_t>::max()) {
     throw std::out_of_range("Simulation::schedule_keyed: group above 2^32 - 1");
   }
   return push(when, static_cast<std::uint32_t>(group), seq,
               std::move(callback));
+}
+
+EventHandle Simulation::schedule_reserved(SimTime when,
+                                          std::uint64_t sequence,
+                                          EventCallback callback) {
+  if (sequence >= next_sequence_) {
+    throw std::out_of_range(
+        "Simulation::schedule_reserved: sequence was never reserved");
+  }
+  return push(when, 0, sequence, std::move(callback));
 }
 
 EventHandle Simulation::schedule_after(SimDuration delay,

@@ -50,11 +50,24 @@ class Simulation {
   /// keys its events by its globally-unique stream id and a per-stream
   /// counter, which makes same-time ordering a property of the *model*
   /// rather than of which Simulation instance the event landed in — the
-  /// bit-for-bit lanes=1 vs lanes=K contract rests on this. `group` must be
-  /// non-zero and (group, seq) pairs must never repeat at the same time;
-  /// a group above 2^32 - 1 throws std::out_of_range.
+  /// bit-for-bit lanes=1 vs lanes=K contract rests on this. (group, seq)
+  /// pairs must never repeat at the same time. A group of 0 (the plain
+  /// events') or above 2^32 - 1 throws std::out_of_range.
   EventHandle schedule_keyed(SimTime when, std::uint64_t group,
                              std::uint64_t seq, EventCallback callback);
+
+  /// Draws the plain-event sequence number that a schedule_at call made
+  /// now would take, without scheduling anything. A component that keeps
+  /// its own timers (ClosedLoopCore's wake-ups) draws a key when it arms a
+  /// timer and schedules under it later with schedule_reserved, so its
+  /// events run where direct scheduling would have put them.
+  std::uint64_t reserve_sequence() { return next_sequence_++; }
+
+  /// Schedules a plain event under `sequence`, which must come from
+  /// reserve_sequence() and be scheduled at most once while pending; a
+  /// sequence not yet drawn throws std::out_of_range.
+  EventHandle schedule_reserved(SimTime when, std::uint64_t sequence,
+                                EventCallback callback);
 
   /// Runs events until the queue is empty or the next event is after
   /// `deadline`; the clock is left at min(deadline, last event time).

@@ -6,7 +6,9 @@ ClientPopulation::ClientPopulation(Simulation& sim, const WorkloadTrace& trace,
                                    const RequestMix& mix, SubmitFn submit,
                                    Params params)
     : sim_(sim), mix_(mix), submit_(std::move(submit)), params_(params),
-      rng_(params.seed), core_(trace) {
+      rng_(params.seed),
+      core_(sim, 0, [this](std::uint32_t slot) { user_submit(slot); },
+            trace) {
   track(sim_.now());
   tracking_ = std::make_unique<PeriodicTask>(
       sim_, kTrackingPeriod, [this](SimTime now) { track(now); });
@@ -24,8 +26,7 @@ void ClientPopulation::user_think(std::uint32_t slot) {
       params_.think_time_mean > 0.0
           ? rng_.exponential(params_.think_time_mean)
           : 0.0;
-  core_.slot(slot).pending =
-      sim_.schedule_after(think, [this, slot] { user_submit(slot); });
+  core_.wake_after(slot, think, sim_.reserve_sequence());
 }
 
 void ClientPopulation::user_submit(std::uint32_t slot) {

@@ -12,15 +12,44 @@ void ClientStats::merge(const ClientStats& other) {
   response_times.merge(other.response_times);
 }
 
-ClosedLoopCore::ClosedLoopCore(const WorkloadTrace& trace, std::size_t share,
+ClosedLoopCore::ClosedLoopCore(Simulation& sim, std::uint64_t group,
+                               WakeHandler on_wake,
+                               const WorkloadTrace& trace, std::size_t share,
                                std::size_t shares)
-    : trace_(trace), share_(share),
-      shares_(std::max<std::size_t>(shares, 1)) {}
+    : sim_(sim), group_(group), on_wake_(std::move(on_wake)), trace_(trace),
+      share_(share), shares_(std::max<std::size_t>(shares, 1)) {}
 
-void ClosedLoopCore::cancel_pending() {
-  // Freed slots hold stale handles, and cancelling a stale handle is a
-  // no-op.
-  for (Slot& slot : slots_) slot.pending.cancel();
+void ClosedLoopCore::wake_after(std::uint32_t slot, SimDuration delay,
+                                std::uint64_t seq) {
+  const Wake wake{sim_.now() + std::max(delay, 0.0), seq, slot};
+  const bool earliest = wakes_.empty() || later(wakes_.front(), wake);
+  wakes_.push_back(wake);
+  std::push_heap(wakes_.begin(), wakes_.end(), later);
+  if (earliest) {
+    // Inside wake_earliest() the armed event has fired and this cancel is
+    // a no-op; elsewhere it moves the kernel event to the new front.
+    armed_.cancel();
+    arm_earliest();
+  }
+}
+
+void ClosedLoopCore::arm_earliest() {
+  const Wake& next = wakes_.front();
+  armed_ = group_ == 0
+               ? sim_.schedule_reserved(next.time, next.sequence,
+                                        [this] { wake_earliest(); })
+               : sim_.schedule_keyed(next.time, group_, next.sequence,
+                                     [this] { wake_earliest(); });
+}
+
+void ClosedLoopCore::wake_earliest() {
+  std::pop_heap(wakes_.begin(), wakes_.end(), later);
+  const std::uint32_t slot = wakes_.back().slot;
+  wakes_.pop_back();
+  on_wake_(slot);
+  // Re-arm after the handler, unless it armed an earlier wake-up itself;
+  // no other kernel event runs in between, so the order is the same.
+  if (!armed_.pending() && !wakes_.empty()) arm_earliest();
 }
 
 std::size_t ClosedLoopCore::retarget(SimTime now) {
@@ -57,7 +86,6 @@ std::uint32_t ClosedLoopCore::add_user() {
 bool ClosedLoopCore::maybe_retire(std::uint32_t slot) {
   if (retire_pending_ == 0) return false;
   --retire_pending_;
-  slots_[slot].pending.cancel();
   free_.push_back(slot);
   return true;
 }

@@ -8,7 +8,8 @@ SessionPopulation::SessionPopulation(Simulation& sim,
                                      const SessionModel& model,
                                      SubmitFn submit, Params params)
     : sim_(sim), mix_(mix), model_(model), submit_(std::move(submit)),
-      params_(params), rng_(params.seed), core_(trace) {
+      params_(params), rng_(params.seed),
+      core_(sim, 0, [this](std::uint32_t slot) { wake(slot); }, trace) {
   track(sim_.now());
   tracking_ = std::make_unique<PeriodicTask>(
       sim_, kTrackingPeriod, [this](SimTime now) { track(now); });
@@ -20,14 +21,21 @@ void SessionPopulation::track(SimTime now) {
   }
 }
 
+void SessionPopulation::wake(std::uint32_t slot) {
+  if (core_.slot(slot).state == kBetweenSessions) {
+    begin_session(slot);
+  } else {
+    issue(slot);
+  }
+}
+
 void SessionPopulation::begin_session(std::uint32_t slot) {
   if (core_.maybe_retire(slot)) return;
   core_.slot(slot).state = model_.pick_entry(rng_);
   ++sessions_started_;
   // Issue through the event queue: users spawned at construction time must
   // not hit the system before its bootstrap VMs have come online.
-  core_.slot(slot).pending =
-      sim_.schedule_after(0.0, [this, slot] { issue(slot); });
+  core_.wake_after(slot, 0.0, sim_.reserve_sequence());
 }
 
 void SessionPopulation::issue(std::uint32_t slot) {
@@ -49,14 +57,14 @@ void SessionPopulation::after_response(std::uint32_t slot, bool served) {
   const auto next_state = model_.next(core_.slot(slot).state, rng_);
   if (next_state) {
     core_.slot(slot).state = *next_state;
-    core_.slot(slot).pending = sim_.schedule_after(
-        rng_.exponential(state.think_mean), [this, slot] { issue(slot); });
+    const double think = rng_.exponential(state.think_mean);
+    core_.wake_after(slot, think, sim_.reserve_sequence());
   } else {
     // Session over: pause, then come back for a fresh one.
     ++sessions_finished_;
-    core_.slot(slot).pending = sim_.schedule_after(
-        rng_.exponential(params_.inter_session_gap_mean),
-        [this, slot] { begin_session(slot); });
+    core_.slot(slot).state = kBetweenSessions;
+    const double gap = rng_.exponential(params_.inter_session_gap_mean);
+    core_.wake_after(slot, gap, sim_.reserve_sequence());
   }
 }
 

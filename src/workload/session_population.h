@@ -33,7 +33,6 @@ class SessionPopulation {
   SessionPopulation(Simulation& sim, const WorkloadTrace& trace,
                     const RequestMix& mix, const SessionModel& model,
                     SubmitFn submit, Params params);
-  ~SessionPopulation() { core_.cancel_pending(); }
   SessionPopulation(const SessionPopulation&) = delete;
   SessionPopulation& operator=(const SessionPopulation&) = delete;
 
@@ -54,7 +53,12 @@ class SessionPopulation {
   }
 
  private:
+  /// The state word of a user between sessions: its wake-up begins the
+  /// next session instead of issuing the next request.
+  static constexpr std::size_t kBetweenSessions = SIZE_MAX;
+
   void track(SimTime now);
+  void wake(std::uint32_t slot);
   void begin_session(std::uint32_t slot);
   void issue(std::uint32_t slot);
   void after_response(std::uint32_t slot, bool served);

@@ -9,7 +9,10 @@ SessionShard::SessionShard(lanes::LaneEngine& engine, std::size_t lane,
                            Params params)
     : LaneActor(engine, lane), shard_index_(shard_index), mix_(mix),
       gateway_(gateway), gateway_lane_(gateway_lane), params_(params),
-      rng_(params.seed), core_(trace, shard_index, shard_count) {
+      rng_(params.seed),
+      core_(sim(), stream(),
+            [this](std::uint32_t slot) { user_submit(slot); }, trace,
+            shard_index, shard_count) {
   track(sim().now());
   arm_tracking();
 }
@@ -34,8 +37,7 @@ void SessionShard::user_think(std::uint32_t slot) {
   const double think = params_.think_time_mean > 0.0
                            ? rng_.exponential(params_.think_time_mean)
                            : 0.0;
-  core_.slot(slot).pending =
-      schedule_after(think, [this, slot] { user_submit(slot); });
+  core_.wake_after(slot, think, reserve_seq());
 }
 
 void SessionShard::user_submit(std::uint32_t slot) {

@@ -42,6 +42,8 @@ def healthy():
         bench("BM_PsResourceChurn/2048", 2.5e6),        # 4x (bound 10x)
         bench("BM_WarehouseIngestQuery/3600", 5.0e6),
         bench("BM_WarehouseIngestQuery/14400", 2.0e6),  # 2.5x (bound 6x)
+        bench("BM_PopulationWake/4096", 2.0e7),
+        bench("BM_PopulationWake/65536", 1.2e7),        # ~1.7x (bound 5x)
         bench("BM_LaneSessionChurn/4096", 1.1e7),
         bench("BM_LaneSessionChurn/65536", 8.8e6),      # 1.25x (bound 5x)
         bench("BM_LaneTierChurn/4096", 1.0e7),

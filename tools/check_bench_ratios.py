@@ -18,6 +18,9 @@ Gates (see EXPERIMENTS.md "virtual-time PS + metrics hot paths"):
   is O(1) amortized (measured ~3x, dominated by one series reallocation in
   the timed region); a per-ingest name lookup or full-series window copy
   scales with prefill and blows well past 6x.
+* PopulationWake/65536 items/s within 5x of /4096. A wake-up pops and
+  pushes the closed-loop core's heap of waiting users, a log factor; a scan
+  over the users per wake-up would sit at 16x at least.
 
 Usage: check_bench_ratios.py <bench.json>
 """
@@ -29,6 +32,10 @@ import sys
 GATES = [
     ("BM_PsResourceChurn/4", "BM_PsResourceChurn/2048", 10.0),
     ("BM_WarehouseIngestQuery/3600", "BM_WarehouseIngestQuery/14400", 6.0),
+    # Closed-loop client wake-ups: one heap of waiting users under a single
+    # kernel event, so 16x more users may cost a heap log factor per
+    # wake-up, never a linear scan (16x minimum).
+    ("BM_PopulationWake/4096", "BM_PopulationWake/65536", 5.0),
     # Lane-engine per-event cost: 16x more closed-loop sessions may pay a
     # heap log factor (~1.3x in theory, a few x with cache effects), never a
     # linear one — an O(n) scan per event would sit at 16x minimum.
