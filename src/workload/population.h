@@ -14,9 +14,8 @@
 // would have used (Simulation::reserve_sequence for plain events, its lane
 // actor's stream for keyed ones), so the kernel runs each wake-up exactly
 // where one event per wake-up would have run it, and every RNG draw stays
-// where that population puts it. A user costs its 16-byte slot plus a
-// 24-byte entry while it waits to wake: 40 bytes instead of a slot with an
-// event handle and a 52-byte kernel event (DESIGN.md §6.4).
+// where that population puts it. A user costs its 16-byte slot plus, while
+// it waits to wake, a 24-byte entry (DESIGN.md §6.4).
 #pragma once
 
 #include <cstdint>

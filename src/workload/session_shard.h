@@ -49,8 +49,8 @@ class SessionShard final : public lanes::LaneActor {
                LaneGateway& gateway, std::size_t gateway_lane, Params params);
   SessionShard(const SessionShard&) = delete;
   SessionShard& operator=(const SessionShard&) = delete;
-  // Destruction cancels the core's one armed wake-up event; no per-user
-  // sweep exists. The lane engine must outlive its shards.
+  // Destruction cancels the core's one armed wake-up event, so the lane
+  // engine must outlive its shards.
 
   /// Protocol entry: the gateway's reply, executing on this shard's lane at
   /// the client-perceived response instant.

@@ -330,6 +330,8 @@ TEST(LaneEngine, PostRejectsOutOfRangeLanes) {
   declare_both_ways(engine, 0.05);
   EXPECT_THROW(engine.post(2, 0, 1.0, 1, 0, [] {}), std::out_of_range);
   EXPECT_THROW(engine.post(0, 2, 1.0, 1, 0, [] {}), std::out_of_range);
+  // Stream 0 is no actor's; delivery would key the event in group 0.
+  EXPECT_THROW(engine.post(0, 1, 1.0, 0, 0, [] {}), std::out_of_range);
 }
 
 TEST(LaneEngine, PostRejectsAnEmptyCallback) {

@@ -235,6 +235,14 @@ TEST(EventCallback, EmptyCallbacksAndOutOfRangeGroupsAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(sim.schedule_keyed(1.0, std::uint64_t{1} << 32, 0, [] {}),
                std::out_of_range);
+  // Group 0 is the plain events': a keyed event there could tie one.
+  EXPECT_THROW(sim.schedule_keyed(1.0, 0, 0, [] {}), std::out_of_range);
+  const std::uint64_t drawn = sim.reserve_sequence();
+  EXPECT_THROW(sim.schedule_reserved(1.0, drawn, EventCallback()),
+               std::invalid_argument);
+  // A plain sequence must be drawn before it is scheduled under.
+  EXPECT_THROW(sim.schedule_reserved(1.0, drawn + 1, [] {}),
+               std::out_of_range);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_TRUE(sim.schedule_keyed(1.0, 0xffffffffu, 0, [] {}).pending());
   EXPECT_EQ(sim.pending_events(), 1u);
