@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the simulator and
 // the SCT pipeline: event scheduling, processor-sharing churn, token-pool
-// traffic, interval aggregation, scatter folding, and estimation. These
+// traffic, interval aggregation, scatter folding, estimation, and the lane
+// engine's messages and round barrier. These
 // bound the cost per simulated event — what the wall-clock time of every
 // figure bench is made of.
 #include <benchmark/benchmark.h>
@@ -383,6 +384,57 @@ void BM_LaneTierChurn(benchmark::State& state) {
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_LaneTierChurn)->Arg(4096)->Arg(65536);
+
+/// One lane of BM_LaneRounds' ring: each arrival posts the token on to the
+/// next lane over the 1 ms channel.
+class BenchRingLane final : public lanes::LaneActor {
+ public:
+  BenchRingLane(lanes::LaneEngine& engine, std::size_t lane)
+      : LaneActor(engine, lane) {}
+  void set_next(BenchRingLane* next) { next_ = next; }
+  void start() {
+    schedule_at(0.0, [this] { receive(); });
+  }
+
+ private:
+  void receive() {
+    post(next_->lane(), 0.001, [next = next_] { next->receive(); });
+  }
+  BenchRingLane* next_ = nullptr;
+};
+
+void BM_LaneRounds(benchmark::State& state) {
+  // The round barrier alone: 4 lanes in a ring, one token each, so every
+  // 1 ms window each lane receives one message and posts one, and a round
+  // is 4 one-event lanes. threads=1 runs the lanes inline on the caller;
+  // threads=4 pays a barrier per round. Reported as rounds per second of
+  // wall time.
+  constexpr std::size_t kLanes = 4;
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    lanes::LaneEngine::Options options;
+    options.lanes = kLanes;
+    options.threads = threads;
+    lanes::LaneEngine engine(options);
+    std::vector<std::unique_ptr<BenchRingLane>> ring;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      engine.declare_channel(i, (i + 1) % kLanes, 0.001);
+      ring.push_back(std::make_unique<BenchRingLane>(engine, i));
+    }
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      ring[i]->set_next(ring[(i + 1) % kLanes].get());
+      ring[i]->start();
+    }
+    engine.run(2.0);
+    rounds += engine.stats().windows;
+    benchmark::DoNotOptimize(engine.stats().windows);
+    benchmark::DoNotOptimize(engine.stats().events);
+  }
+  state.counters["rounds"] = benchmark::Counter(
+      static_cast<double>(rounds), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_LaneRounds)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_TraceGeneration(benchmark::State& state) {
   TraceParams params;

@@ -41,8 +41,8 @@ namespace conscale {
 /// std::make_unique, a std::function handed over as the target included
 /// (it is 32 bytes). An inline target is trivially copyable and a boxed one
 /// is a pointer, so a move copies the 16 bytes and makes no indirect call —
-/// the lane engine's message heaps move callbacks on every sift. Empty when
-/// default-constructed or moved from.
+/// the lane engine moves every message's callback from outbox to inbox to
+/// the destination's arena. Empty when default-constructed or moved from.
 class EventCallback {
  public:
   EventCallback() = default;

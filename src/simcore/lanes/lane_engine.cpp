@@ -13,14 +13,6 @@ namespace {
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
-/// Heap order for the pending-message min-heaps: earliest delivery first.
-/// Ties need no order here — delivery injects keyed events, and the
-/// destination queue orders equal times by (stream, seq) regardless of
-/// injection order.
-bool later_delivery(const LaneMessage& a, const LaneMessage& b) {
-  return a.deliver_time > b.deliver_time;
-}
-
 }  // namespace
 
 std::string to_string(Protocol /*protocol*/) { return "time-window barrier"; }
@@ -34,18 +26,14 @@ LaneEngine::LaneEngine(Options options)
   for (std::size_t i = 0; i < options.lanes; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
   }
-  pending_.resize(options.lanes);
   channels_from_.resize(options.lanes);
   activity_.resize(options.lanes, kInf);
   worker_errors_.resize(options.lanes);
 }
 
 LaneEngine::~LaneEngine() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
+  shutdown_.store(true, std::memory_order_release);
+  detail::wake(mutex_, start_cv_);
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -140,18 +128,16 @@ void LaneEngine::start_workers() {
 void LaneEngine::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutdown_ || round_generation_ != seen_generation;
-      });
-      if (shutdown_) return;
-      seen_generation = round_generation_;
-    }
+    detail::barrier_wait(mutex_, start_cv_, [&] {
+      return shutdown_.load(std::memory_order_acquire) ||
+             round_generation_.load(std::memory_order_acquire) !=
+                 seen_generation;
+    });
+    if (shutdown_.load(std::memory_order_acquire)) return;
+    seen_generation = round_generation_.load(std::memory_order_relaxed);
     drain_work_queue();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (--workers_running_ == 0) done_cv_.notify_one();
+    if (workers_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      detail::wake(mutex_, done_cv_);
     }
   }
 }
@@ -166,7 +152,7 @@ void LaneEngine::drain_work_queue() {
     if (index >= round_work_.size()) return;
     const std::size_t lane_index = round_work_[index];
     try {
-      lanes_[lane_index]->sim().run_before(round_bound_);
+      run_lane(lane_index, round_bound_);
     } catch (...) {
       worker_errors_[lane_index] = std::current_exception();
     }
@@ -174,31 +160,31 @@ void LaneEngine::drain_work_queue() {
 }
 
 SimTime LaneEngine::next_activity(std::size_t lane_index) {
-  SimTime t = lanes_[lane_index]->sim().next_event_time();
-  if (!pending_[lane_index].empty()) {
-    t = std::min(t, pending_[lane_index].front().deliver_time);
-  }
-  return t;
+  Lane& lane = *lanes_[lane_index];
+  return std::min(lane.sim_.next_event_time(), lane.inbox_min_);
 }
 
-void LaneEngine::deliver_pending(std::size_t dest, SimTime bound) {
-  std::vector<LaneMessage>& heap = pending_[dest];
-  Simulation& sim = lanes_[dest]->sim();
-  while (!heap.empty() && heap.front().deliver_time < bound) {
-    std::pop_heap(heap.begin(), heap.end(), later_delivery);
-    LaneMessage message = std::move(heap.back());
-    heap.pop_back();
+void LaneEngine::run_lane(std::size_t lane_index, SimTime bound) {
+  // The whole inbox goes in, also messages due rounds later: the queue
+  // orders them by key whenever they were scheduled (header comment).
+  Lane& lane = *lanes_[lane_index];
+  Simulation& sim = lane.sim_;
+  for (LaneMessage& message : lane.inbox_) {
     if (message.deliver_time < sim.now()) {
       std::ostringstream what;
-      what << "LaneEngine: causality violation delivering to lane " << dest
-           << ": message (stream " << message.stream << ", seq " << message.seq
-           << ") arrives at " << message.deliver_time
-           << " but the lane already executed to " << sim.now();
+      what << "LaneEngine: causality violation delivering to lane "
+           << lane_index << ": message (stream " << message.stream
+           << ", seq " << message.seq << ") arrives at "
+           << message.deliver_time << " but the lane already executed to "
+           << sim.now();
       throw std::runtime_error(what.str());
     }
     sim.schedule_keyed(message.deliver_time, message.stream, message.seq,
                        std::move(message.fn));
   }
+  lane.inbox_.clear();
+  lane.inbox_min_ = kInf;
+  sim.run_before(bound);
 }
 
 void LaneEngine::collect_outboxes() {
@@ -206,9 +192,9 @@ void LaneEngine::collect_outboxes() {
   for (const std::unique_ptr<Lane>& lane : lanes_) {
     for (LaneMessage& message : lane->outbox_) {
       ++stats_.messages;
-      std::vector<LaneMessage>& heap = pending_[message.dest];
-      heap.push_back(std::move(message));
-      std::push_heap(heap.begin(), heap.end(), later_delivery);
+      Lane& dest = *lanes_[message.dest];
+      dest.inbox_min_ = std::min(dest.inbox_min_, message.deliver_time);
+      dest.inbox_.push_back(std::move(message));
     }
     lane->outbox_.clear();
   }
@@ -222,9 +208,8 @@ void LaneEngine::run_serial_instant(SimTime t0, SimTime bound) {
   // round structure, since the instant set {t0} does not depend on it.
   for (;;) {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      deliver_pending(i, bound);
       lanes_[i]->sim().advance_to(t0);
-      lanes_[i]->sim().run_before(bound);
+      run_lane(i, bound);
     }
     collect_outboxes();
     // A lane-0 event may have scheduled follow-ups at t0 on other lanes (or
@@ -247,7 +232,7 @@ void LaneEngine::run(SimTime duration) {
   const SimTime end_bound = std::nextafter(duration, kInf);
   start_workers();
   // Messages posted during model construction (before any round) enter the
-  // routing heaps here; deliver_time >= 0 + channel delay, nothing is due.
+  // inboxes here; deliver_time >= 0 + channel delay, nothing is due.
   collect_outboxes();
   for (;;) {
     SimTime t_all = kInf;
@@ -273,10 +258,7 @@ void LaneEngine::run(SimTime duration) {
     }
     round_work_.clear();
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
-      if (activity_[i] < bound) {
-        round_work_.push_back(i);
-        deliver_pending(i, bound);
-      }
+      if (activity_[i] < bound) round_work_.push_back(i);
     }
     round_bound_ = bound;
     if (round_work_.size() == 1 || workers_.empty()) {
@@ -284,21 +266,17 @@ void LaneEngine::run(SimTime duration) {
       // pool) needs no barrier round-trip — run inline on the coordinator.
       if (round_work_.size() == 1) ++stats_.solo_rounds;
       for (const std::size_t lane_index : round_work_) {
-        lanes_[lane_index]->sim().run_before(bound);
+        run_lane(lane_index, bound);
       }
     } else {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        work_cursor_.store(0, std::memory_order_relaxed);
-        workers_running_ = workers_.size();
-        ++round_generation_;
-      }
-      start_cv_.notify_all();
+      work_cursor_.store(0, std::memory_order_relaxed);
+      workers_running_.store(workers_.size(), std::memory_order_relaxed);
+      round_generation_.fetch_add(1, std::memory_order_release);
+      detail::wake(mutex_, start_cv_);
       drain_work_queue();
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return workers_running_ == 0; });
-      }
+      detail::barrier_wait(mutex_, done_cv_, [&] {
+        return workers_running_.load(std::memory_order_acquire) == 0;
+      });
       for (std::exception_ptr& error : worker_errors_) {
         if (error) {
           const std::exception_ptr raised = std::exchange(error, nullptr);

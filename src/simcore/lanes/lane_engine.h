@@ -9,11 +9,12 @@
 // the window L is the minimum declared delay. The engine repeats
 // time-window rounds:
 //
-//   1. t_all = earliest activity anywhere (next event or due message)
+//   1. t_all = earliest activity anywhere (next event or inbox message)
 //   2. bound = min(t_all + L, t0, end)  (t0: the control lane, see below)
-//   3. deliver messages due before the bound as keyed events
-//   4. every lane with work below the bound runs to it in parallel
-//   5. the barrier collects the messages the round posted
+//   3. every lane with work below the bound runs to it in parallel; its
+//      task first schedules the lane's whole inbox as keyed events
+//   4. the barrier appends the messages the round posted to their
+//      destinations' inboxes
 //
 // Every round is a global barrier, so the narrowest channel sets the round
 // count whatever the wider channels carry. Per-channel bounds (Chandy–
@@ -26,6 +27,27 @@
 // lane does inside a round can affect any lane's same round — each lane's
 // round execution is causally closed.
 //
+// Early injection: a lane's task schedules every message in its inbox, also
+// those due rounds later (a message over a channel wider than L). That
+// cannot reorder anything: the lane's queue orders events by (time, stream,
+// seq) whatever the order they were scheduled in, a keyed message never
+// shares a key with a plain event (group 0), and the message sits below no
+// bound before its time. The earliest activity the engine computes,
+// min(next event, inbox minimum), is the value a per-destination delivery
+// heap gave, so the rounds are the same.
+//
+// Barrier: the coordinator (the thread in run()) publishes a round by
+// bumping an atomic generation, runs its own share of the lanes, and waits
+// until an atomic count of running workers reaches 0. Every waiter — a
+// worker for the next generation, the coordinator for the count — spins
+// a few hundred CPU pause instructions, then yields a few times, then parks
+// on the mutex and a condition variable with a predicate
+// (detail::kBarrierSpin).
+// Spinning covers the coordinator's short gap between rounds; the yields
+// and the park keep an oversubscribed host (more threads than CPUs) moving.
+// The acquire/release pairs on the two atomics order every lane's state,
+// outbox and inbox between the thread that ran it and the next one.
+//
 // Serialized control lane (tier-laned layouts): when
 // `options.serialize_lane0` is set, lane 0 hosts the control plane
 // (controllers, agents, monitor coarse tick, warehouse queries) whose events
@@ -36,13 +58,13 @@
 // are drained through bound nextafter(t0) on the coordinator thread, lane 0
 // first, until quiescent. Control code therefore executes exactly as in a
 // single-threaded run: all events before t0 everywhere have completed, every
-// clock reads t0, and the round barrier's mutex gives the happens-before
-// edge that makes the cross-lane reads race-free.
+// clock reads t0, and the round barrier's acquire/release edges make the
+// cross-lane reads race-free.
 //
 // Determinism (the K-threads vs 1-thread bit-for-bit contract): the
 // partition (which component lives on which lane) is a *model* parameter and
 // `threads` only sets worker-pool width. Within one Simulation, keyed events
-// execute in (time, stream, seq) order regardless of which round delivered
+// execute in (time, stream, seq) order regardless of which round scheduled
 // them; across Simulations, same-time events belong to non-interacting
 // components except at serial instants, which run in fixed lane order on one
 // thread. Round structure — window sizes, solo fast paths — can change
@@ -54,6 +76,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -95,10 +118,10 @@ struct LaneEngineStats {
   std::uint64_t nulls_suppressed = 0;
 };
 
-/// One partition of the run: a self-contained Simulation plus the outbox
-/// the engine drains at every barrier. The outbox is touched only by the
-/// lane's executing thread during a round and by the coordinator between
-/// rounds; the barrier's mutex orders the two.
+/// One partition of the run: a self-contained Simulation, the outbox the
+/// engine drains at every barrier, and the inbox the barrier fills. Both
+/// are touched only by the thread running the lane during a round and by
+/// the coordinator between rounds; the barrier's atomics order the two.
 class Lane {
  public:
   Lane() = default;
@@ -111,7 +134,61 @@ class Lane {
   friend class LaneEngine;
   Simulation sim_;
   std::vector<LaneMessage> outbox_;
+  /// Messages routed here and not yet scheduled into sim_, in arrival
+  /// order, and the earliest delivery time among them (+inf when empty).
+  std::vector<LaneMessage> inbox_;
+  SimTime inbox_min_ = std::numeric_limits<SimTime>::infinity();
 };
+
+namespace detail {
+
+/// How long a barrier waiter keeps the CPU before it parks: CPU pause
+/// instructions first, then yields. About 7.5 µs + 5 µs on a 4-vCPU Xeon;
+/// a 50 µs budget raised `million_sessions` CPU time by a quarter
+/// (EXPERIMENTS.md), so it stays short.
+struct SpinBudget {
+  int pauses;
+  int yields;
+};
+inline constexpr SpinBudget kBarrierSpin{500, 20};
+
+/// One spin-wait step: a pause instruction where the CPU has one.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
+/// Waits until `ready()` holds: spins, then yields, then parks on `cv`
+/// under `mutex` (kBarrierSpin). The thread that makes `ready()` true
+/// wakes it with wake(). Header-inline, so the traced benchmark build
+/// counts the wait as the calling function's time.
+template <typename Ready>
+inline void barrier_wait(std::mutex& mutex, std::condition_variable& cv,
+                         Ready ready) {
+  for (int i = 0; i < kBarrierSpin.pauses; ++i) {
+    if (ready()) return;
+    cpu_relax();
+  }
+  for (int i = 0; i < kBarrierSpin.yields; ++i) {
+    if (ready()) return;
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lock(mutex);
+  cv.wait(lock, ready);
+}
+
+/// Wakes the threads parked in barrier_wait on `cv`, after the caller made
+/// their predicate true. Taking `mutex` first orders the wake-up after a
+/// parking waiter's last check of its predicate, so none misses it.
+inline void wake(std::mutex& mutex, std::condition_variable& cv) {
+  { const std::lock_guard<std::mutex> lock(mutex); }
+  cv.notify_all();
+}
+
+}  // namespace detail
 
 class LaneEngine {
  public:
@@ -177,7 +254,7 @@ class LaneEngine {
 
   void start_workers();
   void run_serial_instant(SimTime t0, SimTime bound);
-  void deliver_pending(std::size_t dest, SimTime bound);
+  void run_lane(std::size_t lane_index, SimTime bound);
   void collect_outboxes();
   void worker_loop();
   void drain_work_queue();
@@ -187,9 +264,6 @@ class LaneEngine {
   std::size_t thread_count_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::uint64_t next_stream_ = 1;
-  /// Per-destination min-heaps (by deliver_time) of routed-but-undelivered
-  /// messages. Only the coordinator touches them, always between rounds.
-  std::vector<std::vector<LaneMessage>> pending_;
   std::vector<Channel> channels_;
   /// Channel indices by source lane, for post validation.
   std::vector<std::vector<std::size_t>> channels_from_;
@@ -198,18 +272,23 @@ class LaneEngine {
   LaneEngineStats stats_;
 
   // --- worker pool (work-pulling; the coordinator pulls too) ---
+  /// Guards only the parking half of the barrier (barrier_wait, wake).
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
-  std::uint64_t round_generation_ = 0;
+  /// Bumped (release) by the coordinator to start a round; workers wait
+  /// for it to move (acquire).
+  std::atomic<std::uint64_t> round_generation_{0};
+  /// Workers still in the current round; each decrements it (release)
+  /// when the work queue is empty, the coordinator waits for 0 (acquire).
+  std::atomic<std::size_t> workers_running_{0};
+  std::atomic<bool> shutdown_{false};
   /// The current parallel round: the lanes with work and the bound they all
-  /// run to. Written by the coordinator before it bumps the generation
-  /// under the mutex, read by workers after they observe the bump.
+  /// run to. Written by the coordinator before it bumps the generation,
+  /// read by workers after they observe the bump.
   std::vector<std::size_t> round_work_;
   SimTime round_bound_ = 0.0;
   std::atomic<std::size_t> work_cursor_{0};
-  std::size_t workers_running_ = 0;
-  bool shutdown_ = false;
   std::vector<std::exception_ptr> worker_errors_;
   std::vector<std::thread> workers_;
 };

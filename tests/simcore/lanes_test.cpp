@@ -1,17 +1,24 @@
 // Kernel-level tests of the lane-partitioned PDES engine: canonical keyed
 // ordering, windowed execution primitives, cross-lane messaging, the
-// declared-channel and lane-index guards, the serialized control lane, and
-// the window the engine derives from its channels. The system-level
+// declared-channel and lane-index guards, the serialized control lane,
+// messages scheduled rounds ahead of their time, errors raised on a worker
+// thread, the round barrier under many threads, and the window the engine
+// derives from its channels. The system-level
 // byte-identity contract (1 vs K threads over full experiment runs) lives
 // in tests/experiments/lane_determinism_test.cpp.
 #include "simcore/lanes/lane_engine.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simcore/lanes/actor.h"
@@ -366,6 +373,210 @@ TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
   EXPECT_EQ(ran, 5);
   EXPECT_EQ(engine.stats().solo_rounds, 5u);
   EXPECT_EQ(engine.stats().windows, 5u);
+}
+
+// ---- early injection, worker errors and the barrier under load -----------
+
+/// An actor that keeps its lane busy with keyed no-op events and posts
+/// tagged messages to lane 0, each appending its tag to lane 0's trace.
+class TagPoster final : public LaneActor {
+ public:
+  TagPoster(LaneEngine& engine, std::size_t lane,
+            std::vector<std::string>& trace)
+      : LaneActor(engine, lane), trace_(&trace) {}
+
+  void busy_at(SimTime when) {
+    schedule_at(when, [] {});
+  }
+
+  /// At `send`, posts one message per tag, in order, with `delay`.
+  void post_at(SimTime send, SimDuration delay, std::vector<std::string> tags) {
+    schedule_at(send, [this, delay, tags] {
+      for (const std::string& tag : tags) {
+        post(0, delay, [trace = trace_, tag] { trace->push_back(tag); });
+      }
+    });
+  }
+
+ private:
+  std::vector<std::string>* trace_;
+};
+
+struct EarlyInjectionResult {
+  std::vector<std::string> trace;
+  std::size_t pending_before_delivery = 0;
+  lanes::LaneEngineStats stats;
+};
+
+EarlyInjectionResult run_early_injection(std::size_t threads) {
+  // Dyadic times keep every sum exact: the window is 1/64 s, and lane 1's
+  // channel to lane 0 is 5 windows wide.
+  constexpr double kTick = 1.0 / 64.0;
+  LaneEngine::Options options;
+  options.lanes = 3;
+  options.threads = threads;
+  LaneEngine engine(options);
+  engine.declare_channel(1, 0, 5 * kTick);
+  engine.declare_channel(2, 0, kTick);
+  EarlyInjectionResult result;
+  // Constructed first, so lane 2's actor has the lower stream id.
+  TagPoster narrow(engine, 2, result.trace);
+  TagPoster wide(engine, 1, result.trace);
+  EXPECT_LT(narrow.stream(), wide.stream());
+  // Lane 1 posts "a1", "a2" at 59/64 over the wide channel, so both
+  // arrive in lane 0's inbox four rounds before they are due at 1.0;
+  // lane 2 posts "b" at 63/64 over the narrow one, due at 1.0 as well.
+  wide.post_at(59 * kTick, 5 * kTick, {"a1", "a2"});
+  narrow.post_at(63 * kTick, kTick, {"b"});
+  Simulation& dest = engine.lane(0).sim();
+  for (int k = 60; k <= 63; ++k) {
+    wide.busy_at(k * kTick);  // a parallel round at threads > 1
+    dest.schedule_at(k * kTick, [&result, &dest, k] {
+      result.trace.push_back("d" + std::to_string(k));
+      if (k == 62) result.pending_before_delivery = dest.pending_events();
+      // A plain event at the messages' time, scheduled after "a1" and "a2"
+      // were injected and before "b" was.
+      if (k == 63) {
+        dest.schedule_at(1.0, [&result] { result.trace.push_back("plain"); });
+      }
+    });
+  }
+  engine.run(2.0);
+  result.stats = engine.stats();
+  return result;
+}
+
+TEST(LaneEngine, EarlyInjectedMessageKeepsItsOrder) {
+  // At 1.0 lane 0 holds a plain event and three messages, scheduled in the
+  // order a1, a2, plain, b. They run by key: the plain event (group 0)
+  // first, then stream by stream (lane 2's actor before lane 1's), each
+  // stream in seq order.
+  const std::vector<std::string> expected = {"d60", "d61",   "d62", "d63",
+                                             "plain", "b", "a1",  "a2"};
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    const EarlyInjectionResult result = run_early_injection(threads);
+    EXPECT_EQ(result.trace, expected);
+    // At 62/64 lane 0's queue holds its 63/64 event and both wide-channel
+    // messages: they were scheduled rounds ahead of their time.
+    EXPECT_EQ(result.pending_before_delivery, 3u);
+    // Rounds at 59/64 (lane 1 posts), 60..63/64 (lane 0 runs between the
+    // post and the delivery) and 1.0.
+    EXPECT_EQ(result.stats.windows, 6u);
+    EXPECT_EQ(result.stats.messages, 3u);
+  }
+}
+
+TEST(LaneEngine, ExceptionOnAWorkerLaneIsRethrown) {
+  // Two lanes meet at t = 0.1 before they go on: each waits until the
+  // other has started, which only a second thread can do, so the caller
+  // of run() and the worker run them side by side. The worker's lane
+  // throws.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> thrower{-1};  // the lane that threw
+  {
+    LaneEngine engine(two_lanes(/*threads=*/2));
+    declare_both_ways(engine, 0.05);
+    for (const int lane : {0, 1}) {
+      engine.lane(static_cast<std::size_t>(lane)).sim().schedule_at(0.1, [&, lane] {
+        started.fetch_add(1);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (started.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        if (std::this_thread::get_id() != caller) {
+          thrower.store(lane);
+          throw std::runtime_error("worker lane " + std::to_string(lane));
+        }
+      });
+    }
+    try {
+      engine.run(1.0);
+      ADD_FAILURE() << "run() returned instead of rethrowing";
+    } catch (const std::runtime_error& error) {
+      ASSERT_NE(thrower.load(), -1);
+      EXPECT_EQ(std::string(error.what()),
+                "worker lane " + std::to_string(thrower.load()));
+    }
+    EXPECT_EQ(started.load(), 2);
+  }  // ~LaneEngine wakes and joins the parked worker.
+}
+
+/// One lane of a ring: every millisecond it posts a numbered message to
+/// the next lane over a 1 ms channel and folds each arrival (its time and
+/// number) into a digest.
+class Relay final : public LaneActor {
+ public:
+  static constexpr SimDuration kHop = 0.001;
+
+  Relay(LaneEngine& engine, std::size_t lane, SimTime horizon)
+      : LaneActor(engine, lane), horizon_(horizon) {}
+
+  void set_next(Relay* next) { next_ = next; }
+  void start() {
+    schedule_at(0.0, [this] { tick(); });
+  }
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  void tick() {
+    post(next_->lane(), kHop, [next = next_, n = sent_++] { next->receive(n); });
+    if (sim().now() + kHop <= horizon_) {
+      schedule_after(kHop, [this] { tick(); });
+    }
+  }
+  void receive(std::uint64_t n) {
+    const auto time_bits = std::bit_cast<std::uint64_t>(sim().now());
+    digest_ = (digest_ ^ time_bits ^ (n << 32)) * 1099511628211ULL;
+  }
+
+  SimTime horizon_;
+  Relay* next_ = nullptr;
+  std::uint64_t sent_ = 0;
+  std::uint64_t digest_ = 1469598103934665603ULL;
+};
+
+struct RelayResult {
+  std::vector<std::uint64_t> digests;
+  lanes::LaneEngineStats stats;
+};
+
+RelayResult run_relay_ring(std::size_t threads) {
+  constexpr std::size_t kLanes = 6;
+  LaneEngine::Options options;
+  options.lanes = kLanes;
+  options.threads = threads;
+  LaneEngine engine(options);
+  std::vector<std::unique_ptr<Relay>> relays;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    engine.declare_channel(i, (i + 1) % kLanes, Relay::kHop);
+    relays.push_back(std::make_unique<Relay>(engine, i, /*horizon=*/5.5));
+  }
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    relays[i]->set_next(relays[(i + 1) % kLanes].get());
+    relays[i]->start();
+  }
+  engine.run(6.0);
+  RelayResult result;
+  for (const auto& relay : relays) result.digests.push_back(relay->digest());
+  result.stats = engine.stats();
+  return result;
+}
+
+TEST(LaneEngine, BarrierStressMatchesSingleThread) {
+  // Six busy lanes on six threads, more than a 2-vCPU host has, for
+  // thousands of rounds: every round starts and ends on the barrier, and
+  // the waiters must park and wake without losing a round.
+  const RelayResult threaded = run_relay_ring(6);
+  const RelayResult serial = run_relay_ring(1);
+  EXPECT_EQ(threaded.digests, serial.digests);
+  EXPECT_GE(threaded.stats.windows, 5000u);
+  EXPECT_EQ(threaded.stats.windows, serial.stats.windows);
+  EXPECT_EQ(threaded.stats.solo_rounds, 0u);
+  EXPECT_EQ(threaded.stats.messages, serial.stats.messages);
+  EXPECT_EQ(threaded.stats.events, serial.stats.events);
 }
 
 // ---- the window derived from the channels ---------------------------------

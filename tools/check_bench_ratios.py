@@ -8,7 +8,8 @@ contention cancel out; only an algorithmic regression (an O(n)-per-event
 scan creeping back into the PS resource or the warehouse ingest path) can
 trip them.
 
-Gates (see EXPERIMENTS.md "virtual-time PS + metrics hot paths"):
+Gates (see EXPERIMENTS.md "virtual-time PS + metrics hot paths" and
+"lane-partitioned PDES at a million sessions"):
 
 * PsResourceChurn/2048 items/s within 10x of PsResourceChurn/4. Measured
   3-5x on the virtual-time implementation (run-to-run noise included); the
@@ -21,6 +22,15 @@ Gates (see EXPERIMENTS.md "virtual-time PS + metrics hot paths"):
 * PopulationWake/65536 items/s within 5x of /4096. A wake-up pops and
   pushes the closed-loop core's heap of waiting users, a log factor; a scan
   over the users per wake-up would sit at 16x at least.
+* LaneSessionChurn/65536 items/s within 5x of /4096. The lane engine's
+  per-event cost on the client-edge cut (keyed timers plus one message
+  each way over the 50 ms channel): 16x more sessions may cost a heap log
+  factor, measured below 1x, while a per-event scan over the sessions or
+  over the messages in flight would sit at 16x at least.
+* LaneTierChurn/65536 items/s within 5x of /4096. The same bound on the
+  tier cut, whose 10 ms LAN hop adds rounds: a round costs O(lanes),
+  independent of the session count, so the per-event cost stays as flat
+  (measured below 1x) unless per-round work grows with the sessions.
 
 Usage: check_bench_ratios.py <bench.json>
 """
