@@ -32,9 +32,9 @@
 // cannot reorder anything: the lane's queue orders events by (time, stream,
 // seq) whatever the order they were scheduled in, a keyed message never
 // shares a key with a plain event (group 0), and the message sits below no
-// bound before its time. The earliest activity the engine computes,
-// min(next event, inbox minimum), is the value a per-destination delivery
-// heap gave, so the rounds are the same.
+// bound before its time. A lane's earliest activity, min(next event, inbox
+// minimum), does not depend on when its messages are scheduled, so neither
+// do the rounds.
 //
 // Barrier: the coordinator (the thread in run()) publishes a round by
 // bumping an atomic generation, runs its own share of the lanes, and waits
