@@ -30,12 +30,6 @@ using namespace conscale::bench;
 
 namespace {
 
-std::string fmt(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
 std::vector<double> parse_ratios(const std::string& text) {
   std::vector<double> ratios;
   std::stringstream in(text);
@@ -89,7 +83,8 @@ int main(int argc, char** argv) try {
   std::cout << "  grid: " << frameworks.size() << " frameworks x "
             << traces.size() << " traces = " << cells.size()
             << " runs (base hit ratio "
-            << fmt(scenario.graph.nodes[1].cache.base_hit_ratio) << ")\n";
+            << format_cell(scenario.graph.nodes[1].cache.base_hit_ratio)
+            << ")\n";
   const std::vector<GraphRunResult> grid = env.map<GraphRunResult>(
       cells.size(), [&](std::size_t i) {
         return run_graph_scaling(scenario, cells[i].trace,
@@ -132,12 +127,12 @@ int main(int argc, char** argv) try {
     // Share of cache lookups that continued into the Db subtree.
     const double db_share = draws > 0.0 ? cache.misses / draws : 0.0;
     std::printf("    %5s   %8.3f   %7.1f   %7.1f   %8.3f\n",
-                fmt(ratios[i]).c_str(), observed, r.run.p95_ms,
+                format_cell(ratios[i]).c_str(), observed, r.run.p95_ms,
                 r.run.p99_ms, db_share);
   }
   std::cout << "\n  per-node latency at the sweep extremes:\n";
   for (std::size_t i : {std::size_t{0}, sweep.size() - 1}) {
-    std::cout << "   ratio=" << fmt(ratios[i]) << ":\n";
+    std::cout << "   ratio=" << format_cell(ratios[i]) << ":\n";
     print_node_latency(std::cout, sweep[i].node_latency);
   }
 
@@ -148,8 +143,9 @@ int main(int argc, char** argv) try {
     for (const GraphRunResult& r : grid) {
       const topology::CacheStats& cache = r.caches.front().second;
       summary.raw_row({r.run.framework_key, r.run.trace_name,
-                       fmt(r.run.p95_ms), fmt(r.run.p99_ms),
-                       fmt(r.run.sla_500ms), std::to_string(cache.hits),
+                       format_cell(r.run.p95_ms), format_cell(r.run.p99_ms),
+                       format_cell(r.run.sla_500ms),
+                       std::to_string(cache.hits),
                        std::to_string(cache.misses)});
     }
     CsvWriter csv(env.csv_dir + "/cache_sweep.csv");
@@ -159,10 +155,10 @@ int main(int argc, char** argv) try {
       const GraphRunResult& r = sweep[i];
       const topology::CacheStats& cache = r.caches.front().second;
       const double draws = static_cast<double>(cache.hits + cache.misses);
-      csv.raw_row({fmt(ratios[i]),
-                   fmt(draws > 0.0 ? cache.hits / draws : 0.0),
-                   fmt(r.run.p95_ms), fmt(r.run.p99_ms),
-                   fmt(r.run.sla_500ms), std::to_string(cache.hits),
+      csv.raw_row({format_cell(ratios[i]),
+                   format_cell(draws > 0.0 ? cache.hits / draws : 0.0),
+                   format_cell(r.run.p95_ms), format_cell(r.run.p99_ms),
+                   format_cell(r.run.sla_500ms), std::to_string(cache.hits),
                    std::to_string(cache.misses)});
       dump_node_latency_csv(env.csv_dir + "/cache_ratio" +
                                 std::to_string(i) + "_nodes.csv",

@@ -9,7 +9,6 @@
 //   frameworks=a,b,...  controller-registry refs (default: every registered
 //                       controller)
 //   traces=N            first N trace kinds (CI smoke runs use traces=1)
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -19,16 +18,6 @@
 
 using namespace conscale;
 using namespace conscale::bench;
-
-namespace {
-
-std::string fmt(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
@@ -105,9 +94,10 @@ int main(int argc, char** argv) try {
       const ScalingRunResult& r = results[i].run;
       double vm_seconds = 0.0;
       for (const SystemSample& s : r.system) vm_seconds += s.total_vms;
-      csv.raw_row({r.framework_key, r.trace_name, fmt(r.p95_ms),
-                   fmt(r.p99_ms), fmt(r.sla_500ms),
-                   std::to_string(r.requests_completed), fmt(vm_seconds)});
+      csv.raw_row({r.framework_key, r.trace_name, format_cell(r.p95_ms),
+                   format_cell(r.p99_ms), format_cell(r.sla_500ms),
+                   std::to_string(r.requests_completed),
+                   format_cell(vm_seconds)});
     }
     std::cout << "  (summary written to " << env.csv_dir
               << "/dag_summary.csv)\n";

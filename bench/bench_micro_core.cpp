@@ -18,6 +18,7 @@
 #include "simcore/simulation.h"
 #include "tier/server.h"
 #include "workload/client.h"
+#include "workload/session_shard.h"
 #include "workload/trace.h"
 
 namespace conscale {
@@ -267,102 +268,73 @@ BENCHMARK(BM_PopulationWake)->Arg(4096)->Arg(65536);
 
 // ---- lane engine (src/simcore/lanes) ---------------------------------------
 
-/// System-lane stand-in: receives a request, replies across the channel.
-class BenchEchoSink final : public lanes::LaneActor {
- public:
-  explicit BenchEchoSink(lanes::LaneEngine& engine) : LaneActor(engine, 0) {}
-  void on_request(std::size_t reply_lane, EventCallback reply) {
-    post(reply_lane, 0.05, std::move(reply));
-  }
-};
-
-/// Lane-engine load: `sessions` closed-loop sessions, each thinking on its
-/// own keyed timer (exponential), that round-trip one message through the
-/// sink — keyed timer churn and cross-lane messaging without the serving
-/// system. SessionShard itself keeps its users' wake-ups in ClosedLoopCore's
-/// heap, which BM_PopulationWake measures. The sink (on lane 0) only needs
-/// on_request(reply_lane, reply).
-template <typename Sink>
-class BenchShard final : public lanes::LaneActor {
- public:
-  BenchShard(lanes::LaneEngine& engine, std::size_t lane, Sink& sink,
-             std::size_t sessions, std::uint64_t seed)
-      : LaneActor(engine, lane), sink_(&sink), rng_(seed) {
-    for (std::size_t i = 0; i < sessions; ++i) think();
-  }
-
- private:
-  void think() {
-    schedule_after(rng_.exponential(5.0), [this] { submit(); });
-  }
-  void submit() {
-    const std::size_t reply_lane = lane();
-    post(0, 0.05, [this, reply_lane] {
-      sink_->on_request(reply_lane, [this] { think(); });
-    });
-  }
-  Sink* sink_;
-  Rng rng_;
-};
+/// A SessionShard of `sessions` users (5 s mean think time) on `shard_lane`
+/// behind a LaneGateway on lane 0, over the 50 ms client network, run for
+/// 10 simulated seconds; returns the events the engine executed.
+std::uint64_t run_session_lanes(lanes::LaneEngine& engine,
+                                std::size_t shard_lane, std::size_t sessions,
+                                std::uint64_t seed, SubmitFn submit) {
+  RequestClass only;
+  only.name = "bench";
+  only.weight = 1.0;
+  only.tiers.resize(1);
+  const RequestMix mix({only});
+  const WorkloadTrace trace =
+      make_constant_trace(static_cast<double>(sessions), 20.0);
+  engine.declare_channel(shard_lane, 0, 0.05);
+  engine.declare_channel(0, shard_lane, 0.05);
+  LaneGateway gateway(engine, 0, std::move(submit), 0.05);
+  SessionShard::Params params;
+  params.think_time_mean = 5.0;
+  params.seed = seed;
+  SessionShard shard(engine, shard_lane, 0, 1, trace, mix, gateway, params);
+  engine.run(10.0);
+  benchmark::DoNotOptimize(shard.stats().completed);
+  return engine.stats().events;
+}
 
 void BM_LaneSessionChurn(benchmark::State& state) {
-  // Per-event cost must stay near-flat in the session count: the pending
-  // think timers live in a binary heap, so 16x more sessions may cost a
-  // log factor, never a linear one (check_bench_ratios.py gates the ratio).
+  // The client-edge cut: a real SessionShard and LaneGateway, the system
+  // replying at once. Per-event cost must stay near-flat in the session
+  // count: the users' wake-ups live in the shard's heap, so 16x more
+  // sessions may cost a log factor, never a linear one
+  // (check_bench_ratios.py gates the ratio).
   const auto sessions = static_cast<std::size_t>(state.range(0));
+  const SubmitFn instant = [](const RequestContext&,
+                              std::function<void(RequestOutcome)> done) {
+    done(RequestOutcome::kServed);
+  };
   std::int64_t events = 0;
   for (auto _ : state) {
     lanes::LaneEngine::Options options;
     options.lanes = 2;
     options.threads = 2;
     lanes::LaneEngine engine(options);
-    engine.declare_channel(1, 0, 0.05);  // shard -> sink (client net)
-    engine.declare_channel(0, 1, 0.05);  // sink -> shard (client net)
-    BenchEchoSink sink(engine);
-    BenchShard shard(engine, 1, sink, sessions, /*seed=*/29);
-    engine.run(10.0);
-    events += static_cast<std::int64_t>(engine.stats().events);
-    benchmark::DoNotOptimize(engine.stats().messages);
+    events += static_cast<std::int64_t>(
+        run_session_lanes(engine, 1, sessions, /*seed=*/29, instant));
   }
   state.SetItemsProcessed(events);
 }
 BENCHMARK(BM_LaneSessionChurn)->Arg(4096)->Arg(65536);
 
-/// Backend tier one LAN hop behind the frontend (the tier-laned cut).
-class BenchBackendTier final : public lanes::LaneActor {
+/// The backend stand-in of BM_LaneTierChurn: one end of a 10 ms LAN hop,
+/// which runs a callback on the other end's lane.
+class BenchLanEnd final : public lanes::LaneActor {
  public:
-  explicit BenchBackendTier(lanes::LaneEngine& engine) : LaneActor(engine, 1) {}
-  void on_request(EventCallback reply_to_frontend) {
-    post(0, 0.01, std::move(reply_to_frontend));
+  BenchLanEnd(lanes::LaneEngine& engine, std::size_t lane)
+      : LaneActor(engine, lane) {}
+  void send(const BenchLanEnd& to, EventCallback callback) {
+    post(to.lane(), 0.01, std::move(callback));
   }
-};
-
-/// Frontend tier: forwards every request across the 10 ms LAN hop to the
-/// backend on lane 1 and the reply back over the 50 ms client network.
-class BenchFrontendTier final : public lanes::LaneActor {
- public:
-  BenchFrontendTier(lanes::LaneEngine& engine, BenchBackendTier& backend)
-      : LaneActor(engine, 0), backend_(&backend) {}
-  void on_request(std::size_t reply_lane, EventCallback reply) {
-    BenchBackendTier* backend = backend_;
-    post(1, 0.01, [this, backend, reply_lane,
-                   reply = std::move(reply)]() mutable {
-      backend->on_request([this, reply_lane, reply = std::move(reply)]() mutable {
-        post(reply_lane, 0.05, std::move(reply));
-      });
-    });
-  }
-
- private:
-  BenchBackendTier* backend_;
 };
 
 void BM_LaneTierChurn(benchmark::State& state) {
-  // The tier-laned bench_scale hot path: a 50 ms client network and a
-  // 10 ms LAN hop, so the window is a fifth of BM_LaneSessionChurn's and
-  // rounds add to the keyed timer churn. Like BM_LaneSessionChurn the
-  // per-event cost must stay near-flat in the session count
-  // (check_bench_ratios.py gates the ratio).
+  // The tier-laned bench_scale hot path: BM_LaneSessionChurn's shard and
+  // gateway, with every request crossing a 10 ms LAN hop to a backend on
+  // lane 1 and back before it completes. The window is a fifth of the
+  // client network's, so rounds add to the wake-up churn. Like
+  // BM_LaneSessionChurn the per-event cost must stay near-flat in the
+  // session count (check_bench_ratios.py gates the ratio).
   const auto sessions = static_cast<std::size_t>(state.range(0));
   std::int64_t events = 0;
   for (auto _ : state) {
@@ -370,16 +342,22 @@ void BM_LaneTierChurn(benchmark::State& state) {
     options.lanes = 3;
     options.threads = 3;
     lanes::LaneEngine engine(options);
-    engine.declare_channel(2, 0, 0.05);  // shard -> frontend (client net)
-    engine.declare_channel(0, 2, 0.05);  // frontend -> shard (client net)
     engine.declare_channel(0, 1, 0.01);  // frontend -> backend (LAN hop)
     engine.declare_channel(1, 0, 0.01);  // backend -> frontend (LAN hop)
-    BenchBackendTier backend(engine);
-    BenchFrontendTier frontend(engine, backend);
-    BenchShard shard(engine, 2, frontend, sessions, /*seed=*/31);
-    engine.run(10.0);
-    events += static_cast<std::int64_t>(engine.stats().events);
-    benchmark::DoNotOptimize(engine.stats().windows);
+    BenchLanEnd frontend(engine, 0);
+    BenchLanEnd backend(engine, 1);
+    const SubmitFn one_hop = [&frontend, &backend](
+                                 const RequestContext&,
+                                 std::function<void(RequestOutcome)> done) {
+      frontend.send(backend, [&frontend, &backend,
+                              done = std::move(done)]() mutable {
+        backend.send(frontend, [done = std::move(done)] {
+          done(RequestOutcome::kServed);
+        });
+      });
+    };
+    events += static_cast<std::int64_t>(
+        run_session_lanes(engine, 2, sessions, /*seed=*/31, one_hop));
   }
   state.SetItemsProcessed(events);
 }
@@ -406,9 +384,9 @@ class BenchRingLane final : public lanes::LaneActor {
 void BM_LaneRounds(benchmark::State& state) {
   // The round barrier alone: 4 lanes in a ring, one token each, so every
   // 1 ms window each lane receives one message and posts one, and a round
-  // is 4 one-event lanes. threads=1 runs the lanes inline on the caller;
-  // threads=4 pays a barrier per round. Reported as rounds per second of
-  // wall time.
+  // is 4 one-event lanes. threads=1 drains each round's work list on the
+  // caller alone; threads=4 shares it with three workers. Reported as
+  // rounds per second of wall time.
   constexpr std::size_t kLanes = 4;
   const auto threads = static_cast<std::size_t>(state.range(0));
   std::uint64_t rounds = 0;

@@ -16,7 +16,6 @@
 // Extra keys beyond the common set: traces=N limits the grid to the first N
 // trace kinds (CI smoke runs use traces=1).
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <vector>
 
@@ -28,19 +27,13 @@ using namespace conscale::bench;
 
 namespace {
 
-std::string format_seconds(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
 /// The four fault schedules, expressed as plan text so this bench exercises
 /// the same parse path as `faults=` on any other bench. Times scale with
 /// the run so compressed CI runs still place every window inside the run.
 std::vector<std::pair<std::string, std::string>> fault_scenarios(
     double duration) {
   const auto at = [&](double fraction) {
-    return format_seconds(duration * fraction);
+    return format_cell(duration * fraction);
   };
   return {
       {"none", ""},
@@ -153,8 +146,8 @@ int main(int argc, char** argv) try {
         for (std::size_t t = 0; t < traces.size(); ++t) {
           const ScalingRunResult& r = results[index++];
           csv.raw_row({fault_name, r.framework_name, r.trace_name,
-                       format_seconds(r.p95_ms), format_seconds(r.p99_ms),
-                       format_seconds(r.sla_500ms),
+                       format_cell(r.p95_ms), format_cell(r.p99_ms),
+                       format_cell(r.sla_500ms),
                        std::to_string(r.requests_aborted),
                        std::to_string(r.fault_stats.crashes_injected),
                        std::to_string(r.dropped_samples)});

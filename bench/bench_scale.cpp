@@ -22,7 +22,8 @@
 // frameworks= lanes= tier_lanes= lan_delay= plus the standard
 // work_scale/seed/duration/csv_dir/jobs (duration defaults to 120 s here —
 // the bench measures engine throughput, not a 12-minute control
-// trajectory). lanes=auto autotunes the shard count from the scenario.
+// trajectory). shards, lanes and tier_lanes are whole numbers: shards and
+// lanes at least 1, tier_lanes at least 0 (0 keeps the client-edge layout).
 #include <chrono>  // detlint: allow(banned-api) wall-clock cost of the engine itself; never feeds model time
 #include <fstream>
 #include <iomanip>
@@ -129,12 +130,8 @@ int main(int argc, char** argv) try {
   const double duration = config.get_double("duration", 120.0);
   // `lanes` is the client-edge worker-thread count. It defaults to 4: this
   // bench exists to measure the parallel engine, so `lanes=` absent must
-  // not mean serial. `lanes=auto` autotunes the shard count and runs one
-  // thread per cell; it is read as a string before any numeric parse.
-  const bool lanes_auto = config.get_string("lanes", "") == "auto";
-  const long long lanes = lanes_auto ? 1 : config.get_int("lanes", 4);
-  const std::size_t edge_lanes =
-      lanes > 0 ? static_cast<std::size_t>(lanes) : 1;
+  // not mean serial.
+  const long long lanes = config.get_int("lanes", 4);
   const long long tier_lanes = config.get_int("tier_lanes", 0);
   const double lan_delay = config.get_double("lan_delay", 0.010);
   const std::vector<ControllerRef> frameworks =
@@ -142,6 +139,18 @@ int main(int argc, char** argv) try {
   if (topology != "chain" && topology != "dag") {
     throw std::invalid_argument("topology= must be chain or dag, got '" +
                                 topology + "'");
+  }
+  if (shards < 1) {
+    throw std::invalid_argument("shards= must be at least 1, got " +
+                                std::to_string(shards));
+  }
+  if (lanes < 1) {
+    throw std::invalid_argument("lanes= must be at least 1, got " +
+                                std::to_string(lanes));
+  }
+  if (tier_lanes < 0) {
+    throw std::invalid_argument("tier_lanes= must be at least 0, got " +
+                                std::to_string(tier_lanes));
   }
   const bool tiered = tier_lanes > 0;
 
@@ -165,35 +174,31 @@ int main(int argc, char** argv) try {
   params.db_max = 48;
 
   const WorkloadTrace trace = make_constant_trace(sessions, duration);
-  const GraphScenario graph_scenario = make_fanout_scenario(params);
+  // The chain runs as its linear graph, so both topologies share one
+  // result type and one equivalence check.
+  const GraphScenario scenario = topology == "chain"
+                                     ? make_linear_scenario(params)
+                                     : make_fanout_scenario(params);
 
   LanedRunOptions options;
   options.base.duration = duration;
   options.base.faults = env.faults;
-  // lanes=auto (or shards=0) lets the runner autotune the shard plan.
-  options.shards = lanes_auto
-                       ? 0
-                       : (shards > 0 ? static_cast<std::size_t>(shards) : 1);
+  options.shards = static_cast<std::size_t>(shards);
   options.net_delay = net_delay;
   options.lan_delay = lan_delay;
   if (tiered) options.tier_lanes = static_cast<std::size_t>(tier_lanes);
 
   // Thread count of the measured cell: tier_lanes in tier-laned mode, lanes
-  // otherwise (lanes=auto -> one thread per cell: autotuned shards + 1).
-  const std::size_t shard_plan =
-      options.shards > 0 ? options.shards
-                         : autotune_shards(sessions, think);
+  // otherwise.
   const std::size_t measured_threads =
-      tiered ? static_cast<std::size_t>(tier_lanes)
-             : (lanes_auto ? shard_plan + 1 : edge_lanes);
+      static_cast<std::size_t>(tiered ? tier_lanes : lanes);
   const std::string mode = tiered ? "tier-laned" : "client-edge";
   const std::string knob = tiered ? "tier_lanes" : "lanes";
 
   std::cout << "  grid: " << frameworks.size() << " frameworks x "
             << topology << " (" << mode << "), " << std::fixed
             << std::setprecision(0) << sessions << " sessions, "
-            << shard_plan << " shards"
-            << (options.shards == 0 ? " (auto)" : "") << ", " << knob << "="
+            << options.shards << " shards, " << knob << "="
             << measured_threads << ", " << duration << " s simulated\n";
 
   bool all_identical = true;
@@ -201,9 +206,7 @@ int main(int argc, char** argv) try {
     const std::string name = to_string(framework);
     std::cout << "\n  == " << name << " / " << topology << " ==\n";
 
-    const auto run_cell = [&](std::size_t threads, CellReport& cell,
-                              ScalingRunResult* chain_out,
-                              GraphRunResult* graph_out) {
+    const auto run_cell = [&](std::size_t threads, CellReport& cell) {
       LanedRunOptions cell_options = options;
       if (tiered) {
         cell_options.tier_lanes = threads;
@@ -212,65 +215,50 @@ int main(int argc, char** argv) try {
       }
       const auto start =
           std::chrono::steady_clock::now();  // detlint: allow(banned-api) real-time measurement only
-      if (topology == "chain") {
-        *chain_out = run_scaling_laned(params, trace, name, cell_options,
-                                       &cell.info);
-        cell.completed = chain_out->requests_completed;
-        cell.issued = chain_out->requests_issued;
-        cell.p95_ms = chain_out->p95_ms;
-      } else {
-        *graph_out = run_graph_scaling_laned(graph_scenario, trace, name,
-                                             cell_options, &cell.info);
-        cell.completed = graph_out->run.requests_completed;
-        cell.issued = graph_out->run.requests_issued;
-        cell.p95_ms = graph_out->run.p95_ms;
-      }
+      GraphRunResult result = run_graph_scaling_laned(
+          scenario, trace, name, cell_options, &cell.info);
       cell.wall_seconds = seconds_since(start);
+      cell.completed = result.run.requests_completed;
+      cell.issued = result.run.requests_issued;
+      cell.p95_ms = result.run.p95_ms;
+      return result;
     };
 
     const auto dump_cell = [&](std::size_t threads,
-                               const ScalingRunResult& chain_result,
-                               const GraphRunResult& graph_result) {
+                               const GraphRunResult& result) {
       if (env.csv_dir.empty()) return;
       const std::string stem = "scale_" + topology + "_" + framework.name +
                                "_" + (tiered ? "tlanes" : "lanes") +
                                std::to_string(threads);
       if (topology == "chain") {
-        env.maybe_dump(stem, chain_result);
+        env.maybe_dump(stem, result.run);
       } else {
-        dump_graph_system_csv(env.csv_dir + "/" + stem + ".csv",
-                              graph_result);
+        dump_graph_system_csv(env.csv_dir + "/" + stem + ".csv", result);
         dump_node_latency_csv(env.csv_dir + "/" + stem + "_nodes.csv",
-                              graph_result);
+                              result);
       }
     };
 
-    ScalingRunResult laned_chain, serial_chain;
-    GraphRunResult laned_graph, serial_graph;
     CellReport laned_cell, serial_cell;
-    run_cell(measured_threads, laned_cell, &laned_chain, &laned_graph);
+    const GraphRunResult laned = run_cell(measured_threads, laned_cell);
     std::ostringstream laned_label;
     laned_label << knob << "=" << measured_threads << " [window "
                 << laned_cell.info.lookahead << " s, "
                 << laned_cell.info.placement << "]";
     print_cell(laned_label.str(), laned_cell);
-    dump_cell(measured_threads, laned_chain, laned_graph);
+    dump_cell(measured_threads, laned);
     append_summary(env.csv_dir, topology, framework.name, mode,
                    measured_threads, laned_cell);
 
     if (!compare) continue;
-    run_cell(1, serial_cell, &serial_chain, &serial_graph);
+    const GraphRunResult serial = run_cell(1, serial_cell);
     print_cell(knob + "=1", serial_cell);
-    dump_cell(1, serial_chain, serial_graph);
+    dump_cell(1, serial);
     append_summary(env.csv_dir, topology, framework.name, mode, 1,
                    serial_cell);
 
     std::string diff;
-    const bool identical =
-        topology == "chain"
-            ? results_equivalent(laned_chain, serial_chain, &diff)
-            : graph_results_equivalent(laned_graph, serial_graph, &diff);
-    if (!identical) {
+    if (!graph_results_equivalent(laned, serial, &diff)) {
       all_identical = false;
       std::cout << "  DETERMINISM VIOLATION (" << knob << "="
                 << measured_threads << " vs " << knob << "=1): " << diff

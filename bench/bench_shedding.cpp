@@ -28,16 +28,6 @@
 using namespace conscale;
 using namespace conscale::bench;
 
-namespace {
-
-std::string fmt(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
     print_controller_list(std::cout);
@@ -112,7 +102,8 @@ int main(int argc, char** argv) try {
     nominal_p99[t] = results[t].run.p99_ms;
   }
 
-  std::cout << "\n  served-request p99 [ms] at overload=" << fmt(overload)
+  std::cout << "\n  served-request p99 [ms] at overload="
+            << format_cell(overload)
             << " (reference: fault-free ConScale at nominal load):\n"
             << "    framework            trace             nominal    "
                "noshed      shed  shed/nom  shed_ratio\n";
@@ -150,8 +141,8 @@ int main(int argc, char** argv) try {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const GraphRunResult& r = results[i];
       csv.raw_row({cells[i].variant, r.run.framework_key, r.run.trace_name,
-                   fmt(r.run.p95_ms), fmt(r.run.p99_ms),
-                   fmt(r.run.sla_500ms),
+                   format_cell(r.run.p95_ms), format_cell(r.run.p99_ms),
+                   format_cell(r.run.sla_500ms),
                    std::to_string(r.run.requests_issued),
                    std::to_string(r.run.requests_completed),
                    std::to_string(r.run.requests_rejected),

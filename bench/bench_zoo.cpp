@@ -12,7 +12,6 @@
 //   traces=N     limit the grid to the first N trace kinds (CI smoke)
 // `--list-controllers` prints the registry and exits.
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
@@ -20,16 +19,6 @@
 
 using namespace conscale;
 using namespace conscale::bench;
-
-namespace {
-
-std::string format_seconds(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) try {
   if (list_controllers_requested(argc, argv)) {
@@ -122,8 +111,8 @@ int main(int argc, char** argv) try {
                 "sla_500ms"});
     for (const ScalingRunResult& r : results) {
       csv.raw_row({r.framework_key, r.framework_name, r.trace_name,
-                   format_seconds(r.p95_ms), format_seconds(r.p99_ms),
-                   format_seconds(r.sla_500ms)});
+                   format_cell(r.p95_ms), format_cell(r.p99_ms),
+                   format_cell(r.sla_500ms)});
     }
     dump_counters_csv(env.csv_dir + "/zoo_counters.csv", results);
     std::cout << "  (summary written to " << env.csv_dir

@@ -5,6 +5,12 @@
 
 namespace conscale {
 
+std::string format_cell(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
+}
+
 CsvWriter::CsvWriter(const std::string& path) : file_(path), out_(&file_) {
   if (!file_) {
     throw std::runtime_error("CsvWriter: cannot open " + path);
@@ -52,11 +58,7 @@ void CsvWriter::row(std::initializer_list<double> values) {
 void CsvWriter::row(const std::vector<double>& values) {
   std::vector<std::string> cells;
   cells.reserve(values.size());
-  char buf[32];
-  for (double v : values) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    cells.emplace_back(buf);
-  }
+  for (double v : values) cells.push_back(format_cell(v));
   write_cells(cells);
   ++rows_;
 }

@@ -10,6 +10,9 @@
 
 namespace conscale {
 
+/// One numeric CSV cell as CsvWriter::row writes it: printf's %.6g.
+std::string format_cell(double value);
+
 /// Writes RFC-4180-ish CSV (quotes fields containing separators/quotes).
 /// The writer owns the stream; destruction flushes.
 class CsvWriter {
@@ -22,7 +25,7 @@ class CsvWriter {
   void header(std::initializer_list<std::string_view> columns);
   void header(const std::vector<std::string>& columns);
 
-  /// Appends one row. Values are formatted with %.6g.
+  /// Appends one row. Values are formatted with format_cell.
   void row(std::initializer_list<double> values);
   void row(const std::vector<double>& values);
   /// Mixed row: already-formatted cells.

@@ -102,10 +102,10 @@ class ConScalePolicy final : public SoftResourcePolicy {
   /// zero slack for estimation noise and sampling censoring (once a pool is
   /// capped, concurrency beyond the cap can never be observed again), so a
   /// small cushion keeps the operating point safely inside the stable stage.
+  /// Runs pass FrameworkConfig::conscale_headroom, the one default.
   ConScalePolicy(topology::ServiceGraph& system, SoftwareAgent& agent,
                  SoftAdaptTargets targets,
-                 ConcurrencyEstimatorService& estimator,
-                 double headroom = 1.2)
+                 ConcurrencyEstimatorService& estimator, double headroom)
       : system_(system), agent_(agent), targets_(std::move(targets)),
         estimator_(estimator), headroom_(headroom) {}
 

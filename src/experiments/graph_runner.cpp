@@ -1,7 +1,5 @@
 #include "experiments/graph_runner.h"
 
-#include <cstdio>
-
 #include "common/csv.h"
 #include "experiments/run_assembly.h"
 
@@ -40,15 +38,11 @@ void dump_node_latency_csv(const std::string& path,
   CsvWriter csv(path);
   csv.header({"node", "completions", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
               "max_ms"});
-  char buffer[64];
-  auto fmt = [&buffer](double value) {
-    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-    return std::string(buffer);
-  };
   for (const auto& row : result.node_latency) {
-    csv.raw_row({row.tier, std::to_string(row.completions), fmt(row.mean_ms),
-                 fmt(row.p50_ms), fmt(row.p95_ms), fmt(row.p99_ms),
-                 fmt(row.max_ms)});
+    csv.raw_row({row.tier, std::to_string(row.completions),
+                 format_cell(row.mean_ms), format_cell(row.p50_ms),
+                 format_cell(row.p95_ms), format_cell(row.p99_ms),
+                 format_cell(row.max_ms)});
   }
 }
 

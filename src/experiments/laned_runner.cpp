@@ -1,7 +1,5 @@
 #include "experiments/laned_runner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -17,13 +15,11 @@ CellPlan plan_cells(const GraphScenario& scenario,
     throw std::invalid_argument(
         "laned runner: session workloads are not supported on lanes");
   }
-  const ScenarioParams& base = scenario.base;
+  if (options.shards == 0) {
+    throw std::invalid_argument("laned runner: shards must be >= 1");
+  }
   CellPlan cp;
-  cp.shards_autotuned = options.shards == 0;
-  cp.shard_count =
-      cp.shards_autotuned
-          ? autotune_shards(base.scaled_users(base.max_users), base.think_time)
-          : options.shards;
+  cp.shard_count = options.shards;
   // Control (with the whole system unless it is cut, one cell per node
   // otherwise), then one cell per shard. The laned ServiceGraph checks
   // lan_delay, the engine each channel's delay.
@@ -71,7 +67,7 @@ std::unique_ptr<lanes::LaneEngine> make_lane_engine(
 std::vector<std::unique_ptr<SessionShard>> make_shards(
     lanes::LaneEngine& engine, const ScenarioParams& params,
     const WorkloadTrace& trace, const RequestMix& mix, LaneGateway& gateway,
-    const LanedRunOptions& options, const CellPlan& plan) {
+    const CellPlan& plan) {
   const std::size_t shard_count = plan.shard_count;
   Rng seeder(params.seed ^ 0xc11e);
   std::vector<std::unique_ptr<SessionShard>> shards;
@@ -80,22 +76,11 @@ std::vector<std::unique_ptr<SessionShard>> make_shards(
     SessionShard::Params sp;
     sp.think_time_mean = params.think_time;
     sp.seed = seeder.next();
-    sp.net_delay = options.net_delay;
     shards.push_back(std::make_unique<SessionShard>(
         engine, plan.first_shard_cell + i, i, shard_count, trace, mix, gateway,
-        /*gateway_lane=*/plan.entry_cell, sp));
+        sp));
   }
   return shards;
-}
-
-std::size_t autotune_shards(double peak_sessions, double think_time_mean) {
-  constexpr double kRequestsPerShardSecond = 300.0;
-  const double think = std::max(think_time_mean, 1e-6);
-  const double aggregate_rate = std::max(peak_sessions, 0.0) / think;
-  const double shards = std::ceil(aggregate_rate / kRequestsPerShardSecond);
-  if (!(shards >= 1.0)) return 1;
-  if (shards >= 64.0) return 64;
-  return static_cast<std::size_t>(shards);
 }
 
 ScalingRunResult run_scaling_laned(const ScenarioParams& params,

@@ -47,12 +47,12 @@ struct LanedRunOptions {
   /// execution (no worker thread, same round schedule). Results are
   /// independent of this value. Ignored when tier_lanes > 0.
   std::size_t lanes = 1;
-  /// Session-population partitions. Fixed independently of the thread count
-  /// so the model (and its RNG consumption) does not change with it.
-  /// 0 = autotune from the scenario's peak sessions and think time (see
-  /// autotune_shards); the chosen plan is reported in LaneRunInfo.
+  /// Session-population partitions, at least 1 (0 throws
+  /// std::invalid_argument). Fixed independently of the thread count so the
+  /// model (and its RNG consumption) does not change with it.
   std::size_t shards = 12;
-  /// Client<->frontend one-way network latency — the client channel delay.
+  /// Client<->frontend one-way network latency: the one source of the
+  /// client channels' delay and of the gateway's, which the shards use.
   SimDuration net_delay = 0.05;
   /// Tier-laned mode switch and worker thread count: 0 keeps the
   /// client-edge layout; K > 0 cuts the system into one cell per node,
@@ -78,21 +78,12 @@ struct LaneRunInfo {
   /// Worker threads executing them.
   std::size_t threads = 0;
   std::size_t shards = 0;
-  /// True when `shards == 0` selected the count via autotune_shards.
-  bool shards_autotuned = false;
   /// Human-readable cell map.
   std::string placement;
   /// Sessions still alive across every shard when the run ended (the
   /// bench_scale "concurrent sessions" figure).
   std::uint64_t active_sessions = 0;
 };
-
-/// Shard-count autotune (`shards = 0`): a shard is sized to carry roughly
-/// 300 request round-trips per simulated second, and each active session
-/// contributes ~1/think_time of them — so the count is
-/// ceil(peak_sessions / think_time / 300), clamped to [1, 64]. A pure
-/// function of the model parameters (never of lane or thread counts).
-std::size_t autotune_shards(double peak_sessions, double think_time_mean);
 
 /// Chain counterpart of run_scaling on the lane engine. The result has the
 /// exact shape run_scaling produces (same dumps, same results_equivalent),

@@ -227,13 +227,9 @@ void dump_fault_windows_csv(const std::string& path,
                             const ScalingRunResult& result) {
   CsvWriter csv(path);
   csv.header({"kind", "start", "end", "tier"});
-  char buffer[64];
   for (const auto& w : result.fault_windows) {
-    std::snprintf(buffer, sizeof(buffer), "%.6g", w.start);
-    std::string start = buffer;
-    std::snprintf(buffer, sizeof(buffer), "%.6g", w.end);
-    std::string end = buffer;
-    csv.raw_row({to_string(w.kind), start, end, w.tier});
+    csv.raw_row({to_string(w.kind), format_cell(w.start), format_cell(w.end),
+                 w.tier});
   }
 }
 

@@ -78,13 +78,11 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
   std::unique_ptr<SessionPopulation> sessions;
   std::unique_ptr<ClientPopulation> clients;
   if (laned) {
-    LaneGateway::Params gateway_params;
-    gateway_params.net_delay = laned->net_delay;
     gateway = std::make_unique<LaneGateway>(*engine, plan.entry_cell, submit,
-                                            gateway_params);
+                                            laned->net_delay);
     gateway->set_completion_hook(on_completion);
     gateway->set_rejection_hook(on_rejection);
-    shards = make_shards(*engine, base, trace, mix, *gateway, *laned, plan);
+    shards = make_shards(*engine, base, trace, mix, *gateway, plan);
   } else if (options.session_workload) {
     session_model =
         std::make_unique<SessionModel>(SessionModel::rubbos_browse(mix));
@@ -177,7 +175,6 @@ GraphRunResult assemble_run(const GraphScenario& scenario,
     info->lanes = engine->lane_count();
     info->threads = engine->thread_count();
     info->shards = plan.shard_count;
-    info->shards_autotuned = plan.shards_autotuned;
     info->placement = plan.summary;
     info->active_sessions = 0;
     for (const auto& shard : shards) {

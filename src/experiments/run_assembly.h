@@ -24,8 +24,6 @@ struct CellPlan {
   std::size_t entry_cell = 0;       ///< gateway + front tier
   std::size_t first_shard_cell = 0; ///< shard j lives on first_shard_cell + j
   std::size_t shard_count = 0;
-  /// True when `shards == 0` selected the count via autotune_shards.
-  bool shards_autotuned = false;
   std::string summary;
 };
 
@@ -43,7 +41,7 @@ std::unique_ptr<lanes::LaneEngine> make_lane_engine(
 std::vector<std::unique_ptr<SessionShard>> make_shards(
     lanes::LaneEngine& engine, const ScenarioParams& params,
     const WorkloadTrace& trace, const RequestMix& mix, LaneGateway& gateway,
-    const LanedRunOptions& options, const CellPlan& plan);
+    const CellPlan& plan);
 
 /// The trace a TraceKind entry point runs: the scenario's user scale over
 /// `duration`, seeded with base.seed ^ 0xbeef.

@@ -19,7 +19,9 @@ std::string to_string(Protocol /*protocol*/) { return "time-window barrier"; }
 
 LaneEngine::LaneEngine(Options options)
     : serialize_lane0_(options.serialize_lane0) {
-  if (options.lanes == 0) options.lanes = 1;
+  if (options.lanes == 0) {
+    throw std::invalid_argument("LaneEngine: lanes must be >= 1");
+  }
   thread_count_ =
       std::max<std::size_t>(1, std::min(options.threads, options.lanes));
   lanes_.reserve(options.lanes);
@@ -116,11 +118,9 @@ void LaneEngine::post(std::size_t from, std::size_t dest,
 }
 
 void LaneEngine::start_workers() {
-  const std::size_t pool =
-      std::min(thread_count_, lanes_.size());
-  if (!workers_.empty() || pool <= 1) return;
-  workers_.reserve(pool - 1);
-  for (std::size_t i = 1; i < pool; ++i) {
+  if (!workers_.empty()) return;
+  workers_.reserve(thread_count_ - 1);
+  for (std::size_t i = 1; i < thread_count_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -261,27 +261,21 @@ void LaneEngine::run(SimTime duration) {
       if (activity_[i] < bound) round_work_.push_back(i);
     }
     round_bound_ = bound;
-    if (round_work_.size() == 1 || workers_.empty()) {
-      // Solo fast path: a round with one active lane (or a single-threaded
-      // pool) needs no barrier round-trip — run inline on the coordinator.
-      if (round_work_.size() == 1) ++stats_.solo_rounds;
-      for (const std::size_t lane_index : round_work_) {
-        run_lane(lane_index, bound);
-      }
-    } else {
-      work_cursor_.store(0, std::memory_order_relaxed);
-      workers_running_.store(workers_.size(), std::memory_order_relaxed);
-      round_generation_.fetch_add(1, std::memory_order_release);
-      detail::wake(mutex_, start_cv_);
-      drain_work_queue();
-      detail::barrier_wait(mutex_, done_cv_, [&] {
-        return workers_running_.load(std::memory_order_acquire) == 0;
-      });
-      for (std::exception_ptr& error : worker_errors_) {
-        if (error) {
-          const std::exception_ptr raised = std::exchange(error, nullptr);
-          std::rethrow_exception(raised);
-        }
+    if (round_work_.size() == 1) ++stats_.solo_rounds;
+    // Every round takes the barrier; with no workers (threads = 1) the
+    // coordinator drains the whole work list itself.
+    work_cursor_.store(0, std::memory_order_relaxed);
+    workers_running_.store(workers_.size(), std::memory_order_relaxed);
+    round_generation_.fetch_add(1, std::memory_order_release);
+    detail::wake(mutex_, start_cv_);
+    drain_work_queue();
+    detail::barrier_wait(mutex_, done_cv_, [&] {
+      return workers_running_.load(std::memory_order_acquire) == 0;
+    });
+    for (std::exception_ptr& error : worker_errors_) {
+      if (error) {
+        const std::exception_ptr raised = std::exchange(error, nullptr);
+        std::rethrow_exception(raised);
       }
     }
     collect_outboxes();

@@ -16,6 +16,10 @@
 //   4. the barrier appends the messages the round posted to their
 //      destinations' inboxes
 //
+// One round path serves every thread count: the coordinator publishes the
+// round's work list and drains it beside the workers; with threads = 1
+// there are no workers and it drains the list alone.
+//
 // Every round is a global barrier, so the narrowest channel sets the round
 // count whatever the wider channels carry. Per-channel bounds (Chandy–
 // Misra–Bryant null messages) would only let idle lanes run ahead inside a
@@ -67,9 +71,9 @@
 // execute in (time, stream, seq) order regardless of which round scheduled
 // them; across Simulations, same-time events belong to non-interacting
 // components except at serial instants, which run in fixed lane order on one
-// thread. Round structure — window sizes, solo fast paths — can change
-// *when* an event runs but never its key order, so results are invariant to
-// the thread count.
+// thread. The thread count changes which thread runs a lane, never the
+// round structure, and a lane's events run in key order whichever thread
+// runs them, so results are invariant to the thread count.
 #pragma once
 
 #include <atomic>
@@ -111,7 +115,7 @@ struct LaneEngineStats {
   std::uint64_t messages = 0;      ///< cross-lane messages routed
   std::uint64_t events = 0;        ///< events executed, summed over lanes
   std::uint64_t serial_rounds = 0; ///< control-lane serial instants
-  std::uint64_t solo_rounds = 0;   ///< rounds with <=1 active lane (no barrier)
+  std::uint64_t solo_rounds = 0;   ///< non-serial rounds with one active lane
   /// Always 0; kept for benchmark/driver.cpp, the next benchmark PR deletes it.
   std::uint64_t nulls_announced = 0;
   /// Always 0; kept for benchmark/driver.cpp, the next benchmark PR deletes it.
@@ -202,6 +206,7 @@ class LaneEngine {
     bool serialize_lane0 = false;
   };
 
+  /// Throws std::invalid_argument for `lanes` = 0.
   explicit LaneEngine(Options options);
   ~LaneEngine();
   LaneEngine(const LaneEngine&) = delete;
@@ -239,8 +244,8 @@ class LaneEngine {
 
   /// Runs every lane to `duration` (inclusive, like Simulation::run_until)
   /// under the conservative round loop, then parks every lane clock at
-  /// `duration`. Rethrows the first model exception raised on a worker
-  /// lane.
+  /// `duration`. Rethrows the first model exception a round's lanes raised,
+  /// in lane order, once every lane of that round has run.
   void run(SimTime duration);
 
   const LaneEngineStats& stats() const { return stats_; }

@@ -5,10 +5,9 @@ namespace conscale {
 SessionShard::SessionShard(lanes::LaneEngine& engine, std::size_t lane,
                            std::size_t shard_index, std::size_t shard_count,
                            const WorkloadTrace& trace, const RequestMix& mix,
-                           LaneGateway& gateway, std::size_t gateway_lane,
-                           Params params)
+                           LaneGateway& gateway, Params params)
     : LaneActor(engine, lane), shard_index_(shard_index), mix_(mix),
-      gateway_(gateway), gateway_lane_(gateway_lane), params_(params),
+      gateway_(gateway), params_(params),
       rng_(params.seed),
       core_(sim(), stream(),
             [this](std::uint32_t slot) { user_submit(slot); }, trace,
@@ -50,7 +49,7 @@ void SessionShard::user_submit(std::uint32_t slot) {
   ctx.request_class = &mix_.pick(rng_);
   ctx.issued_at = sim().now();
   core_.issue(slot, ctx.issued_at);
-  post(gateway_lane_, params_.net_delay,
+  post(gateway_.lane(), gateway_.net_delay(),
        [this, ctx, slot] { gateway_.on_request(ctx, *this, slot); });
 }
 
@@ -73,12 +72,12 @@ void LaneGateway::on_request(const RequestContext& ctx, SessionShard& from,
       // Client-perceived response time: the reply still has to cross the
       // network, so the client sees it one net_delay after system done.
       if (completion_hook_) {
-        completion_hook_(sim().now() + params_.net_delay - client_issued);
+        completion_hook_(sim().now() + net_delay_ - client_issued);
       }
     } else if (rejection_hook_) {
       rejection_hook_();
     }
-    post(from.lane(), params_.net_delay,
+    post(from.lane(), net_delay_,
          [&from, user_slot, outcome] { from.on_reply(user_slot, outcome); });
   });
 }

@@ -37,16 +37,13 @@ class SessionShard final : public lanes::LaneActor {
   struct Params {
     double think_time_mean = 1.5;  ///< seconds; 0 = closed-loop stress mode
     std::uint64_t seed = 7;        ///< shard-local RNG seed
-    /// Client<->frontend one-way network latency. Must be at least the
-    /// declared shard -> gateway channel delay (the engine checks every
-    /// post).
-    SimDuration net_delay = 0.05;
   };
 
+  /// Requests travel to `gateway`'s lane with its net_delay().
   SessionShard(lanes::LaneEngine& engine, std::size_t lane,
                std::size_t shard_index, std::size_t shard_count,
                const WorkloadTrace& trace, const RequestMix& mix,
-               LaneGateway& gateway, std::size_t gateway_lane, Params params);
+               LaneGateway& gateway, Params params);
   SessionShard(const SessionShard&) = delete;
   SessionShard& operator=(const SessionShard&) = delete;
   // Destruction cancels the core's one armed wake-up event, so the lane
@@ -70,7 +67,6 @@ class SessionShard final : public lanes::LaneActor {
   std::size_t shard_index_;
   const RequestMix& mix_;
   LaneGateway& gateway_;
-  std::size_t gateway_lane_;
   Params params_;
   Rng rng_;
   ClosedLoopCore core_;
@@ -85,16 +81,15 @@ class SessionShard final : public lanes::LaneActor {
 /// same channel to the owning shard.
 class LaneGateway final : public lanes::LaneActor {
  public:
-  struct Params {
-    /// Client<->frontend one-way network latency; must match the shards'
-    /// and be at least the declared gateway -> shard channel delay (the
-    /// engine checks every post).
-    SimDuration net_delay = 0.05;
-  };
-
+  /// `net_delay` is the client<->frontend one-way network latency, both
+  /// ways: at least the declared channel delay between this lane and every
+  /// shard's (the engine checks every post).
   LaneGateway(lanes::LaneEngine& engine, std::size_t lane, SubmitFn submit,
-              Params params)
-      : LaneActor(engine, lane), submit_(std::move(submit)), params_(params) {}
+              SimDuration net_delay)
+      : LaneActor(engine, lane), submit_(std::move(submit)),
+        net_delay_(net_delay) {}
+
+  SimDuration net_delay() const { return net_delay_; }
 
   void set_completion_hook(CompletionHook hook) {
     completion_hook_ = std::move(hook);
@@ -110,7 +105,7 @@ class LaneGateway final : public lanes::LaneActor {
 
  private:
   SubmitFn submit_;
-  Params params_;
+  SimDuration net_delay_;
   CompletionHook completion_hook_;
   RejectionHook rejection_hook_;
 };

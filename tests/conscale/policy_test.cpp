@@ -154,7 +154,7 @@ TEST(ConScalePolicy, NoEstimateLeavesAllocationAlone) {
   SoftwareAgent agent(h.sim, h.system);
   EstimatorServiceParams params;
   ConcurrencyEstimatorService service(h.sim, h.system, *h.warehouse, params);
-  ConScalePolicy policy(h.system, agent, standard_targets(), service);
+  ConScalePolicy policy(h.system, agent, standard_targets(), service, 1.4);
   policy.adapt(h.sim.now());
   h.sim.run_for(0.3);
   EXPECT_EQ(h.system.tier(kAppTier).thread_pool_size(), h.scenario.app_threads);

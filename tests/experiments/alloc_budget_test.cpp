@@ -226,10 +226,10 @@ TEST(AllocBudget, IdleUsersStayUnderByteBudget) {
         lanes::LaneEngine engine(options);
         engine.declare_channel(0, 1, 0.05);
         engine.declare_channel(1, 0, 0.05);
-        LaneGateway gateway(engine, 0, never, {});
+        LaneGateway gateway(engine, 0, never, 0.05);
         SessionShard::Params params;
         params.think_time_mean = 300.0;
-        SessionShard shard(engine, 1, 0, 1, trace, mix, gateway, 0, params);
+        SessionShard shard(engine, 1, 0, 1, trace, mix, gateway, params);
         ASSERT_EQ(shard.active_users(), kIdleUsers);
         measure();
       });

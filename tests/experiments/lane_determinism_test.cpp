@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -343,29 +344,12 @@ TEST(TierLaneDeterminism, LanDelayIsAModelParameter) {
   EXPECT_DOUBLE_EQ(far_info.lookahead, 0.050);
 }
 
-TEST(AutotuneShards, ScalesWithPeakRateAndClamps) {
-  // 1.2M sessions thinking 300 s -> 4000 req/s -> ceil(4000/300) = 14.
-  EXPECT_EQ(autotune_shards(1.2e6, 300.0), 14u);
-  // Light scenarios collapse to a single shard.
-  EXPECT_EQ(autotune_shards(100.0, 1.5), 1u);
-  EXPECT_EQ(autotune_shards(0.0, 1.0), 1u);
-  // The cap bounds pathological rates.
-  EXPECT_EQ(autotune_shards(1e9, 0.001), 64u);
-}
-
-TEST(AutotuneShards, ShardsZeroSelectsThePlan) {
+TEST(LaneDeterminism, ZeroShardsAreRejected) {
   const ScenarioParams params = quick_params();
-  LanedRunOptions options = tier_laned_options(params, 2);
+  LanedRunOptions options = laned_options(params, 2);
   options.shards = 0;
-  LaneRunInfo info;
-  const ScalingRunResult result = run_scaling_laned(
-      params, TraceKind::kBigSpike, "ec2", options, &info);
-  EXPECT_GT(result.requests_completed, 0u);
-  EXPECT_TRUE(info.shards_autotuned);
-  EXPECT_EQ(info.shards,
-            autotune_shards(params.scaled_users(params.max_users),
-                            params.think_time));
-  EXPECT_GE(info.shards, 1u);
+  EXPECT_THROW(run_scaling_laned(params, TraceKind::kBigSpike, "ec2", options),
+               std::invalid_argument);
 }
 
 TEST(LaneDeterminism, RepeatLanedRunIsBitIdentical) {

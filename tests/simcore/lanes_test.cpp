@@ -125,8 +125,8 @@ std::vector<std::string> ping_pong_trace(std::size_t threads, char which) {
 }
 
 TEST(LaneEngine, PingPongIsIdenticalAcrossThreadCounts) {
-  // Same actors, same lanes, different pool width: inline on the
-  // coordinator versus a worker thread. The observable traces must match
+  // Same actors, same lanes, different pool width: the coordinator alone
+  // versus the coordinator and a worker thread. The observable traces must match
   // element for element — the core of the 1-thread ≡ K-thread contract.
   EXPECT_EQ(ping_pong_trace(1, 'a'), ping_pong_trace(2, 'a'));
   EXPECT_EQ(ping_pong_trace(1, 'b'), ping_pong_trace(2, 'b'));
@@ -356,9 +356,15 @@ TEST(LaneEngine, ActorRejectsOutOfRangeLane) {
   EXPECT_EQ(engine.new_stream(), 1u);
 }
 
-TEST(LaneEngine, SoloRoundsRunInlineWhenOneLaneIsActive) {
-  // Only lane 0 has events: every round has a single active lane and must
-  // take the inline fast path instead of a barrier round-trip.
+TEST(LaneEngine, RejectsZeroLanes) {
+  LaneEngine::Options options;
+  options.lanes = 0;
+  EXPECT_THROW(LaneEngine engine(options), std::invalid_argument);
+}
+
+TEST(LaneEngine, SoloRoundsCountRoundsWithOneActiveLane) {
+  // Only lane 0 has events: every round has a single active lane. It runs
+  // through the barrier like any other round and is counted as solo.
   LaneEngine::Options options;
   options.lanes = 3;
   options.threads = 3;

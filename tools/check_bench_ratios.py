@@ -22,15 +22,18 @@ Gates (see EXPERIMENTS.md "virtual-time PS + metrics hot paths" and
 * PopulationWake/65536 items/s within 5x of /4096. A wake-up pops and
   pushes the closed-loop core's heap of waiting users, a log factor; a scan
   over the users per wake-up would sit at 16x at least.
-* LaneSessionChurn/65536 items/s within 5x of /4096. The lane engine's
-  per-event cost on the client-edge cut (keyed timers plus one message
-  each way over the 50 ms channel): 16x more sessions may cost a heap log
-  factor, measured below 1x, while a per-event scan over the sessions or
-  over the messages in flight would sit at 16x at least.
-* LaneTierChurn/65536 items/s within 5x of /4096. The same bound on the
-  tier cut, whose 10 ms LAN hop adds rounds: a round costs O(lanes),
-  independent of the session count, so the per-event cost stays as flat
-  (measured below 1x) unless per-round work grows with the sessions.
+* LaneSessionChurn/65536 items/s within 5x of /4096. The client-edge cut
+  as bench_scale runs it: a real SessionShard and LaneGateway on two lanes,
+  the system replying at once, one message each way over the 50 ms
+  channel. The shard's wake-ups share one heap, so 16x more sessions may
+  cost a heap log factor, while a per-event scan over the sessions or over
+  the messages in flight would sit at 16x at least.
+* LaneTierChurn/65536 items/s within 5x of /4096. The same shard and
+  gateway on the tier cut: every request crosses a 10 ms LAN hop to a
+  backend stand-in on a third lane and back, so the window narrows and
+  rounds add up. A round costs O(lanes), independent of the session count,
+  so the per-event cost stays as flat unless per-round work grows with the
+  sessions.
 
 Usage: check_bench_ratios.py <bench.json>
 """
@@ -46,13 +49,15 @@ GATES = [
     # kernel event, so 16x more users may cost a heap log factor per
     # wake-up, never a linear scan (16x minimum).
     ("BM_PopulationWake/4096", "BM_PopulationWake/65536", 5.0),
-    # Lane-engine per-event cost: 16x more closed-loop sessions may pay a
-    # heap log factor (~1.3x in theory, a few x with cache effects), never a
-    # linear one — an O(n) scan per event would sit at 16x minimum.
+    # Lane-engine per-event cost through a real SessionShard and
+    # LaneGateway: 16x more closed-loop sessions may pay a heap log factor
+    # (~1.3x in theory, a few x with cache effects), never a linear one —
+    # an O(n) scan per event would sit at 16x minimum.
     ("BM_LaneSessionChurn/4096", "BM_LaneSessionChurn/65536", 5.0),
-    # Same bound for the tier-laned variant: its narrower LAN-hop window
-    # adds rounds, and a round's cost is O(lanes), independent of the
-    # session count, so its per-event cost must stay as flat.
+    # Same bound with a 10 ms LAN hop to a backend stand-in behind the
+    # gateway: the narrower window adds rounds, and a round's cost is
+    # O(lanes), independent of the session count, so its per-event cost
+    # must stay as flat.
     ("BM_LaneTierChurn/4096", "BM_LaneTierChurn/65536", 5.0),
 ]
 
